@@ -199,8 +199,10 @@ pub fn fig17(env: &PaperEnv, scale: Scale) -> Fig17Result {
     let start = Time::from_hours(1);
     let pause_at = start + before;
     let resume_at = pause_at + pause;
-    let mut links = Vec::new();
-    for (a, b) in [(1u16, 0u16), (1, 6), (1, 10), (1, 5)] {
+    // Each link is an independently-seeded simulation: the links fan out
+    // through the deterministic sweep and come back in link order.
+    let link_ids = [(1u16, 0u16), (1, 6), (1, 10), (1, 5)];
+    let links = electrifi_testbed::sweep::par_map(&link_ids, |_, &(a, b)| {
         let seed = 0xF17 ^ ((a as u64) << 16) ^ b as u64;
         let mut sim = LinkProbeSim::new(
             env.plc_channel(a, b),
@@ -215,8 +217,8 @@ pub fn fig17(env: &PaperEnv, scale: Scale) -> Fig17Result {
         for &(t, v) in resumed.points() {
             series.push(t, v);
         }
-        links.push(((a, b), series));
-    }
+        ((a, b), series)
+    });
     Fig17Result {
         links,
         pause_at,
@@ -239,10 +241,10 @@ pub struct Fig18Result {
 pub fn fig18(env: &PaperEnv, scale: Scale) -> Fig18Result {
     let duration = scale.dur(Duration::from_secs(10_000), 200);
     let (a, b) = (11u16, 6u16);
-    let mut sizes = Vec::new();
     // (label as the paper quotes it — wire bytes incl. PB header, payload
-    // handed to the MAC).
-    for (label, payload) in [(200u32, 200u32), (520, 512), (521, 513), (1300, 1300)] {
+    // handed to the MAC). Each size is its own seeded simulation.
+    let probes = [(200u32, 200u32), (520, 512), (521, 513), (1300, 1300)];
+    let sizes = electrifi_testbed::sweep::par_map(&probes, |_, &(label, payload)| {
         let seed = 0xF18 ^ label as u64;
         let mut sim = LinkProbeSim::new(
             env.plc_channel(a, b),
@@ -252,8 +254,8 @@ pub fn fig18(env: &PaperEnv, scale: Scale) -> Fig18Result {
         );
         sim.reset();
         let series = probe_at_rate(&mut sim, Time::from_hours(1), duration, 1, payload);
-        sizes.push((label, series));
-    }
+        (label, series)
+    });
     Fig18Result {
         sizes,
         r1sym: LinkProbeSim::r1sym_mbps(),
@@ -282,13 +284,14 @@ pub fn fig19(env: &PaperEnv, scale: Scale) -> Fig19Result {
     let duration = scale.dur(Duration::from_secs(240), 24);
     let mut pairs = env.plc_pairs();
     pairs.truncate(scale.take(pairs.len(), 10));
-    let mut traces = Vec::new();
-    for (a, b) in pairs {
-        let t = cycle_trace(env, a, b, PlcTechnology::HpAv, env.estimator, duration);
-        if t.ble.stats().mean() > 5.0 {
-            traces.push(t.ble);
-        }
-    }
+    // One trace per pair through the sweep; the usability filter runs
+    // afterwards, in pair order.
+    let traces: Vec<Series> = electrifi_testbed::sweep::par_map(&pairs, |_, &(a, b)| {
+        cycle_trace(env, a, b, PlcTechnology::HpAv, env.estimator, duration).ble
+    })
+    .into_iter()
+    .filter(|ble| ble.stats().mean() > 5.0)
+    .collect();
     let adaptive = evaluate_policy(ProbingPolicy::paper_adaptive(), &traces);
     let every_5s = evaluate_policy(ProbingPolicy::Fixed(Duration::from_secs(5)), &traces);
     let every_80s = evaluate_policy(ProbingPolicy::Fixed(Duration::from_secs(80)), &traces);

@@ -60,13 +60,14 @@ pub struct Fig20Result {
     pub file_bytes: u64,
 }
 
-/// Measure one link's saturated delivery timeline on both mediums.
+/// Measure one link's saturated delivery timeline on both mediums:
+/// `(plc_times, wifi_times)`, each sorted by delivery time.
 fn delivery_timelines(
     env: &PaperEnv,
     a: StationId,
     b: StationId,
     duration: Duration,
-) -> (Vec<Time>, Vec<Time>, f64, f64) {
+) -> (Vec<Time>, Vec<Time>) {
     // --- PLC side.
     let cfg = SimConfig {
         seed: env.testbed.seed ^ 0xF20 ^ ((a as u64) << 12) ^ b as u64,
@@ -86,7 +87,6 @@ fn delivery_timelines(
     } else {
         Vec::new()
     };
-    let plc_capacity = plc.int6krate(a, b);
     // --- WiFi side.
     let wcfg = WifiSimConfig {
         seed: env.testbed.seed ^ 0x20F ^ ((a as u64) << 12) ^ b as u64,
@@ -106,9 +106,8 @@ fn delivery_timelines(
     wifi.run_until(Time::ZERO + duration);
     let mut wd = wifi.take_delivered(f);
     wd.sort_by_key(|p| p.delivered);
-    let wifi_capacity = wifi.capacity_mbps(a, b);
     let wifi_times: Vec<Time> = wd.into_iter().map(|p| p.delivered).collect();
-    (plc_times, wifi_times, plc_capacity, wifi_capacity)
+    (plc_times, wifi_times)
 }
 
 fn mean_rate_mbps(times: &[Time]) -> f64 {
@@ -131,34 +130,47 @@ fn jitter_ms(times: &[Time]) -> f64 {
     s.std()
 }
 
+/// Measurement window of the detailed four-way comparison.
+fn detail_duration(scale: Scale) -> Duration {
+    scale.dur(Duration::from_secs(100), 20)
+}
+
 /// Run the detailed four-way comparison on one link.
 pub fn fig20_detail(env: &PaperEnv, a: StationId, b: StationId, scale: Scale) -> Fig20Throughput {
-    let duration = scale.dur(Duration::from_secs(100), 20);
-    let (plc_times, wifi_times, _plc_cap, _wifi_cap) = delivery_timelines(env, a, b, duration);
+    let (plc_times, wifi_times) = delivery_timelines(env, a, b, detail_duration(scale));
+    detail_from_timelines((a, b), &plc_times, &wifi_times)
+}
+
+/// The four-way comparison over one link's measured timelines.
+fn detail_from_timelines(
+    link: (StationId, StationId),
+    plc_times: &[Time],
+    wifi_times: &[Time],
+) -> Fig20Throughput {
     // Split weights: the paper re-estimates each medium's capacity every
     // second from live transmissions, so the splitter converges to the
     // actual achievable rates — model that converged state by weighting
     // with the measured steady-state goodputs.
     let strategy =
-        SplitStrategy::capacity_weighted(mean_rate_mbps(&plc_times), mean_rate_mbps(&wifi_times));
+        SplitStrategy::capacity_weighted(mean_rate_mbps(plc_times), mean_rate_mbps(wifi_times));
     let total = plc_times.len() + wifi_times.len();
-    let hybrid = combine_streams(&plc_times, &wifi_times, strategy, total, 0xF20);
+    let hybrid = combine_streams(plc_times, wifi_times, strategy, total, 0xF20);
     let rr = combine_streams(
-        &plc_times,
-        &wifi_times,
+        plc_times,
+        wifi_times,
         SplitStrategy::RoundRobin,
         total,
         0xF20,
     );
-    let single_jitter_ms = if mean_rate_mbps(&plc_times) > mean_rate_mbps(&wifi_times) {
-        jitter_ms(&plc_times)
+    let single_jitter_ms = if mean_rate_mbps(plc_times) > mean_rate_mbps(wifi_times) {
+        jitter_ms(plc_times)
     } else {
-        jitter_ms(&wifi_times)
+        jitter_ms(wifi_times)
     };
     Fig20Throughput {
-        link: (a, b),
-        wifi_only: mean_rate_mbps(&wifi_times),
-        plc_only: mean_rate_mbps(&plc_times),
+        link,
+        wifi_only: mean_rate_mbps(wifi_times),
+        plc_only: mean_rate_mbps(plc_times),
         hybrid: hybrid.mean_throughput_mbps(PKT_BYTES),
         round_robin: rr.mean_throughput_mbps(PKT_BYTES),
         hybrid_jitter_ms: hybrid.jitter_ms(),
@@ -176,7 +188,6 @@ fn completion_s(delivery: &CombinedDelivery) -> f64 {
 
 /// Run Fig. 20: the detailed link plus the 13-link completion-time sweep.
 pub fn fig20(env: &PaperEnv, scale: Scale) -> Fig20Result {
-    let detail = fig20_detail(env, 0, 4, scale);
     // Scaled file: 600 MB at Paper scale.
     let file_bytes: u64 = match scale {
         Scale::Paper => 600_000_000,
@@ -199,9 +210,21 @@ pub fn fig20(env: &PaperEnv, scale: Scale) -> Fig20Result {
         (6, 2),
         (7, 9),
     ];
+    // Every link's timelines come from its own seeded simulations, so the
+    // detailed link and the 13 completion links measure through one
+    // deterministic sweep; the combine step below runs serially, in link
+    // order.
+    let runs: Vec<(StationId, StationId, Duration)> =
+        std::iter::once((0, 4, detail_duration(scale)))
+            .chain(links.iter().map(|&(a, b)| (a, b, duration)))
+            .collect();
+    let mut timelines =
+        electrifi_testbed::sweep::par_map(&runs, |_, &(a, b, d)| delivery_timelines(env, a, b, d))
+            .into_iter();
+    let (plc_times, wifi_times) = timelines.next().expect("the detailed link was measured");
+    let detail = detail_from_timelines((0, 4), &plc_times, &wifi_times);
     let mut completions = Vec::new();
-    for (a, b) in links {
-        let (plc_times, wifi_times, _plc_cap, _wifi_cap) = delivery_timelines(env, a, b, duration);
+    for (&(a, b), (plc_times, wifi_times)) in links.iter().zip(timelines) {
         if wifi_times.is_empty() {
             continue; // the paper only lists links with WiFi connectivity
         }

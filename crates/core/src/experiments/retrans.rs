@@ -54,51 +54,65 @@ pub fn fig21(env: &PaperEnv, scale: Scale) -> Fig21Result {
                 .map(move |&src| (day, start_hour, src))
         })
         .collect();
-    let rows = electrifi_testbed::sweep::par_map(&runs, |_, &(day, start_hour, src)| {
-        let cfg = SimConfig {
-            seed: env.testbed.seed ^ 0xF21 ^ ((src as u64) << 8) ^ day as u64,
-            ..SimConfig::default()
-        };
-        let mut sim = PlcSim::new(cfg, &env.testbed.grid, &outlets);
-        let f = sim.add_flow(Flow::broadcast(
-            src,
-            TrafficSource::new(
-                TrafficPattern::Cbr {
-                    rate_bps: 120_000.0, // 1500 B every 100 ms
-                    pkt_bytes: 1500,
-                },
-                Time::from_hours(start_hour),
-            ),
-        ));
-        // Warp to the time of day and run.
-        sim.run_until(Time::from_hours(start_hour) + duration);
-        // Reference unicast quality per receiver (analytic, from the
-        // channel at night): throughput and pberr scale stand-ins.
-        let mut run_rows = Vec::new();
-        for (&dst, &(ok, lost)) in sim.broadcast_stats(f).iter() {
-            let total = ok + lost;
-            if total == 0 {
-                continue;
-            }
-            // A floor at 1/total keeps zero-loss links plottable on
-            // the paper's log axis.
-            let loss_rate = (lost as f64 / total as f64).max(0.5 / total as f64);
-            let (throughput, pberr) = night_reference(env, src, dst);
-            run_rows.push(BroadcastRow {
+    let mut rows: Vec<_> =
+        electrifi_testbed::sweep::par_map(&runs, |_, &(day, start_hour, src)| {
+            let cfg = SimConfig {
+                seed: env.testbed.seed ^ 0xF21 ^ ((src as u64) << 8) ^ day as u64,
+                ..SimConfig::default()
+            };
+            let mut sim = PlcSim::new(cfg, &env.testbed.grid, &outlets);
+            let f = sim.add_flow(Flow::broadcast(
                 src,
-                dst,
-                loss_rate,
-                throughput,
-                pberr,
-                day,
-            });
-        }
-        run_rows.sort_by_key(|r| r.dst);
-        run_rows
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+                TrafficSource::new(
+                    TrafficPattern::Cbr {
+                        rate_bps: 120_000.0, // 1500 B every 100 ms
+                        pkt_bytes: 1500,
+                    },
+                    Time::from_hours(start_hour),
+                ),
+            ));
+            // Warp to the time of day and run.
+            sim.run_until(Time::from_hours(start_hour) + duration);
+            let mut run_rows = Vec::new();
+            for (&dst, &(ok, lost)) in sim.broadcast_stats(f).iter() {
+                let total = ok + lost;
+                if total == 0 {
+                    continue;
+                }
+                // A floor at 1/total keeps zero-loss links plottable on
+                // the paper's log axis.
+                let loss_rate = (lost as f64 / total as f64).max(0.5 / total as f64);
+                // The night reference is filled in below.
+                run_rows.push(BroadcastRow {
+                    src,
+                    dst,
+                    loss_rate,
+                    throughput: 0.0,
+                    pberr: 0.0,
+                    day,
+                });
+            }
+            run_rows.sort_by_key(|r| r.dst);
+            run_rows
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    // Reference unicast quality per receiver (from the channel at night):
+    // throughput and pberr scale stand-ins. It does not depend on the
+    // time of day, so it is measured once per (src, dst) pair that
+    // appears in the rows.
+    let mut links: Vec<(StationId, StationId)> = rows.iter().map(|r| (r.src, r.dst)).collect();
+    links.sort_unstable();
+    links.dedup();
+    let references =
+        electrifi_testbed::sweep::par_map(&links, |_, &(src, dst)| night_reference(env, src, dst));
+    for row in &mut rows {
+        let k = links
+            .binary_search(&(row.src, row.dst))
+            .expect("every row's link has a reference");
+        (row.throughput, row.pberr) = references[k];
+    }
     Fig21Result { rows }
 }
 

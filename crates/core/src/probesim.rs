@@ -85,6 +85,11 @@ pub struct LinkProbeSim {
     /// moves on the cycle scale (~1 s), so caching is lossless in
     /// practice and makes week-long traces affordable.
     spec_cache: Vec<Option<(Time, SnrSpectrum)>>,
+    /// Per-slot PBerr memoized for (tone-map id) against the slot's cached
+    /// spectrum; invalidated with the spectrum (same shape as the MAC's
+    /// `PlcSim::pberr_for`). Frames outpace both the spectrum TTL and
+    /// tone-map regenerations, so most frames reuse the 917-carrier sum.
+    pberr_memo: [Option<(u32, f64)>; TONEMAP_SLOTS],
     /// Prebuilt ROBO map for this carrier count, so pre-regen sends don't
     /// rebuild one per frame.
     robo: ToneMap,
@@ -106,6 +111,7 @@ impl LinkProbeSim {
             window: (0, 0),
             cumulative: (0, 0),
             spec_cache: vec![None; TONEMAP_SLOTS],
+            pberr_memo: [None; TONEMAP_SLOTS],
             robo: ToneMap::robo(n),
             metrics: ProbeMetrics::register(simnet::obs::current().registry()),
         }
@@ -120,6 +126,7 @@ impl LinkProbeSim {
         };
         if stale {
             self.metrics.spec_refreshes.inc();
+            self.pberr_memo[slot] = None;
             let phase = (slot as f64 + 0.5) / TONEMAP_SLOTS as f64;
             let (at, spec) = self.spec_cache[slot].get_or_insert_with(|| (t, SnrSpectrum::empty()));
             *at = t;
@@ -149,6 +156,10 @@ impl LinkProbeSim {
         for entry in &mut self.spec_cache {
             *entry = None;
         }
+        // Tone-map ids restart at 1 after a reset: never let a memo entry
+        // meet a fresh map's id (the cleared spectra would drop it on
+        // refresh too).
+        self.pberr_memo = [None; TONEMAP_SLOTS];
     }
 
     /// Average BLE over the six slots — the `int6krate` reading.
@@ -180,6 +191,22 @@ impl LinkProbeSim {
         }
     }
 
+    /// PBerr of the sender's map in `slot` against the slot's cached
+    /// spectrum (which must be fresh), memoized per tone-map id:
+    /// bit-identical to recomputing `pb_error_prob` every call.
+    fn slot_pberr(&mut self, slot: usize) -> f64 {
+        let map = self.sender_map(slot);
+        if let Some((id, p)) = self.pberr_memo[slot] {
+            if id == map.id {
+                return p;
+            }
+        }
+        let spec = &self.spec_cache[slot].as_ref().expect("fresh spectrum").1;
+        let p = pb_error_prob(map, spec);
+        self.pberr_memo[slot] = Some((map.id, p));
+        p
+    }
+
     /// Push one data/probe frame of `payload_bytes` through the link at
     /// time `t`. Frames always carry at least one PB; the frame length in
     /// symbols follows the tone map in use (padding to one symbol
@@ -190,6 +217,7 @@ impl LinkProbeSim {
         self.ensure_spectrum(slot, t);
         let pbs = plc_mac::pb::pbs_for_packet(payload_bytes);
         let bits = pbs as u64 * PB_BITS;
+        let pberr = self.slot_pberr(slot);
         // Shared borrows of the slot cache and the tone map end before the
         // estimator/rng mutations below (disjoint fields), so the frame
         // runs clone-free.
@@ -197,7 +225,6 @@ impl LinkProbeSim {
         let map = self.sender_map(slot);
         let ble_mbps = map.ble();
         let n_symbols = map.symbols_for_bits(bits).clamp(1, 1_000);
-        let pberr = pb_error_prob(map, spec);
         let mut pb_errors = 0u32;
         for _ in 0..pbs {
             if Distributions::bernoulli(&mut self.rng, pberr) {
@@ -273,9 +300,7 @@ impl LinkProbeSim {
     pub fn throughput_now(&mut self, t: Time) -> f64 {
         let slot = t.tonemap_slot(TONEMAP_SLOTS);
         self.ensure_spectrum(slot, t);
-        let spec = &self.spec_cache[slot].as_ref().expect("just refreshed").1;
-        let map = self.sender_map(slot);
-        let pberr = pb_error_prob(map, spec);
+        let pberr = self.slot_pberr(slot);
         plc_mac::saturation_throughput_mbps(self.est.ble_avg(), pberr, 1)
     }
 
@@ -335,6 +360,8 @@ impl electrifi_state::Persist for LinkProbeSim {
         &mut self,
         r: &mut electrifi_state::SectionReader<'_>,
     ) -> Result<(), electrifi_state::StateError> {
+        // The restored estimator's tone-map ids need not match the memo's.
+        self.pberr_memo = [None; TONEMAP_SLOTS];
         self.est.load_state(r)?;
         self.rng = r.get()?;
         self.window = r.get()?;
@@ -401,6 +428,81 @@ mod tests {
         }
         assert_eq!(straight.ble_avg().to_bits(), resumed.ble_avg().to_bits());
         assert_eq!(straight.cumulative, resumed.cumulative);
+    }
+
+    /// Push a frame at `t` and check its PBerr (and, every tenth frame,
+    /// `throughput_now`) against a recomputation from the same sender map
+    /// and spectrum. Returns whether the memo served the frame.
+    fn frame_matches_recomputation(l: &mut LinkProbeSim, t: Time, k: u64) -> bool {
+        let slot = t.tonemap_slot(TONEMAP_SLOTS);
+        l.ensure_spectrum(slot, t);
+        let map = l.sender_map(slot);
+        let hit = matches!(l.pberr_memo[slot], Some((id, _)) if id == map.id);
+        let spec = &l.spec_cache[slot].as_ref().unwrap().1;
+        let expected = pb_error_prob(map, spec);
+        let o = l.frame(t, 24_000);
+        assert_eq!(
+            o.pberr.to_bits(),
+            expected.to_bits(),
+            "frame PBerr at {t:?}"
+        );
+        if k.is_multiple_of(10) {
+            l.ensure_spectrum(slot, t);
+            let spec = &l.spec_cache[slot].as_ref().unwrap().1;
+            let pberr = pb_error_prob(l.sender_map(slot), spec);
+            let expected = plc_mac::saturation_throughput_mbps(l.ble_avg(), pberr, 1);
+            assert_eq!(
+                l.throughput_now(t).to_bits(),
+                expected.to_bits(),
+                "throughput_now at {t:?}"
+            );
+        }
+        hit
+    }
+
+    #[test]
+    fn pberr_memo_matches_recomputation_across_reset_and_restore() {
+        use electrifi_state::{SnapshotReader, SnapshotWriter};
+        let mut l = link(5, 8);
+        let mut hits = 0usize;
+        let mut t = Time::from_hours(2);
+        let mut run = |l: &mut LinkProbeSim, t: &mut Time, n: u64, step_ms: u64| {
+            for k in 0..n {
+                hits += frame_matches_recomputation(l, *t, k) as usize;
+                *t += Duration::from_millis(step_ms);
+            }
+        };
+        // Warmup cadence: 20 ms frames against a 100 ms spectrum TTL.
+        run(&mut l, &mut t, 200, 20);
+        // A reset restarts tone-map ids at 1 while the memo is warm.
+        l.reset();
+        run(&mut l, &mut t, 150, 7);
+        // Another link at another time of day: same tone-map ids, other
+        // maps, so its memo would serve a wrong PBerr after the restore.
+        let mut resumed = link(5, 8);
+        let mut other = Time::from_hours(14);
+        run(&mut resumed, &mut other, 100, 7);
+        let slot = t.tonemap_slot(TONEMAP_SLOTS);
+        let fresh_at = l.spec_cache[slot].as_ref().unwrap().0;
+        assert!(
+            t.saturating_since(fresh_at) < SPECTRUM_TTL,
+            "spectrum must be live"
+        );
+        let (id, p) = resumed.pberr_memo[slot].expect("warm memo");
+        assert_eq!(
+            id,
+            l.sender_map(slot).id,
+            "the restore must meet a colliding id"
+        );
+        assert_ne!(p.to_bits(), l.pberr_memo[slot].unwrap().1.to_bits());
+        let mut snap = SnapshotWriter::new();
+        snap.save("probe", &l);
+        SnapshotReader::from_bytes(&snap.to_bytes())
+            .unwrap()
+            .load("probe", &mut resumed)
+            .unwrap();
+        run(&mut resumed, &mut t, 200, 7);
+        assert!(hits > 300, "memo served only {hits} of 650 frames");
     }
 
     #[test]

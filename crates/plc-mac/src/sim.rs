@@ -683,6 +683,13 @@ impl PlcSim {
                 rx.bits_memo = [None; TONEMAP_SLOTS];
             }
         }
+        // The spectrum cache memoizes PBerr by tone-map id too, for as
+        // long as the spectrum lives, so drop it on every touched link.
+        for ((s, d, _), cached) in self.spectra.iter_mut() {
+            if *s == idx || *d == idx {
+                cached.pberr_for = None;
+            }
+        }
     }
 
     /// Drain packets delivered on a unicast flow.
@@ -1838,6 +1845,38 @@ mod tests {
         s.reset_device(2);
         let robo = ToneMap::robo(PlcTechnology::HpAv.carrier_count()).ble();
         assert!((s.int6krate(0, 2) - robo).abs() < 1e-9);
+    }
+
+    #[test]
+    fn reset_device_invalidates_the_pberr_memo() {
+        use rand::SeedableRng;
+        let mut s = sim(SimConfig::default());
+        let (src, dst, slot) = (s.idx(0), s.idx(2), 0);
+        let now = s.now;
+        let spec = s.spectrum(src, dst, slot).clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let map_after = |s: &mut PlcSim, observations: u32, pbs: u32, rng: &mut _| {
+            let est = &mut s.rx_state(src, dst).estimator;
+            for _ in 0..observations {
+                est.observe(rng, slot, &spec, 64, pbs);
+            }
+            est.regenerate(now, false);
+            est.tonemaps().slots[slot].clone()
+        };
+        // One regeneration from a well-observed channel, memoized.
+        let before = map_after(&mut s, 64, 8, &mut rng);
+        let p_before = s.pberr_for(src, dst, slot, &before);
+        s.reset_device(2);
+        // A regeneration inside the spectrum lifetime reuses the id for a
+        // one-PB-per-symbol map.
+        let after = map_after(&mut s, 1, 1, &mut rng);
+        assert_eq!(after.id, before.id, "the test must build an id collision");
+        let fresh = pb_error_prob(&after, s.spectrum(src, dst, slot));
+        assert_ne!(fresh.to_bits(), p_before.to_bits(), "maps must differ");
+        assert_eq!(
+            s.pberr_for(src, dst, slot, &after).to_bits(),
+            fresh.to_bits()
+        );
     }
 
     #[test]

@@ -594,30 +594,6 @@ fn handle_submit(core: &Arc<Core>, req: &Request, out: &mut impl Write) -> std::
             &format!("cannot create job directory {}: {e}", dir.display()),
         );
     }
-    {
-        let mut sched = lock(&core.sched);
-        match sched.submit(&id, runs.len(), core.config.shard_size) {
-            Ok(()) => {}
-            Err(SubmitError::QueueFull { cap }) => {
-                drop(sched);
-                core.metrics.inc(&core.metrics.queue_rejected_full);
-                let _ = std::fs::remove_dir(&dir);
-                return http::respond(
-                    out,
-                    429,
-                    "application/json",
-                    &[("Retry-After", "1")],
-                    format!("{{\"error\":\"queue full ({cap} live campaigns)\",\"status\":429}}")
-                        .as_bytes(),
-                );
-            }
-            Err(SubmitError::DuplicateId) => {
-                drop(sched);
-                return http::respond_error(out, 500, "job id collision");
-            }
-        }
-    }
-    let shards = lock(&core.sched).get(&id).map_or(0, |j| j.shard_count());
     let hub = Arc::new(EventHub::new(core.config.events_ring));
     let job = Arc::new(JobData {
         spec,
@@ -628,6 +604,44 @@ fn handle_submit(core: &Arc<Core>, req: &Request, out: &mut impl Write) -> std::
         cancel: Arc::new(AtomicBool::new(false)),
         obs_wanted: Arc::new(AtomicBool::new(false)),
     });
+    // Register the job's data before the scheduler can lease its shards:
+    // a worker that woke in between would find no data and fail the job.
+    // Ids come from `next_job`, so the entry is new.
+    lock(&core.jobs).insert(id.clone(), Arc::clone(&job));
+    let submitted = {
+        let mut sched = lock(&core.sched);
+        sched
+            .submit(&id, job.runs.len(), core.config.shard_size)
+            .map(|()| {
+                // Published under the scheduler lock, so `queued` precedes
+                // any worker's `running`.
+                pool::publish_status_event(core, &job, &id, JobStatus::Queued, None);
+                sched.get(&id).map_or(0, |j| j.shard_count())
+            })
+    };
+    let shards = match submitted {
+        Ok(shards) => shards,
+        Err(e) => {
+            lock(&core.jobs).remove(&id);
+            return match e {
+                SubmitError::QueueFull { cap } => {
+                    core.metrics.inc(&core.metrics.queue_rejected_full);
+                    let _ = std::fs::remove_dir(&job.dir);
+                    http::respond(
+                        out,
+                        429,
+                        "application/json",
+                        &[("Retry-After", "1")],
+                        format!(
+                            "{{\"error\":\"queue full ({cap} live campaigns)\",\"status\":429}}"
+                        )
+                        .as_bytes(),
+                    )
+                }
+                SubmitError::DuplicateId => http::respond_error(out, 500, "job id collision"),
+            };
+        }
+    };
     let doc = to_json(&SubmittedDoc {
         id: id.clone(),
         status: JobStatus::Queued.as_str().to_string(),
@@ -635,8 +649,6 @@ fn handle_submit(core: &Arc<Core>, req: &Request, out: &mut impl Write) -> std::
         shards: shards as u64,
         config_digest: job.digest.clone(),
     });
-    pool::publish_status_event(core, &job, &id, JobStatus::Queued, None);
-    lock(&core.jobs).insert(id.clone(), job);
     core.metrics.inc(&core.metrics.queue_submitted);
     core.work_cv.notify_all();
     http::respond_json(out, 202, &doc)
@@ -859,4 +871,72 @@ fn handle_shutdown(core: &Arc<Core>, req: &Request, out: &mut impl Write) -> std
     )?;
     initiate_shutdown(core, now);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-run campaign over a small generated building.
+    const ONE_RUN_JSON: &str = r#"{
+      "name": "admit",
+      "scenarios": [
+        {
+          "name": "gen",
+          "grid": {
+            "generator": {
+              "floors": 1,
+              "boards_per_floor": 1,
+              "offices_per_board": 3,
+              "stations_per_board": 2
+            }
+          }
+        }
+      ],
+      "seeds": [1],
+      "workloads": [
+        { "name": "tiny", "start_hour": 10, "duration_s": 2, "sample_ms": 500, "max_pairs": 2 }
+      ],
+      "experiments": ["probing"]
+    }"#;
+
+    /// Admission registers a job's data before the scheduler can lease
+    /// its shards: a spy reading the scheduler as often as it can take
+    /// the lock never finds a job without data.
+    #[test]
+    fn scheduled_jobs_always_have_their_data() {
+        let root = std::env::temp_dir().join(format!("efi-serve-admit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).expect("temp root");
+        let mut config = ServeConfig::new(Bind::Unix(root.join("ctl.sock")), root.join("out"));
+        config.workers = 1;
+        config.queue_cap = 1_000;
+        let server = Server::start(config).expect("server starts");
+        let core = Arc::clone(&server.core);
+        let done = AtomicBool::new(false);
+        let orphans = std::thread::scope(|scope| {
+            let spy = scope.spawn(|| {
+                let mut orphans = 0usize;
+                while !done.load(Ordering::SeqCst) {
+                    let sched = lock(&core.sched);
+                    let jobs = lock(&core.jobs);
+                    orphans += sched.jobs().filter(|j| !jobs.contains_key(&j.id)).count();
+                }
+                orphans
+            });
+            let client = server.client();
+            for _ in 0..32 {
+                let resp = client
+                    .request("POST", "/campaigns", Some(ONE_RUN_JSON.as_bytes()))
+                    .expect("submit");
+                assert_eq!(resp.status, 202, "{}", resp.text());
+            }
+            done.store(true, Ordering::SeqCst);
+            spy.join().expect("spy thread")
+        });
+        assert_eq!(orphans, 0, "jobs were schedulable before their data");
+        server.shutdown(true);
+        server.wait().expect("clean stop");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

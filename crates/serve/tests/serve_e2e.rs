@@ -63,8 +63,12 @@ fn cli_summary_bytes() -> Vec<u8> {
 }
 
 fn submit(client: &electrifi_serve::HttpClient) -> String {
+    submit_doc(client, CAMPAIGN_JSON, 3)
+}
+
+fn submit_doc(client: &electrifi_serve::HttpClient, doc: &str, runs: usize) -> String {
     let resp = client
-        .request("POST", "/campaigns", Some(CAMPAIGN_JSON.as_bytes()))
+        .request("POST", "/campaigns", Some(doc.as_bytes()))
         .expect("submit");
     assert_eq!(resp.status, 202, "{}", resp.text());
     let text = resp.text();
@@ -76,7 +80,7 @@ fn submit(client: &electrifi_serve::HttpClient) -> String {
         .expect("admission doc carries an id")
         .to_string();
     assert!(text.contains("\"status\":\"queued\""), "{text}");
-    assert!(text.contains("\"total_runs\":3"), "{text}");
+    assert!(text.contains(&format!("\"total_runs\":{runs}")), "{text}");
     id
 }
 
@@ -279,6 +283,30 @@ fn error_taxonomy_and_queue_backpressure() {
         .request("POST", "/shutdown", Some(br#"{"mode":"drain"}"#))
         .expect("req");
     assert_eq!(r.status, 202);
+    server.wait().expect("clean drain");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn back_to_back_submissions_never_lose_their_job_data() {
+    // One seed of the e2e campaign: a single one-run shard per job.
+    let doc = CAMPAIGN_JSON.replace("[1, 2, 3]", "[1]");
+    let root = temp_root("submit-race");
+    let mut config = config_for(&root);
+    // Many idle workers poll the queue while submissions are admitted;
+    // each job's data must be there before any of them leases its shard.
+    config.workers = 8;
+    config.queue_cap = 1_000;
+    let server = Server::start(config).expect("server starts");
+    let client = server.client();
+
+    let ids: Vec<String> = (0..64).map(|_| submit_doc(&client, &doc, 1)).collect();
+    for id in &ids {
+        let status = wait_done(&client, id);
+        assert!(!status.contains("no job data"), "{status}");
+    }
+
+    server.shutdown(false);
     server.wait().expect("clean drain");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -1,10 +1,25 @@
 //! Deterministic parallel sweeps over independent link measurements.
 //!
-//! The spatial/capacity experiments iterate over station pairs and
-//! measure each pair with a **pure, per-pair-seeded** function — no state
-//! is carried from one pair to the next. That makes the loops
-//! embarrassingly parallel, *provided* the parallel schedule cannot leak
-//! into the results:
+//! The experiments iterate over station pairs (or per-pair cells) and
+//! measure each with a **pure, per-pair-seeded** function — no state is
+//! carried from one item to the next. Every such loop runs through
+//! [`par_map`]:
+//!
+//! * spatial: Figs. 3, 6 and 7, per pair;
+//! * temporal: Fig. 10's panels, Fig. 11's link grid and the
+//!   long-trace/weekly windows behind Figs. 12–14;
+//! * capacity: Fig. 15's links, Fig. 16's (link, rate) cells, Fig. 17's
+//!   links, Fig. 18's probe sizes and Fig. 19's cycle traces;
+//! * hybrid: Fig. 20's per-link delivery timelines (the detailed link
+//!   and the 13 completion links in one sweep);
+//! * retransmission: Fig. 21's broadcast runs and then its night
+//!   references (one per unique link), Fig. 22's links, and the
+//!   sensitivity runs of Figs. 23–24;
+//! * campaigns: the probing experiment's per-pair measurements, and the
+//!   campaign runners shard whole runs with [`par_map_workers`].
+//!
+//! That makes the loops embarrassingly parallel, *provided* the parallel
+//! schedule cannot leak into the results:
 //!
 //! * items are split into contiguous chunks and results are collected in
 //!   item-index order, so the output `Vec` is byte-identical to a

@@ -232,4 +232,12 @@ ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_mac
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_channel
 ./scripts/perf_gate.sh --smoke
 
+echo "== e2ebench pinned digests (paper-quick, seed 2015) =="
+# The end-to-end benchmark checks every runner's serialized output
+# against the digests pinned in e2ebench/src/pins.rs and exits nonzero
+# on any mismatch, so a runner that stops being bit-identical fails here.
+cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml -- \
+    --workload paper-quick --seed 2015 --seconds 1 --trace 0 > /dev/null
+echo "pinned runner digests OK"
+
 echo "All checks passed."
