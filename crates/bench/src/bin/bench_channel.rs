@@ -16,19 +16,22 @@
 //!   tour of times, phases and directions — a perf win can never
 //!   silently change results.
 //!
-//! `scripts/perf_gate.sh` compares this output against the checked-in
-//! baseline in `scripts/baselines/BENCH_channel.baseline.json`.
+//! After writing the report the bin gates it (see [`gate`]) and exits 1
+//! on any failure: the digest match and both zero-allocation paths in
+//! every mode, and in full mode the 100 µs rebuild ceiling plus no >20%
+//! regression against `scripts/baselines/BENCH_channel.baseline.json`.
 //!
 //! Environment:
 //! * `ELECTRIFI_BENCH_ITERS` — warm-loop iterations (default 2000).
 //! * `ELECTRIFI_BENCH_SMOKE=1` — tiny loops, for CI smoke runs
-//!   (timings meaningless; invariants still checked).
+//!   (timings meaningless; only the invariants are gated).
 
 use electrifi::experiments::PAPER_SEED;
 use electrifi::PaperEnv;
+use electrifi_bench::gate::{self as knobs, Gate, TOL};
 use plc_phy::channel::{LinkDir, PlcChannel};
 use plc_phy::SnrSpectrum;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use simnet::obs::{self, Obs};
 use simnet::time::{Duration, Time};
 
@@ -42,7 +45,7 @@ fn mix(h: &mut u64, v: u64) {
 }
 
 /// The uncached-evaluator arm.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct ColdEval {
     iters: u64,
     total_s: f64,
@@ -50,7 +53,7 @@ struct ColdEval {
 }
 
 /// The cached hot path on an epoch-stable window.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Warm {
     iters: u64,
     total_s: f64,
@@ -70,7 +73,7 @@ struct Warm {
 }
 
 /// The gated epoch-rebuild arm: every call flips the appliance epoch.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct ColdRebuild {
     iters: u64,
     reps: u64,
@@ -83,8 +86,9 @@ struct ColdRebuild {
     allocs_per_rebuild: f64,
 }
 
-/// What `out/BENCH_channel.json` records.
-#[derive(Debug, Serialize)]
+/// What `out/BENCH_channel.json` records; also the committed baseline's
+/// type.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct ChannelBenchReport {
     seed: u64,
     link: (u16, u16),
@@ -144,11 +148,8 @@ fn epoch_flip_pair(env: &PaperEnv, a: u16, b: u16, dir: LinkDir) -> (Time, Time)
 }
 
 fn main() {
-    let smoke = std::env::var("ELECTRIFI_BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let warm_iters: u64 = std::env::var("ELECTRIFI_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(if smoke { 200 } else { 2000 });
+    let smoke = knobs::smoke_from_env();
+    let warm_iters: u64 = knobs::knob("ELECTRIFI_BENCH_ITERS", if smoke { 200 } else { 2000 });
     let cold_iters: u64 = if smoke { 10 } else { 300 };
     let rebuild_iters: u64 = if smoke { 40 } else { 400 };
     let rebuild_reps: u64 = if smoke { 2 } else { 5 };
@@ -204,11 +205,6 @@ fn main() {
     let key_skips = snap.counter("plc.phy.spectrum.key_skips");
     let key_rescans = snap.counter("plc.phy.spectrum.key_rescans");
     let allocs_per_call = alloc_delta.events() as f64 / warm_iters as f64;
-    assert_eq!(
-        alloc_delta.events(),
-        0,
-        "warm spectrum_at_phase_into allocated: {alloc_delta:?}"
-    );
     let warm = Warm {
         iters: warm_iters,
         total_s: warm_total_s,
@@ -251,11 +247,6 @@ fn main() {
         .counter("plc.phy.spectrum.epoch_rebuilds")
         // The two scratch-warming calls rebuild too.
         .saturating_sub(2);
-    assert_eq!(
-        rebuilds,
-        rebuild_iters * rebuild_reps,
-        "rebuild arm did not rebuild every call"
-    );
     let cold_rebuild = ColdRebuild {
         iters: rebuild_iters,
         reps: rebuild_reps,
@@ -292,7 +283,6 @@ fn main() {
         }
     }
     let digest_match = digest_cached == digest_ref;
-    assert!(digest_match, "cached and reference spectra diverged");
 
     let report = ChannelBenchReport {
         seed: PAPER_SEED,
@@ -313,4 +303,186 @@ fn main() {
     let _ = std::fs::create_dir_all("out");
     std::fs::write("out/BENCH_channel.json", &json).expect("write out/BENCH_channel.json");
     println!("{json}");
+    gate(&report, || knobs::load_baseline("channel")).finish("bench_channel", smoke);
+}
+
+/// Judge a channel report: the invariants in both modes, and in full
+/// mode (the report's own `smoke` flag off) the timing gates against the
+/// baseline, which is read only then.
+fn gate(
+    ch: &ChannelBenchReport,
+    baseline: impl FnOnce() -> Result<ChannelBenchReport, String>,
+) -> Gate {
+    let mut g = Gate::default();
+    // The cached evaluator runs the chunked kernels, the reference the
+    // scalar twins: the digest tour proves they still agree bitwise.
+    g.check(ch.digest_match, || {
+        "channel: digest mismatch — cached spectrum diverged from the reference evaluator".into()
+    });
+    let (warm, rb) = (ch.warm.allocs_per_call, &ch.cold_rebuild);
+    g.check(warm == 0.0, || {
+        format!("channel: warm spectrum_at_phase_into performed {warm} heap allocation(s)/call; expected zero")
+    });
+    g.check(rb.allocs_per_rebuild == 0.0, || {
+        let n = rb.allocs_per_rebuild;
+        format!("channel: epoch rebuild performed {n} heap allocation(s)/rebuild; expected zero")
+    });
+    g.check(rb.rebuilds == rb.iters * rb.reps, || {
+        "channel: rebuild arm did not rebuild on every call — cold_rebuild_us is not measuring the rebuild path".into()
+    });
+    if ch.smoke {
+        return g;
+    }
+    let Ok(base) = baseline().map_err(|e| g.failures.push(e)) else {
+        return g;
+    };
+    g.refuse_smoke_baseline("channel", base.smoke);
+
+    // The rebuild ceiling is absolute by design ("tens of µs per
+    // 917-carrier rebuild"), on top of the baseline ratio.
+    const CEILING_US: f64 = 100.0;
+    let (cur, refv) = (ch.cold_rebuild_us, base.cold_rebuild_us);
+    g.check(cur <= CEILING_US, || {
+        format!("channel: cold_rebuild_us {cur:.1} exceeds the {CEILING_US:.0} µs ceiling")
+    });
+    g.check(cur <= refv / TOL, || {
+        format!("channel: cold_rebuild_us {cur:.1} regressed >20% vs baseline {refv:.1}")
+    });
+    g.note(format!(
+        "channel: cold rebuild {cur:.1} µs (baseline {refv:.1} µs, ceiling {CEILING_US:.0} µs)"
+    ));
+    let (cur, refv) = (ch.warm.per_call_us, base.warm.per_call_us);
+    g.check(cur <= refv / TOL, || {
+        format!("channel: warm per-call {cur:.2} µs regressed >20% vs baseline {refv:.2} µs")
+    });
+    g.note(format!(
+        "channel: warm per-call {cur:.2} µs (baseline {refv:.2} µs)"
+    ));
+    let (cur, refv) = (ch.speedup, base.speedup);
+    g.check(cur >= TOL * refv, || {
+        format!("channel: speedup {cur:.1}x regressed >20% vs baseline {refv:.1}x")
+    });
+    g.note(format!(
+        "channel: cached/reference speedup {cur:.1}x (baseline {refv:.1}x)"
+    ));
+    g
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn baseline() -> ChannelBenchReport {
+        knobs::load_baseline("channel").expect("committed channel baseline parses")
+    }
+
+    /// The gate's verdict on `ch` against the committed baseline.
+    fn judge(ch: &ChannelBenchReport) -> Gate {
+        gate(ch, || Ok(baseline()))
+    }
+
+    /// Exactly one failure, and it names `needle`.
+    fn assert_fails(g: &Gate, needle: &str) {
+        assert_eq!(g.failures.len(), 1, "{:?}", g.failures);
+        assert!(g.failures[0].contains(needle), "{:?}", g.failures);
+    }
+
+    #[test]
+    fn committed_baseline_parses_and_is_full_mode() {
+        let base = baseline();
+        assert!(!base.smoke);
+        assert!(base.digest_match);
+    }
+
+    #[test]
+    fn report_equal_to_its_baseline_passes_full_mode() {
+        let g = judge(&baseline());
+        assert!(g.failures.is_empty() && g.warnings.is_empty(), "{g:?}");
+        assert_eq!(g.notes.len(), 3);
+    }
+
+    #[test]
+    fn smoke_mode_skips_every_timing_gate() {
+        let mut ch = baseline();
+        ch.smoke = true;
+        ch.cold_rebuild_us = 1e6;
+        ch.warm.per_call_us = 1e6;
+        ch.speedup = 0.0;
+        let g = gate(&ch, || panic!("smoke mode must not read the baseline"));
+        assert!(g.failures.is_empty() && g.notes.is_empty(), "{g:?}");
+    }
+
+    #[test]
+    fn smoke_baseline_is_refused() {
+        let mut base = baseline();
+        base.smoke = true;
+        assert_fails(
+            &gate(&baseline(), || Ok(base)),
+            "BENCH_channel is a smoke run",
+        );
+    }
+
+    #[test]
+    fn digest_mismatch_fails() {
+        let mut ch = baseline();
+        ch.digest_match = false;
+        assert_fails(&judge(&ch), "channel: digest mismatch");
+    }
+
+    #[test]
+    fn warm_allocation_fails() {
+        let mut ch = baseline();
+        ch.smoke = true;
+        ch.warm.allocs_per_call = 0.5;
+        assert_fails(
+            &judge(&ch),
+            "warm spectrum_at_phase_into performed 0.5 heap",
+        );
+    }
+
+    #[test]
+    fn rebuild_allocation_fails() {
+        let mut ch = baseline();
+        ch.cold_rebuild.allocs_per_rebuild = 1.0;
+        assert_fails(&judge(&ch), "epoch rebuild performed 1 heap");
+    }
+
+    #[test]
+    fn missed_rebuild_fails() {
+        let mut ch = baseline();
+        ch.cold_rebuild.rebuilds -= 1;
+        assert_fails(&judge(&ch), "rebuild arm did not rebuild on every call");
+    }
+
+    #[test]
+    fn rebuild_over_the_ceiling_fails() {
+        let mut ch = baseline();
+        let mut base = baseline();
+        ch.cold_rebuild_us = 101.0;
+        base.cold_rebuild_us = 100.0;
+        assert_fails(&gate(&ch, || Ok(base)), "exceeds the 100 µs ceiling");
+    }
+
+    #[test]
+    fn rebuild_regression_fails() {
+        let mut ch = baseline();
+        ch.cold_rebuild_us = ch.cold_rebuild_us / TOL + 1.0;
+        let g = judge(&ch);
+        assert_fails(&g, "channel: cold_rebuild_us");
+        assert!(g.failures[0].contains("regressed >20% vs baseline"));
+    }
+
+    #[test]
+    fn warm_regression_fails() {
+        let mut ch = baseline();
+        ch.warm.per_call_us = ch.warm.per_call_us / TOL * 1.01;
+        assert_fails(&judge(&ch), "channel: warm per-call");
+    }
+
+    #[test]
+    fn speedup_regression_fails() {
+        let mut ch = baseline();
+        ch.speedup *= TOL * 0.99;
+        assert_fails(&judge(&ch), "channel: speedup");
+    }
 }

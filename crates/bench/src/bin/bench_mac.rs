@@ -25,19 +25,27 @@
 //! width 256 on the fig16-shaped (mixed probing rates) profile and zero
 //! allocations inside the engine arms' timed windows.
 //!
-//! `scripts/perf_gate.sh` compares this output against the checked-in
-//! baselines in `scripts/baselines/BENCH_mac.baseline.json` and
-//! `scripts/baselines/BENCH_batch.baseline.json`.
+//! After writing both reports the bin gates them (see [`gate`]) and
+//! exits 1 on any failure. Every mode gates the invariants: digest
+//! matches and allocation-free optimized and engine windows. Full mode
+//! adds the timing gates: the 3× `mac_loop` and 2× batch floors, the
+//! 0.95 span budget, and no >20% regression against
+//! `scripts/baselines/BENCH_mac.baseline.json` and
+//! `scripts/baselines/BENCH_batch.baseline.json`. Absolute steps/sec is
+//! host-dependent, so it only warns unless `PERF_GATE_ABSOLUTE=1`.
 //!
 //! Environment:
 //! * `ELECTRIFI_BENCH_SECS` — simulated seconds in the timed window
-//!   (default 8).
-//! * `ELECTRIFI_BENCH_SMOKE=1` — 2-second window, for CI smoke runs.
+//!   (default 16).
+//! * `ELECTRIFI_BENCH_REPS` — best-of repetitions per arm (default 3).
+//! * `ELECTRIFI_BENCH_SMOKE=1` — 2-second window, one rep, for CI smoke
+//!   runs; only the invariants are gated.
 
+use electrifi_bench::gate::{self as knobs, Gate, TOL};
 use plc_mac::pb::CompletedPacket;
 use plc_mac::sim::{Flow, PlcSim, SimConfig, StationId};
 use plc_mac::PlcBatch;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use simnet::appliance::ApplianceKind;
 use simnet::grid::Grid;
 use simnet::obs::span::{self, RunProfile, SpanConfig};
@@ -55,7 +63,7 @@ const WARMUP_SECS: u64 = 3;
 const QUIESCE_GAP: Duration = Duration::from_secs(1_000_000);
 
 /// One timed arm of a workload.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Arm {
     /// MAC scheduling steps taken inside the timed window.
     steps: u64,
@@ -75,7 +83,7 @@ struct Arm {
     allocs_saved: u64,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Comparison {
     /// Simulated seconds in the timed window.
     window_sim_s: f64,
@@ -91,7 +99,7 @@ struct Comparison {
     digest_match: bool,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct IdleReport {
     /// Simulated seconds of the mostly-idle probing run.
     sim_s: f64,
@@ -110,9 +118,9 @@ struct IdleReport {
 
 /// Cost of the span-tracing hot path: the optimized quiesced Fig. 16
 /// arm with stats-mode spans enabled versus the same arm with spans
-/// disabled. `scripts/perf_gate.sh` requires `ratio >= 0.95` (spans may
-/// cost at most 5%) and `digest_match == true` (observation never
-/// perturbs the simulation).
+/// disabled. The gate requires `ratio >= 0.95` (spans may cost at most
+/// 5%) and `digest_match == true` (observation never perturbs the
+/// simulation).
 #[derive(Debug, Clone, Serialize)]
 struct SpanOverhead {
     /// Simulated seconds in the timed window.
@@ -485,7 +493,7 @@ fn batch_probe_rate(i: usize) -> f64 {
 }
 
 /// One arm of the batched-ensemble comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct BatchArm {
     /// Lockstep width (1 = per-sim chunked round-robin, no engine).
     batch: usize,
@@ -503,7 +511,7 @@ struct BatchArm {
 }
 
 /// One ensemble profile advanced at every width in [`BATCH_WIDTHS`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct BatchProfile {
     /// Links in the ensemble.
     sims: usize,
@@ -523,9 +531,9 @@ struct BatchProfile {
     arms: Vec<BatchArm>,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct BatchReport {
-    name: &'static str,
+    name: String,
     seed: u64,
     smoke: bool,
     reps: usize,
@@ -736,10 +744,6 @@ fn batch_profile(reps: usize, build: &dyn Fn() -> Vec<PlcSim>, window: Duration)
         .map(|&b| best_batch_arm(reps, build, b, window))
         .collect();
     let digest_match = arms.iter().all(|a| a.digest == arms[0].digest);
-    assert_eq!(
-        arms[1].steps, arms[2].steps,
-        "engine step counts diverged across widths"
-    );
     BatchProfile {
         sims: BATCH_SIMS,
         window_sim_s: window.as_secs_f64(),
@@ -765,15 +769,9 @@ fn print_batch_profile(p: &BatchProfile) {
 }
 
 fn main() {
-    let smoke = std::env::var("ELECTRIFI_BENCH_SMOKE").map(|v| v == "1") == Ok(true);
-    let secs: f64 = std::env::var("ELECTRIFI_BENCH_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 2.0 } else { 16.0 });
-    let reps: usize = std::env::var("ELECTRIFI_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 1 } else { 3 });
+    let smoke = knobs::smoke_from_env();
+    let secs: f64 = knobs::knob("ELECTRIFI_BENCH_SECS", if smoke { 2.0 } else { 16.0 });
+    let reps: usize = knobs::knob("ELECTRIFI_BENCH_REPS", if smoke { 1 } else { 3 });
     let window = Duration::from_secs_f64(secs);
 
     let ring_flows: Vec<(StationId, StationId)> = (0..10u16).map(|i| (i, (i + 1) % 10)).collect();
@@ -879,7 +877,7 @@ fn main() {
         span_overhead,
     };
     let batch_report = BatchReport {
-        name: "bench_batch",
+        name: "bench_batch".to_string(),
         seed: SEED,
         smoke,
         reps,
@@ -894,4 +892,327 @@ fn main() {
     println!("{json}");
     eprintln!("wrote out/BENCH_mac.json");
     eprintln!("wrote out/BENCH_batch.json");
+    let absolute = std::env::var("PERF_GATE_ABSOLUTE").is_ok_and(|v| v == "1");
+    gate(&report, &batch_report, load_baselines, absolute).finish("bench_mac", smoke);
+}
+
+/// The committed `BENCH_mac` baseline's sections that the full-mode gate
+/// compares against. The file predates `span_overhead`, and no gate
+/// reads a baseline span ratio.
+#[derive(Debug, Clone, Deserialize)]
+struct MacBaseline {
+    smoke: bool,
+    mac_loop: Comparison,
+    saturated: Comparison,
+    idle: IdleReport,
+}
+
+/// Both committed baselines of the full-mode gate.
+type Baselines = (MacBaseline, BatchReport);
+
+fn load_baselines() -> Result<Baselines, String> {
+    Ok((knobs::load_baseline("mac")?, knobs::load_baseline("batch")?))
+}
+
+/// Judge both reports: the invariants in both modes, and in full mode
+/// (the report's own `smoke` flag off) the timing gates against the
+/// baselines, which are read only then. `absolute` turns the
+/// absolute-throughput warning into a failure.
+fn gate(
+    rep: &BenchReport,
+    bat: &BatchReport,
+    baselines: impl FnOnce() -> Result<Baselines, String>,
+    absolute: bool,
+) -> Gate {
+    let mut g = Gate::default();
+    let quiesced = [("mac_loop", &rep.mac_loop), ("saturated", &rep.saturated)];
+    for (name, c) in quiesced
+        .into_iter()
+        .chain([("full_profile", &rep.full_profile)])
+    {
+        g.check(c.digest_match, || {
+            format!("{name}: digest mismatch — optimized stepper diverged from the reference")
+        });
+    }
+    g.check(rep.idle.digest_match, || {
+        "idle: digest mismatch — idle-skip changed simulation outputs".into()
+    });
+    // The quiesced arms are the steady-state MAC loop: zero heap
+    // allocations there. full_profile keeps the estimator running, whose
+    // observation path may touch the heap, so it is not gated.
+    for (name, c) in quiesced {
+        let n = c.optimized.allocs_in_window;
+        g.check(n == 0, || {
+            format!("{name}: optimized window performed {n} heap allocation(s); expected zero")
+        });
+    }
+    // Every lockstep width folds the serial arm's digest and counts the
+    // same steps, and the engine windows never touch the heap.
+    for (name, p) in [
+        ("fig16_shaped", &bat.fig16_shaped),
+        ("saturated", &bat.saturated),
+    ] {
+        g.check(p.digest_match, || {
+            format!(
+                "batch {name}: digest mismatch — lockstep engine diverged from per-sim stepping"
+            )
+        });
+        for a in p.arms.iter().filter(|a| a.batch > 1) {
+            let (w, n) = (a.batch, a.allocs_in_window);
+            g.check(n == 0, || {
+                format!("batch {name}: width-{w} window performed {n} heap allocation(s); expected zero")
+            });
+            g.check(a.steps == p.canonical_steps, || {
+                let (n, canon) = (a.steps, p.canonical_steps);
+                format!(
+                    "batch {name}: width-{w} engine counted {n} steps, not the canonical {canon}"
+                )
+            });
+        }
+    }
+    // Spans observe the simulation, they never steer it.
+    g.check(rep.span_overhead.digest_match, || {
+        "span_overhead: digest mismatch — span tracing perturbed the simulation".into()
+    });
+    if rep.smoke {
+        return g;
+    }
+    let Ok((base, bat_base)) = baselines().map_err(|e| g.failures.push(e)) else {
+        return g;
+    };
+    g.refuse_smoke_baseline("mac", base.smoke);
+    g.refuse_smoke_baseline("batch", bat_base.smoke);
+
+    // Ratios of two same-host arms are self-normalizing; absolute
+    // throughput is not, so it only warns (below).
+    const FLOOR: f64 = 3.0;
+    let sp = rep.mac_loop.speedup;
+    g.check(sp >= FLOOR, || {
+        format!("mac_loop: speedup {sp:.2}x below the {FLOOR:.1}x floor")
+    });
+    for ((name, c), b) in quiesced.into_iter().zip([&base.mac_loop, &base.saturated]) {
+        let (cur, refv) = (c.speedup, b.speedup);
+        g.check(cur >= TOL * refv, || {
+            format!("{name}: speedup {cur:.2}x regressed >20% vs baseline {refv:.2}x")
+        });
+        g.note(format!("{name}: speedup {cur:.2}x (baseline {refv:.2}x)"));
+    }
+    let (cur, refv) = (rep.idle.hit_rate, base.idle.hit_rate);
+    g.check(cur >= TOL * refv, || {
+        format!("idle: skip hit rate {cur:.2} regressed >20% vs baseline {refv:.2}")
+    });
+    g.note(format!("idle: hit rate {cur:.2} (baseline {refv:.2})"));
+    let fp = rep.full_profile.speedup;
+    g.note(format!(
+        "full_profile: speedup {fp:.2}x (reported, not gated)"
+    ));
+
+    // The saturated ensemble has no idle time for the wheel to skip, so
+    // only the fig16-shaped ratio is gated.
+    const BATCH_FLOOR: f64 = 2.0;
+    let cur = bat.fig16_shaped.speedup_256_over_1;
+    let refv = bat_base.fig16_shaped.speedup_256_over_1;
+    g.check(cur >= BATCH_FLOOR, || {
+        format!(
+            "batch fig16_shaped: speedup {cur:.2}x at width 256 below the {BATCH_FLOOR:.1}x floor"
+        )
+    });
+    g.check(cur >= TOL * refv, || {
+        format!("batch fig16_shaped: speedup {cur:.2}x regressed >20% vs baseline {refv:.2}x")
+    });
+    g.note(format!("batch: fig16-shaped 256/1 speedup {cur:.2}x (floor {BATCH_FLOOR:.1}x, baseline {refv:.2}x)"));
+    let sat = bat.saturated.speedup_256_over_1;
+    g.note(format!(
+        "batch: saturated 256/1 speedup {sat:.2}x (reported, not gated)"
+    ));
+
+    // Stats-mode spans may cost at most 5% of the gated workload.
+    const SPAN_BUDGET: f64 = 0.95;
+    let ratio = rep.span_overhead.ratio;
+    g.check(ratio >= SPAN_BUDGET, || {
+        format!("span_overhead: enabled/disabled ratio {ratio:.3} below the {SPAN_BUDGET:.2} budget (spans cost more than 5%)")
+    });
+    g.note(format!(
+        "spans: enabled/disabled ratio {ratio:.3} (budget {SPAN_BUDGET:.2})"
+    ));
+
+    let cur = rep.mac_loop.optimized.steps_per_sec;
+    let refv = base.mac_loop.optimized.steps_per_sec;
+    if cur < TOL * refv {
+        let (cur, refv) = (grouped(cur), grouped(refv));
+        let msg = format!("mac_loop: absolute {cur} steps/s is >20% below baseline {refv} steps/s");
+        if absolute {
+            g.failures.push(msg);
+        } else {
+            g.warnings
+                .push(msg + " (warn-only; set PERF_GATE_ABSOLUTE=1 to gate)");
+        }
+    }
+    g
+}
+
+/// `v` rounded to an integer and grouped by thousands (`775,141`).
+fn grouped(v: f64) -> String {
+    let digits = format!("{v:.0}");
+    let mut out = String::with_capacity(digits.len() + digits.len() / 3);
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
+            out.push(',');
+        }
+        out.push(c);
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Reports equal to the committed baselines (the span section, which
+    /// the mac baseline lacks, is a free span tracer) and the baselines.
+    fn passing() -> (BenchReport, BatchReport, Baselines) {
+        let (base, bat_base) = load_baselines().expect("committed baselines parse");
+        let report = BenchReport {
+            name: "bench_mac",
+            seed: SEED,
+            smoke: false,
+            reps: 3,
+            mac_loop: base.mac_loop.clone(),
+            saturated: base.saturated.clone(),
+            full_profile: base.mac_loop.clone(),
+            idle: base.idle.clone(),
+            span_overhead: SpanOverhead {
+                window_sim_s: 16.0,
+                disabled_steps_per_sec: 1e6,
+                enabled_steps_per_sec: 1e6,
+                ratio: 1.0,
+                digest_match: true,
+                spans: RunProfile { spans: Vec::new() },
+            },
+        };
+        (report, bat_base.clone(), (base, bat_base))
+    }
+
+    fn judge(rep: &BenchReport, bat: &BatchReport, base: Baselines, absolute: bool) -> Gate {
+        gate(rep, bat, || Ok(base), absolute)
+    }
+
+    /// Exactly one failure, and it names `needle`.
+    fn assert_fails(g: &Gate, needle: &str) {
+        assert_eq!(g.failures.len(), 1, "{:?}", g.failures);
+        assert!(g.failures[0].contains(needle), "{:?}", g.failures);
+    }
+
+    /// One test per gate check: mutate a passing report (or baseline)
+    /// and expect exactly the named failure.
+    macro_rules! gate_fails {
+        ($($test:ident: |$r:ident, $b:ident, $base:ident| $mutate:block => $needle:literal;)*) => {$(
+            #[test]
+            fn $test() {
+                let (mut $r, mut $b, mut $base) = passing();
+                $mutate
+                assert_fails(&judge(&$r, &$b, $base, false), $needle);
+            }
+        )*};
+    }
+
+    gate_fails! {
+        stepper_digest_mismatch_fails: |r, _b, _base| { r.full_profile.digest_match = false; }
+            => "full_profile: digest mismatch";
+        idle_digest_mismatch_fails: |r, _b, _base| { r.idle.digest_match = false; }
+            => "idle: digest mismatch";
+        optimized_window_allocation_fails: |r, _b, _base| { r.saturated.optimized.allocs_in_window = 3; }
+            => "saturated: optimized window performed 3 heap allocation(s)";
+        batch_digest_mismatch_fails: |_r, b, _base| { b.saturated.digest_match = false; }
+            => "batch saturated: digest mismatch";
+        engine_window_allocation_fails: |_r, b, _base| { b.fig16_shaped.arms[1].allocs_in_window = 2; }
+            => "batch fig16_shaped: width-16 window performed 2 heap allocation(s)";
+        engine_step_count_divergence_fails: |_r, b, _base| { b.fig16_shaped.arms[2].steps += 1; }
+            => "batch fig16_shaped: width-256 engine counted";
+        span_digest_mismatch_fails: |r, _b, _base| { r.span_overhead.digest_match = false; }
+            => "span_overhead: digest mismatch";
+        mac_loop_below_floor_fails: |r, _b, _base| { r.mac_loop.speedup = 2.9; }
+            => "mac_loop: speedup 2.90x below the 3.0x floor";
+        speedup_regression_fails: |_r, _b, base| { base.0.saturated.speedup *= 2.0; }
+            => "saturated: speedup 2.61x regressed >20% vs baseline 5.22x";
+        idle_hit_rate_regression_fails: |r, _b, _base| { r.idle.hit_rate *= 0.7; }
+            => "idle: skip hit rate";
+        batch_below_floor_fails: |_r, b, _base| { b.fig16_shaped.speedup_256_over_1 = 1.95; }
+            => "batch fig16_shaped: speedup 1.95x at width 256 below the 2.0x floor";
+        batch_regression_fails: |_r, _b, base| { base.1.fig16_shaped.speedup_256_over_1 = 4.0; }
+            => "batch fig16_shaped: speedup 2.42x regressed >20% vs baseline 4.00x";
+        span_budget_fails: |r, _b, _base| { r.span_overhead.ratio = 0.94; }
+            => "span_overhead: enabled/disabled ratio 0.940 below the 0.95 budget";
+        smoke_mac_baseline_is_refused: |_r, _b, base| { base.0.smoke = true; }
+            => "BENCH_mac is a smoke run";
+        smoke_batch_baseline_is_refused: |_r, _b, base| { base.1.smoke = true; }
+            => "BENCH_batch is a smoke run";
+    }
+
+    #[test]
+    fn committed_baselines_parse() {
+        // The mac baseline predates span_overhead; the gate never reads it.
+        let (base, bat_base) = load_baselines().expect("committed baselines parse");
+        assert!(!base.smoke && !bat_base.smoke);
+        assert_eq!(bat_base.fig16_shaped.arms.len(), BATCH_WIDTHS.len());
+    }
+
+    #[test]
+    fn report_equal_to_its_baseline_passes_full_mode() {
+        let (r, b, base) = passing();
+        let g = judge(&r, &b, base, false);
+        assert!(g.failures.is_empty() && g.warnings.is_empty(), "{g:?}");
+        assert_eq!(g.notes.len(), 7);
+    }
+
+    #[test]
+    fn smoke_mode_skips_every_timing_gate() {
+        let (mut r, mut b, _) = passing();
+        r.smoke = true;
+        b.smoke = true;
+        for c in [&mut r.mac_loop, &mut r.saturated, &mut r.full_profile] {
+            c.speedup = 0.0;
+            c.optimized.steps_per_sec = 0.0;
+        }
+        r.idle.hit_rate = 0.0;
+        r.span_overhead.ratio = 0.0;
+        b.fig16_shaped.speedup_256_over_1 = 0.0;
+        let g = gate(
+            &r,
+            &b,
+            || panic!("smoke mode must not read the baselines"),
+            true,
+        );
+        assert!(g.failures.is_empty() && g.notes.is_empty(), "{g:?}");
+    }
+
+    #[test]
+    fn invariants_are_gated_in_smoke_mode() {
+        let (mut r, b, _) = passing();
+        r.smoke = true;
+        r.mac_loop.digest_match = false;
+        let g = gate(
+            &r,
+            &b,
+            || panic!("smoke mode must not read the baselines"),
+            false,
+        );
+        assert_fails(&g, "mac_loop: digest mismatch");
+    }
+
+    #[test]
+    fn absolute_throughput_warns_unless_opted_in() {
+        let (mut r, b, _) = passing();
+        r.mac_loop.optimized.steps_per_sec *= 0.7;
+        let g = judge(&r, &b, passing().2, false);
+        assert!(g.failures.is_empty(), "{g:?}");
+        assert_eq!(g.warnings.len(), 1);
+        assert!(g.warnings[0].contains("warn-only; set PERF_GATE_ABSOLUTE=1"));
+        let g = judge(&r, &b, passing().2, true);
+        assert!(g.warnings.is_empty());
+        assert_fails(
+            &g,
+            "mac_loop: absolute 542,599 steps/s is >20% below baseline 775,141",
+        );
+    }
 }

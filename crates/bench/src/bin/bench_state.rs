@@ -90,10 +90,7 @@ fn encode(sim: &PlcSim) -> Vec<u8> {
 }
 
 fn main() {
-    let iters: u64 = std::env::var("ELECTRIFI_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(50);
+    let iters: u64 = electrifi_bench::gate::knob("ELECTRIFI_BENCH_ITERS", 50);
 
     let mut sim = build_fig16();
     sim.run_until(Time::from_secs(WARMUP_SECS));

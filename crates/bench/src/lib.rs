@@ -1,12 +1,15 @@
 //! # electrifi-bench — reproduction and benchmark harness
 //!
-//! One binary per paper figure/table (`src/bin/fig03.rs` …) plus Criterion
-//! micro-benchmarks (`benches/`). This library holds the shared output
-//! helpers: plain-text tables and series dumps that print the same rows
-//! the paper reports.
+//! One binary per paper figure/table (`src/bin/fig03.rs` …) plus the
+//! bench bins (`bench_mac`, `bench_channel`, `bench_state`) that time the
+//! hot paths; `bench_mac` and `bench_channel` gate their own reports (see
+//! [`gate`]). This library holds the shared output helpers: plain-text
+//! tables and series dumps that print the same rows the paper reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod gate;
 
 use electrifi::experiments::Scale;
 use simnet::obs::span::{self, SpanConfig};

@@ -16,8 +16,8 @@
 //!    the clock itself — is identical. Any behavioural drift in the
 //!    optimized path fails those tests.
 //! 2. **Benchmarking.** `bench_mac` measures the reference and optimized
-//!    steppers on the same workloads; `scripts/perf_gate.sh` gates on the
-//!    ratio, which makes the speedup machine-independent.
+//!    steppers on the same workloads and its gate checks the ratio,
+//!    which makes the speedup machine-independent.
 //!
 //! Keep this module in sync with *behaviour*, never with *implementation*:
 //! when the optimized path intentionally changes observable behaviour,

@@ -8,8 +8,8 @@
 //! pipeline `mem::take`s the scratch at entry (so borrowing it mutably
 //! alongside `&mut PlcSim` is legal) and restores it at exit. After a few
 //! warm-up steps the buffers reach their steady-state capacities and the
-//! loop runs without touching the heap — the property
-//! `bench_mac`/`scripts/perf_gate.sh` gate on.
+//! loop runs without touching the heap — the property `bench_mac`'s
+//! gate checks.
 
 use crate::pb::QueuedPb;
 use plc_phy::tonemap::ToneMap;

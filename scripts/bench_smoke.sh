@@ -3,8 +3,8 @@
 # epoch-keyed cache, out/BENCH_channel.json) and the MAC hot loop
 # (reference vs zero-allocation stepper, out/BENCH_mac.json) — seed,
 # wall clock per path, speedup, cache/idle-skip hit rates. Fast enough
-# to run on every change; pass --criterion to also run the full
-# criterion component benches (slower).
+# to run on every change. Each bench bin gates its own report and exits
+# 1 on a failed invariant.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,11 +17,10 @@ ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_channel
 
 echo "== bench_mac smoke (writes out/BENCH_mac.json) =="
 # Short windows — fast enough for every change. Run the binary without
-# ELECTRIFI_BENCH_SMOKE=1 (and then scripts/perf_gate.sh without
-# --smoke) for gate-quality timing ratios.
+# ELECTRIFI_BENCH_SMOKE=1 to also gate the timing ratios against the
+# committed baselines.
 cargo build --release -q -p electrifi-bench --bin bench_mac
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_mac
-./scripts/perf_gate.sh --smoke
 
 echo "== campaign smoke (writes out/smoke-campaign/) =="
 cargo build --release -q -p electrifi-bench --bin campaign
@@ -38,8 +37,3 @@ cmp out/smoke-campaign/summary.json out/smoke-ckpt/summary.json
 echo "== bench_state (writes out/BENCH_state.json) =="
 cargo build --release -q -p electrifi-bench --bin bench_state
 ./target/release/bench_state
-
-if [[ "${1:-}" == "--criterion" ]]; then
-    echo "== criterion component benches =="
-    cargo bench -p electrifi-bench --bench components
-fi

@@ -222,15 +222,14 @@ wait "$SERVE_PID"
 trap - EXIT
 echo "disturbance gate OK: pass campaign=0, fail fixture=5, serve verdict surfaced"
 
-echo "== bench smoke + perf gate (correctness invariants only) =="
+echo "== bench smoke gates (correctness invariants only) =="
 # Tiny windows: exercises the zero-alloc MAC loop, the zero-alloc PHY
-# spectrum hot path, and the bit-identity digests on every change.
-# Timing ratios are only gated by the full (un-smoked)
-# scripts/perf_gate.sh run.
+# spectrum hot path, and the bit-identity digests on every change. Each
+# bin gates its own report and exits 1 on a failure; timing ratios are
+# only gated by a full (un-smoked) run of the same bins.
 cargo build --release -q -p electrifi-bench --bin bench_mac --bin bench_channel
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_mac
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_channel
-./scripts/perf_gate.sh --smoke
 
 echo "== e2ebench pinned digests (paper-quick, seed 2015) =="
 # The end-to-end benchmark checks every runner's serialized output
