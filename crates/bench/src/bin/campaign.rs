@@ -15,10 +15,6 @@
 //! * `--filter` keeps only runs whose name contains the substring;
 //! * `--workers` overrides the shard count (default: `ELECTRIFI_THREADS`
 //!   or all cores). The summary is byte-identical for any worker count;
-//! * `--batch N` advances N probing sims per worker in lockstep epochs
-//!   through one time wheel (default: `ELECTRIFI_BATCH` or 1 = serial).
-//!   Like the worker count, batching is execution shape: the summary is
-//!   byte-identical for any batch width;
 //! * `--checkpoint-every SECS` writes `checkpoint.efistate` into the
 //!   output directory whenever that much sim-time has completed;
 //! * `--resume DIR` picks up the checkpoint in DIR, skipping finished
@@ -82,7 +78,6 @@ struct Args {
     dry_run: bool,
     filter: Option<String>,
     workers: Option<usize>,
-    batch: Option<usize>,
     out: PathBuf,
     checkpoint_every: Option<f64>,
     resume: Option<PathBuf>,
@@ -95,7 +90,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: campaign <campaign.json> [--list] [--dry-run] \
-                     [--filter SUBSTR] [--workers N] [--batch N] [--out DIR] \
+                     [--filter SUBSTR] [--workers N] [--out DIR] \
                      [--checkpoint-every SECS] [--resume DIR] [--stop-after N] \
                      [--progress FILE] [--progress-every SECS] [--follow FILE] \
                      [--trace FILE] [--trace-sample N]";
@@ -111,7 +106,6 @@ fn parse_args() -> Result<ArgsOutcome, String> {
     let mut dry_run = false;
     let mut filter = None;
     let mut workers = None;
-    let mut batch = None;
     let mut out = PathBuf::from("out/campaign");
     let mut checkpoint_every = None;
     let mut resume = None;
@@ -133,13 +127,6 @@ fn parse_args() -> Result<ArgsOutcome, String> {
                 let raw = it.next().ok_or("--workers needs a positive integer")?;
                 workers = Some(
                     simnet::threads::parse_worker_count("--workers", &raw)
-                        .map_err(|e| e.to_string())?,
-                );
-            }
-            "--batch" => {
-                let raw = it.next().ok_or("--batch needs a positive integer")?;
-                batch = Some(
-                    simnet::threads::parse_worker_count("--batch", &raw)
                         .map_err(|e| e.to_string())?,
                 );
             }
@@ -215,7 +202,6 @@ fn parse_args() -> Result<ArgsOutcome, String> {
         dry_run,
         filter,
         workers,
-        batch,
         out,
         checkpoint_every,
         resume,
@@ -332,28 +318,11 @@ fn main() -> ExitCode {
     let workers = args
         .workers
         .unwrap_or_else(|| sweep::thread_count(runs.len()));
-    // Precedence mirrors --workers: flag beats ELECTRIFI_BATCH beats the
-    // serial default of 1.
-    let batch = match args.batch {
-        Some(n) => n,
-        None => match simnet::threads::batch_from_env() {
-            Ok(n) => n.unwrap_or(1),
-            Err(e) => {
-                eprintln!("campaign: {e}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        },
-    };
     eprintln!(
-        "campaign {:?}: {} run(s) across {} worker(s){}",
+        "campaign {:?}: {} run(s) across {} worker(s)",
         spec.name,
         runs.len(),
-        workers,
-        if batch > 1 {
-            format!(", batch {batch}")
-        } else {
-            String::new()
-        }
+        workers
     );
     let opts = CheckpointOptions {
         every_sim_secs: args.checkpoint_every,
@@ -379,7 +348,7 @@ fn main() -> ExitCode {
         &args.out,
         &opts,
         &telemetry,
-        &ExecOptions { batch },
+        &ExecOptions::default(),
     );
     if let Some(trace_path) = &args.trace {
         let report = span::disable();

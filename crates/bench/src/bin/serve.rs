@@ -16,9 +16,6 @@
 //! for the wire protocol and `servectl` for a ready-made client.
 //!
 //! * `--workers` defaults to `ELECTRIFI_THREADS` or all cores;
-//! * `--batch` (default `ELECTRIFI_BATCH` or 1) advances that many
-//!   probing sims per worker in lockstep epochs; results are
-//!   byte-identical for any width;
 //! * `ELECTRIFI_SERVE_KILL_RUN=<run name>` arms the one-shot injected
 //!   worker death used by the recovery smoke test.
 
@@ -29,7 +26,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 const USAGE: &str = "usage: serve (--unix PATH | --tcp ADDR) [--out DIR] \
-                     [--scenario-root DIR] [--workers N] [--batch N] \
+                     [--scenario-root DIR] [--workers N] \
                      [--queue-cap N] [--shard-size N] \
                      [--checkpoint-every-runs N] \
                      [--heartbeat-timeout SECS] [--events-ring N] \
@@ -50,7 +47,6 @@ fn parse_config() -> Result<Option<ServeConfig>, String> {
     let mut out = PathBuf::from("out/serve");
     let mut scenario_root = PathBuf::from(".");
     let mut workers = None;
-    let mut batch = None;
     let mut queue_cap = None;
     let mut shard_size = None;
     let mut checkpoint_every = None;
@@ -78,11 +74,6 @@ fn parse_config() -> Result<Option<ServeConfig>, String> {
                 workers = Some(
                     threads::parse_worker_count("--workers", &raw).map_err(|e| e.to_string())?,
                 );
-            }
-            "--batch" => {
-                let raw = it.next().ok_or("--batch needs a positive integer")?;
-                batch =
-                    Some(threads::parse_worker_count("--batch", &raw).map_err(|e| e.to_string())?);
             }
             "--queue-cap" => {
                 let raw = it.next().ok_or("--queue-cap needs a positive integer")?;
@@ -129,11 +120,6 @@ fn parse_config() -> Result<Option<ServeConfig>, String> {
         config.workers = n;
     } else if let Some(n) = threads::worker_count_from_env().map_err(|e| e.to_string())? {
         config.workers = n;
-    }
-    if let Some(n) = batch {
-        config.batch = n;
-    } else if let Some(n) = threads::batch_from_env().map_err(|e| e.to_string())? {
-        config.batch = n;
     }
     if let Some(n) = queue_cap {
         config.queue_cap = n;

@@ -154,7 +154,8 @@ pub fn smoke_from_env() -> bool {
     }
 }
 
-fn usage_exit(msg: String) -> ! {
+/// Print `msg` as a usage error and exit 2.
+pub(crate) fn usage_exit(msg: String) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }

@@ -29,12 +29,27 @@ pub const PROFILE_ENV: &str = "ELECTRIFI_PROFILE";
 /// Spans kept in a manifest's profile section.
 const PROFILE_TOP_SPANS: usize = 12;
 
-/// Scale selection for the reproduction binaries: `Paper` by default,
-/// `Quick` when `ELECTRIFI_SCALE=quick` is set (smoke runs / CI).
+/// Environment variable selecting the [`Scale`] of the reproduction
+/// binaries.
+const SCALE_ENV: &str = "ELECTRIFI_SCALE";
+
+/// Parse the value of [`SCALE_ENV`]: `quick` or `paper`, in any case.
+fn parse_scale(raw: &str) -> Result<Scale, String> {
+    let raw = raw.trim();
+    match raw.to_ascii_lowercase().as_str() {
+        "quick" => Ok(Scale::Quick),
+        "paper" => Ok(Scale::Paper),
+        _ => Err(format!("{SCALE_ENV} must be quick or paper, got {raw:?}")),
+    }
+}
+
+/// Scale selection for the reproduction binaries from `ELECTRIFI_SCALE`:
+/// `quick` or `paper` in any case, `Paper` when unset. Any other value
+/// exits 2: a typo would otherwise run a smoke pass at full length.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("ELECTRIFI_SCALE").as_deref() {
-        Ok("quick") | Ok("Quick") | Ok("QUICK") => Scale::Quick,
-        _ => Scale::Paper,
+    match std::env::var_os(SCALE_ENV) {
+        None => Scale::Paper,
+        Some(raw) => parse_scale(&raw.to_string_lossy()).unwrap_or_else(|e| gate::usage_exit(e)),
     }
 }
 
@@ -238,6 +253,24 @@ pub fn fmt(v: f64, decimals: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_accepts_quick_and_paper_in_any_case() {
+        for raw in ["quick", "Quick", "QUICK", " qUiCk "] {
+            assert_eq!(parse_scale(raw), Ok(Scale::Quick), "{raw:?}");
+        }
+        for raw in ["paper", "Paper", "PAPER"] {
+            assert_eq!(parse_scale(raw), Ok(Scale::Paper), "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn scale_typos_are_rejected_with_the_variable_name() {
+        for bad in ["quik", "", "1", "fast", "quick!"] {
+            let err = parse_scale(bad).unwrap_err();
+            assert!(err.starts_with("ELECTRIFI_SCALE must be"), "{bad:?}: {err}");
+        }
+    }
 
     #[test]
     fn table_aligns_columns() {

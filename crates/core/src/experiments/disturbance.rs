@@ -6,7 +6,7 @@
 //! the instantaneous BLE of an ideal tone map over the (overlaid)
 //! spectrum, the WiFi side the expected saturation goodput under the
 //! (jammed) channel — so the series is bit-identical no matter how the
-//! sampling loop is sliced: serial, batched, or checkpointed and resumed
+//! sampling loop is sliced: straight through, or checkpointed and resumed
 //! mid-disturbance. The only mutable state is the fault-engine cursor,
 //! the gated estimator and the accumulating series, all of which
 //! implement [`Persist`].
@@ -29,7 +29,7 @@ use wifi80211::WifiChannel;
 const PLC_MAC_EFFICIENCY: f64 = 0.6;
 
 /// Settle-in seconds between the workload start and the fault anchor
-/// `t0`; matches the warm-up the ensemble runners give the estimator.
+/// `t0`; matches the warm-up the probing runners give the estimator.
 pub const WARMUP_SECS: u64 = 8;
 
 /// Map a logical PLC network to the distribution-board index the fault

@@ -11,17 +11,8 @@ use simnet::time::{Duration, Time};
 use wifi80211::throughput::expected_goodput_mbps;
 
 /// Links with mean PLC SNR below this are treated as unconnected and
-/// skipped (the modems would not associate). Shared with the batched
-/// ensemble path (`crate::ensemble`), which must screen identically.
-pub(crate) const PLC_DEAD_SNR_DB: f64 = -2.0;
-
-/// The per-pair probe-measurement seed. One definition, used by both
-/// the serial [`measure_plc`] and the batched
-/// [`measure_plc_batch`](crate::ensemble::measure_plc_batch) — the two
-/// paths must build identically-seeded sims to stay bit-identical.
-pub(crate) fn probe_seed(a: StationId, b: StationId) -> u64 {
-    0x517A ^ ((a as u64) << 20) ^ ((b as u64) << 4)
-}
+/// skipped (the modems would not associate).
+const PLC_DEAD_SNR_DB: f64 = -2.0;
 
 /// One station pair's two-medium measurement (a row of Fig. 3).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -215,7 +206,7 @@ pub fn measure_plc(
     if channel.spectrum(PaperEnv::dir(a, b), start).mean_db() < PLC_DEAD_SNR_DB {
         return (0.0, 0.0);
     }
-    let seed = probe_seed(a, b);
+    let seed = 0x517A ^ ((a as u64) << 20) ^ ((b as u64) << 4);
     let mut sim = LinkProbeSim::new(channel, PaperEnv::dir(a, b), env.estimator, seed);
     // Warm-up: let the association-time tone-map refinements finish.
     let mut t = sim.warmup(start, 8);

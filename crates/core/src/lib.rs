@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod ensemble;
 pub mod env;
 pub mod experiments;
 pub mod guidelines;

@@ -26,12 +26,11 @@ use crate::de::At;
 use crate::error::ScenarioError;
 use crate::loader::{spec_from_path, Scenario};
 use crate::spec::{parse_experiments, parse_workload, ExperimentKind, ScenarioSpec, WorkloadSpec};
-use electrifi::ensemble;
 use electrifi::env::PaperEnv;
 use electrifi::experiments::disturbance::{self, DisturbanceConfig};
 use electrifi::experiments::spatial::{self, SpatialConfig};
 use electrifi_faults::{evaluate, CompiledFaults, Verdict};
-use electrifi_testbed::{sweep, StationId};
+use electrifi_testbed::sweep;
 use hybrid1905::probing::{ProbingPolicy, PROBE_BYTES};
 use plc_phy::PlcTechnology;
 use serde::{Deserialize, Serialize};
@@ -326,51 +325,25 @@ fn run_fig07(env: &PaperEnv, wl: &WorkloadSpec) -> ExperimentReport {
     }
 }
 
-fn run_probing(
-    env: &PaperEnv,
-    policy: ProbingPolicy,
-    wl: &WorkloadSpec,
-    batch: usize,
-) -> ExperimentReport {
+fn run_probing(env: &PaperEnv, policy: ProbingPolicy, wl: &WorkloadSpec) -> ExperimentReport {
     // Undirected same-network pairs: the 1905.1 probing population.
     let mut pairs: Vec<_> = env.plc_pairs().into_iter().filter(|(a, b)| a < b).collect();
     if let Some(keep) = wl.max_pairs {
         pairs.truncate(keep);
     }
-    // Per-link throughput, in pair order. `batch == 1` measures each
-    // pair with its own serial sim loop; `batch > 1` drives groups of
-    // `batch` pairs through one lockstep engine
-    // ([`ensemble::measure_plc_batch`]), which is proven bit-identical
-    // to the serial path — batching, like the worker count, is
-    // execution shape and never changes campaign output.
-    let per_link: Vec<(f64, f64)> = if batch <= 1 {
-        sweep::par_map(&pairs, |_, &(a, b)| {
-            spatial::measure_plc(
-                env,
-                a,
-                b,
-                PlcTechnology::HpAv,
-                wl.start(),
-                wl.duration(),
-                wl.sample(),
-            )
-        })
-    } else {
-        let groups: Vec<&[(StationId, StationId)]> = pairs.chunks(batch).collect();
-        sweep::par_map(&groups, |_, group| {
-            ensemble::measure_plc_batch(
-                env,
-                group,
-                PlcTechnology::HpAv,
-                wl.start(),
-                wl.duration(),
-                wl.sample(),
-            )
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    };
+    // Per-link throughput, in pair order: the links are independent, so
+    // each pair runs its own sim loop on whichever sweep worker takes it.
+    let per_link: Vec<(f64, f64)> = sweep::par_map(&pairs, |_, &(a, b)| {
+        spatial::measure_plc(
+            env,
+            a,
+            b,
+            PlcTechnology::HpAv,
+            wl.start(),
+            wl.duration(),
+            wl.sample(),
+        )
+    });
     let intervals: Vec<f64> = per_link
         .into_iter()
         .filter(|&(t, _)| t > 0.0)
@@ -403,9 +376,9 @@ fn run_probing(
 ///
 /// Fault compilation, the sampling loop and the assertion engine are all
 /// pure functions of the scenario and the timeline, so the report *and*
-/// the verdict are byte-identical across reruns, worker counts, batch
-/// widths and checkpoint/resume — the same discipline as every other
-/// experiment arm.
+/// the verdict are byte-identical across reruns, worker counts and
+/// checkpoint/resume — the same discipline as every other experiment
+/// arm.
 fn run_disturbance(
     env: &PaperEnv,
     scenario: &ScenarioSpec,
@@ -448,55 +421,29 @@ fn run_disturbance(
     (report, verdict)
 }
 
-/// Execution-shape knobs for a run: things that change *how* a run is
-/// computed but — by construction and by test — never *what* it
-/// produces. Like the worker count, none of these may leak into run
-/// records.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// Sims advanced together per lockstep engine in batchable
-    /// experiments (currently probing). `1` = serial per-pair loops.
-    pub batch: usize,
-}
+/// A field-less placeholder, kept only because the end-to-end benchmark
+/// passes it to [`run_campaign_monitored_opts`]; no run option changes
+/// how a run executes.
+///
+/// [`run_campaign_monitored_opts`]: crate::checkpoint::run_campaign_monitored_opts
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecOptions {}
 
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { batch: 1 }
-    }
-}
-
-/// Execute one run under a fresh [`Obs`]; the returned record carries
-/// the run's own metric snapshot. This is the unit of work every
-/// campaign surface shares — the CLI runner, checkpoint/resume and the
-/// serve control plane's worker pool all call it, which is what makes
-/// their outputs byte-identical.
-pub fn execute_run(run: &RunSpec, scenario: &ScenarioSpec) -> Result<RunRecord, ScenarioError> {
-    execute_run_with(run, scenario, Obs::new())
-}
-
-/// [`execute_run`] under a caller-supplied [`Obs`] — the handle must be
-/// **fresh** (its registry becomes the record's metric snapshot), but it
-/// may carry an event sink (e.g. a
+/// Execute one run; the returned record carries the run's own metric
+/// snapshot. This is the unit of work every campaign surface shares —
+/// the CLI runner, checkpoint/resume and the serve control plane's
+/// worker pool all call it, which is what makes their outputs
+/// byte-identical.
+///
+/// `obs` must be **fresh** (its registry becomes the record's metric
+/// snapshot), but it may carry an event sink (e.g. a
 /// [`ChannelSink`](simnet::obs::ChannelSink) feeding live subscribers).
 /// Sinks are inert by the observability invariant, so the returned
 /// record is byte-identical with or without one.
-pub fn execute_run_with(
+pub fn execute_run(
     run: &RunSpec,
     scenario: &ScenarioSpec,
     obs: Obs,
-) -> Result<RunRecord, ScenarioError> {
-    execute_run_opts(run, scenario, obs, &ExecOptions::default())
-}
-
-/// [`execute_run_with`] under explicit [`ExecOptions`]. The returned
-/// record is byte-identical for every option value (batching is proven
-/// bit-identical by `plc-mac/tests/batch_identity.rs` and the ensemble
-/// tests; the campaign-level test below re-checks the whole record).
-pub fn execute_run_opts(
-    run: &RunSpec,
-    scenario: &ScenarioSpec,
-    obs: Obs,
-    exec: &ExecOptions,
 ) -> Result<RunRecord, ScenarioError> {
     let setup_span = obs::span::enter("campaign.run_setup");
     let sc = Scenario::load_with_seed(scenario.clone(), run.seed)?;
@@ -514,9 +461,7 @@ pub fn execute_run_opts(
             .map(|kind| match kind {
                 ExperimentKind::Fig03 => run_fig03(&env, &run.workload),
                 ExperimentKind::Fig07 => run_fig07(&env, &run.workload),
-                ExperimentKind::Probing => {
-                    run_probing(&env, sc.spec.probing, &run.workload, exec.batch)
-                }
+                ExperimentKind::Probing => run_probing(&env, sc.spec.probing, &run.workload),
                 ExperimentKind::Disturbance => {
                     let (report, v) = run_disturbance(&env, &sc.spec, &run.workload);
                     verdict = Some(v);
@@ -551,7 +496,7 @@ pub fn run_campaign(
     let runs: Vec<RunSpec> = spec.expand_filtered(filter);
     let results: Vec<Result<RunRecord, ScenarioError>> =
         sweep::par_map_workers(&runs, workers, |_, run| {
-            execute_run(run, &spec.scenarios[run.scenario_index])
+            execute_run(run, &spec.scenarios[run.scenario_index], Obs::new())
         });
     let mut records = Vec::with_capacity(results.len());
     for r in results {
@@ -691,30 +636,6 @@ mod tests {
         // Each run carries its own metrics, not a shared registry.
         for r in &s1.runs {
             assert_eq!(r.metrics.counter("campaign.runs_started"), 1);
-        }
-    }
-
-    #[test]
-    fn run_records_are_byte_identical_across_batch_sizes() {
-        // Batching is execution shape, exactly like the worker count:
-        // the full record — headline numbers AND metric snapshot — must
-        // not change when probing pairs go through the lockstep engine.
-        let spec = tiny();
-        let runs = spec.expand();
-        for run in &runs {
-            let scenario = &spec.scenarios[run.scenario_index];
-            let serial = execute_run_opts(run, scenario, Obs::new(), &ExecOptions { batch: 1 })
-                .expect("serial run");
-            for batch in [2, 64] {
-                let batched = execute_run_opts(run, scenario, Obs::new(), &ExecOptions { batch })
-                    .expect("batched run");
-                assert_eq!(
-                    serde_json::to_string_pretty(&serial).unwrap(),
-                    serde_json::to_string_pretty(&batched).unwrap(),
-                    "run {} diverged at batch={batch}",
-                    run.run_name
-                );
-            }
         }
     }
 

@@ -22,7 +22,7 @@
 //! not be byte-identical to a straight-through one.
 
 use crate::campaign::{
-    execute_run_opts, summarize, CampaignSpec, CampaignSummary, ExecOptions, RunRecord, RunSpec,
+    execute_run, summarize, CampaignSpec, CampaignSummary, ExecOptions, RunRecord, RunSpec,
 };
 use crate::error::ScenarioError;
 use crate::telemetry::{Telemetry, TelemetryOptions};
@@ -35,7 +35,7 @@ use std::time::Instant;
 /// File name of the campaign checkpoint inside the output directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.efistate";
 
-/// Checkpoint/resume options for [`run_campaign_checkpointed`].
+/// Checkpoint/resume options for [`run_campaign_monitored_opts`].
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointOptions {
     /// Write a checkpoint whenever at least this much accumulated
@@ -230,55 +230,17 @@ pub fn load_checkpoint_classified(
     }
 }
 
-/// Run (a filtered subset of) a campaign with checkpoint/resume.
+/// Run (a filtered subset of) a campaign with checkpoint/resume and
+/// live telemetry.
 ///
 /// Execution proceeds in waves of `workers` runs; after each wave the
 /// accumulated sim-time decides whether a checkpoint is due. With no
 /// checkpoint options set this degenerates to the plain sharded runner
-/// and produces the identical summary.
-pub fn run_campaign_checkpointed(
-    spec: &CampaignSpec,
-    workers: usize,
-    filter: Option<&str>,
-    out_dir: &Path,
-    opts: &CheckpointOptions,
-) -> Result<(CampaignOutcome, CheckpointStats), ScenarioError> {
-    run_campaign_monitored(
-        spec,
-        workers,
-        filter,
-        out_dir,
-        opts,
-        &TelemetryOptions::default(),
-    )
-}
-
-/// [`run_campaign_checkpointed`] with live telemetry: a `progress.json`
-/// heartbeat and/or a JSONL follow stream (see
-/// [`TelemetryOptions`]). Telemetry is strictly observational — the
-/// summary and per-run manifests are byte-identical with it on or off.
-pub fn run_campaign_monitored(
-    spec: &CampaignSpec,
-    workers: usize,
-    filter: Option<&str>,
-    out_dir: &Path,
-    opts: &CheckpointOptions,
-    telemetry: &TelemetryOptions,
-) -> Result<(CampaignOutcome, CheckpointStats), ScenarioError> {
-    run_campaign_monitored_opts(
-        spec,
-        workers,
-        filter,
-        out_dir,
-        opts,
-        telemetry,
-        &ExecOptions::default(),
-    )
-}
-
-/// [`run_campaign_monitored`] under explicit [`ExecOptions`] (e.g. the
-/// `--batch` lockstep width). Execution shape only: the summary and
-/// checkpoints are byte-identical for every option value.
+/// and produces the identical summary. Telemetry (a `progress.json`
+/// heartbeat and/or a JSONL follow stream, see [`TelemetryOptions`]) is
+/// strictly observational: the summary and per-run manifests are
+/// byte-identical with it on or off. `_exec` is the field-less
+/// [`ExecOptions`] and changes nothing.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_monitored_opts(
     spec: &CampaignSpec,
@@ -287,7 +249,7 @@ pub fn run_campaign_monitored_opts(
     out_dir: &Path,
     opts: &CheckpointOptions,
     telemetry: &TelemetryOptions,
-    exec: &ExecOptions,
+    _exec: &ExecOptions,
 ) -> Result<(CampaignOutcome, CheckpointStats), ScenarioError> {
     let runs: Vec<RunSpec> = spec.expand_filtered(filter);
     let digest = config_digest(&runs.as_slice());
@@ -342,12 +304,7 @@ pub fn run_campaign_monitored_opts(
         // 1 and the wave-local index doubles as the worker lane.
         let results = sweep::par_map_workers(wave, workers, |i, run| {
             let started = Instant::now();
-            let result = execute_run_opts(
-                run,
-                &spec.scenarios[run.scenario_index],
-                obs::Obs::new(),
-                exec,
-            );
+            let result = execute_run(run, &spec.scenarios[run.scenario_index], obs::Obs::new());
             if let Some(m) = &monitor {
                 m.run_done(
                     done + i,

@@ -21,8 +21,12 @@
 //! * [`generate`] — the procedural generator: floors × boards ×
 //!   offices, cable-length distributions, appliance mix; fully
 //!   deterministic per seed.
-//! * [`campaign`] — campaign expansion and the sharded runner whose
-//!   summary JSON is byte-identical across reruns **and** worker counts.
+//! * [`campaign`] — campaign expansion, [`execute_run`] (the one unit
+//!   of work every surface shares) and the sharded runner whose summary
+//!   JSON is byte-identical across reruns **and** worker counts.
+//! * [`checkpoint`] — [`run_campaign_monitored_opts`], the same runner
+//!   with checkpoint/resume and live telemetry; its output is
+//!   byte-identical to [`run_campaign`]'s.
 //!
 //! The `electrifi-bench` crate ships the `campaign` binary driving all
 //! of this from the command line.
@@ -42,13 +46,12 @@ pub mod spec;
 pub mod telemetry;
 
 pub use campaign::{
-    execute_run, execute_run_opts, execute_run_with, run_campaign, summarize, validate_scenarios,
-    write_artifacts, CampaignSpec, CampaignSummary, ExecOptions, RunRecord, RunSpec,
+    execute_run, run_campaign, summarize, validate_scenarios, write_artifacts, CampaignSpec,
+    CampaignSummary, ExecOptions, RunRecord, RunSpec,
 };
 pub use checkpoint::{
-    load_checkpoint_classified, run_campaign_checkpointed, run_campaign_monitored_opts,
-    write_checkpoint, CampaignOutcome, CheckpointOptions, CheckpointState, CheckpointStats,
-    CHECKPOINT_FILE,
+    load_checkpoint_classified, run_campaign_monitored_opts, write_checkpoint, CampaignOutcome,
+    CheckpointOptions, CheckpointState, CheckpointStats, CHECKPOINT_FILE,
 };
 pub use error::ScenarioError;
 pub use loader::Scenario;

@@ -4,11 +4,33 @@
 //! different work list must be rejected with a typed error.
 
 use electrifi_scenario::checkpoint::{
-    load_checkpoint, run_campaign_checkpointed, CampaignOutcome, CheckpointOptions, CHECKPOINT_FILE,
+    load_checkpoint, run_campaign_monitored_opts, CampaignOutcome, CheckpointOptions,
+    CheckpointStats, CHECKPOINT_FILE,
 };
-use electrifi_scenario::{run_campaign, write_artifacts, CampaignSpec, ScenarioError};
+use electrifi_scenario::{
+    run_campaign, write_artifacts, CampaignSpec, ExecOptions, ScenarioError, TelemetryOptions,
+};
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// The checkpointing campaign driver with telemetry off.
+fn run_checkpointed(
+    spec: &CampaignSpec,
+    workers: usize,
+    filter: Option<&str>,
+    dir: &Path,
+    opts: &CheckpointOptions,
+) -> Result<(CampaignOutcome, CheckpointStats), ScenarioError> {
+    run_campaign_monitored_opts(
+        spec,
+        workers,
+        filter,
+        dir,
+        opts,
+        &TelemetryOptions::default(),
+        &ExecOptions::default(),
+    )
+}
 
 const CAMPAIGN: &str = r#"{
     "name": "ckpt",
@@ -77,8 +99,7 @@ fn resumed_campaign_is_byte_identical_at_every_cut_point() {
             resume_from: None,
             stop_after: Some(cut),
         };
-        let (outcome, stats) =
-            run_campaign_checkpointed(&spec, 1, None, &dir, &opts).expect("phase 1");
+        let (outcome, stats) = run_checkpointed(&spec, 1, None, &dir, &opts).expect("phase 1");
         match outcome {
             CampaignOutcome::Checkpointed {
                 completed,
@@ -100,8 +121,7 @@ fn resumed_campaign_is_byte_identical_at_every_cut_point() {
             resume_from: Some(dir.clone()),
             stop_after: None,
         };
-        let (outcome, stats) =
-            run_campaign_checkpointed(&spec, 2, None, &dir, &opts).expect("phase 2");
+        let (outcome, stats) = run_checkpointed(&spec, 2, None, &dir, &opts).expect("phase 2");
         let summary = match outcome {
             CampaignOutcome::Complete(s) => *s,
             CampaignOutcome::Checkpointed { .. } => panic!("cut {cut}: expected completion"),
@@ -133,8 +153,7 @@ fn periodic_checkpoints_do_not_change_the_summary() {
         resume_from: None,
         stop_after: None,
     };
-    let (outcome, stats) =
-        run_campaign_checkpointed(&spec, 1, None, &dir, &opts).expect("periodic run");
+    let (outcome, stats) = run_checkpointed(&spec, 1, None, &dir, &opts).expect("periodic run");
     let summary = match outcome {
         CampaignOutcome::Complete(s) => *s,
         CampaignOutcome::Checkpointed { .. } => panic!("expected completion"),
@@ -157,7 +176,7 @@ fn checkpoint_for_a_different_work_list_is_rejected() {
         resume_from: None,
         stop_after: Some(1),
     };
-    run_campaign_checkpointed(&spec, 1, None, &dir, &opts).expect("checkpoint");
+    run_checkpointed(&spec, 1, None, &dir, &opts).expect("checkpoint");
 
     // Resuming with a narrower filter changes the work list digest.
     let opts = CheckpointOptions {
@@ -165,7 +184,7 @@ fn checkpoint_for_a_different_work_list_is_rejected() {
         resume_from: Some(dir.clone()),
         stop_after: None,
     };
-    let err = run_campaign_checkpointed(&spec, 1, Some("gen-b"), &dir, &opts).unwrap_err();
+    let err = run_checkpointed(&spec, 1, Some("gen-b"), &dir, &opts).unwrap_err();
     match err {
         ScenarioError::Invalid { field, message } => {
             assert_eq!(field, "checkpoint");

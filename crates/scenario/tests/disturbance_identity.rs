@@ -1,13 +1,12 @@
 //! Determinism properties of disturbed runs: the sampled series — and
 //! therefore the verdict block — must be bit-identical whether the run
-//! executes straight through, under any lockstep batch width, or across
-//! a checkpoint/resume cut anywhere in the timeline, including cuts
-//! landing mid-disturbance.
+//! executes straight through or across a checkpoint/resume cut anywhere
+//! in the timeline, including cuts landing mid-disturbance.
 
 use electrifi::env::PaperEnv;
 use electrifi::experiments::disturbance::{DisturbanceConfig, DisturbanceSim};
 use electrifi_faults::{CompiledFaults, CouplingSpec, DisturbanceKind, DisturbanceSpec};
-use electrifi_scenario::campaign::{execute_run_opts, ExecOptions, RunSpec};
+use electrifi_scenario::campaign::{execute_run, RunSpec};
 use electrifi_scenario::spec::ScenarioSpec;
 use electrifi_state::{Persist, SectionReader, SectionWriter};
 use proptest::prelude::*;
@@ -108,12 +107,10 @@ const DISTURBED_SCENARIO: &str = r#"{
   ]
 }"#;
 
-/// The full run record — headline numbers, metrics snapshot AND the
-/// typed verdict block — is identical under every batch width: like the
-/// worker count, batching is execution shape and must never leak into
-/// campaign output.
+/// The demo fault track on the paper floor yields a run record whose
+/// typed verdict passes.
 #[test]
-fn disturbed_run_record_is_identical_across_batch_widths() {
+fn disturbed_demo_run_passes_its_assertions() {
     let spec = ScenarioSpec::from_json_str(DISTURBED_SCENARIO).unwrap();
     let run = RunSpec {
         run_name: "identity-probe-s2015-w".to_string(),
@@ -122,21 +119,10 @@ fn disturbed_run_record_is_identical_across_batch_widths() {
         workload: spec.workload.clone(),
         experiments: spec.experiments.clone(),
     };
-    let records: Vec<_> = [1usize, 4, 16]
-        .iter()
-        .map(|&batch| execute_run_opts(&run, &spec, Obs::new(), &ExecOptions { batch }).unwrap())
-        .collect();
-    let verdict = records[0]
+    let record = execute_run(&run, &spec, Obs::new()).unwrap();
+    let verdict = record
         .verdict
         .as_ref()
         .expect("disturbance run carries a verdict");
     assert!(verdict.pass, "demo assertions hold on the paper floor");
-    assert_eq!(records[0], records[1]);
-    assert_eq!(records[0], records[2]);
-    let json: Vec<String> = records
-        .iter()
-        .map(|r| serde_json::to_string(&serde::Serialize::to_value(r)).unwrap())
-        .collect();
-    assert_eq!(json[0], json[1]);
-    assert_eq!(json[0], json[2]);
 }

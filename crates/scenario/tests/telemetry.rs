@@ -5,13 +5,34 @@
 //! tracing are **bit-inert**: artifacts are byte-identical with them on
 //! or off.
 
-use electrifi_scenario::checkpoint::{run_campaign_monitored, CampaignOutcome, CheckpointOptions};
+use electrifi_scenario::checkpoint::{
+    run_campaign_monitored_opts, CampaignOutcome, CheckpointOptions, CheckpointStats,
+};
 use electrifi_scenario::telemetry::{ProgressSnapshot, RunCompletion, TelemetryOptions};
-use electrifi_scenario::{run_campaign, write_artifacts, CampaignSpec};
+use electrifi_scenario::{run_campaign, write_artifacts, CampaignSpec, ExecOptions, ScenarioError};
 use simnet::obs::span::{self, SpanConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
+
+/// The checkpointing campaign driver over the whole work list.
+fn run_monitored(
+    spec: &CampaignSpec,
+    workers: usize,
+    dir: &Path,
+    ckpt: &CheckpointOptions,
+    telemetry: &TelemetryOptions,
+) -> Result<(CampaignOutcome, CheckpointStats), ScenarioError> {
+    run_campaign_monitored_opts(
+        spec,
+        workers,
+        None,
+        dir,
+        ckpt,
+        telemetry,
+        &ExecOptions::default(),
+    )
+}
 
 const CAMPAIGN: &str = r#"{
     "name": "telem",
@@ -83,8 +104,7 @@ fn progress_heartbeat_ends_consistent_and_follow_has_one_line_per_run() {
     let opts = telemetry_opts(&dir);
 
     let (outcome, _) =
-        run_campaign_monitored(&spec, 2, None, &dir, &CheckpointOptions::default(), &opts)
-            .expect("campaign");
+        run_monitored(&spec, 2, &dir, &CheckpointOptions::default(), &opts).expect("campaign");
     assert!(matches!(outcome, CampaignOutcome::Complete(_)));
 
     // The final heartbeat is consistent and marked finished.
@@ -148,7 +168,7 @@ fn telemetry_and_tracing_are_bit_inert() {
     let dir = scratch_dir("inert-obs");
     let opts = telemetry_opts(&dir);
     let ((outcome, _), report) = span::scoped(SpanConfig::traced(1), || {
-        run_campaign_monitored(&spec, 2, None, &dir, &CheckpointOptions::default(), &opts)
+        run_monitored(&spec, 2, &dir, &CheckpointOptions::default(), &opts)
             .expect("observed campaign")
     });
     let summary = match outcome {
@@ -185,7 +205,7 @@ fn kill_and_resume_keeps_progress_accounting_consistent() {
         resume_from: None,
         stop_after: Some(1),
     };
-    let (outcome, _) = run_campaign_monitored(&spec, 1, None, &dir, &ckpt, &opts).expect("phase 1");
+    let (outcome, _) = run_monitored(&spec, 1, &dir, &ckpt, &opts).expect("phase 1");
     assert!(matches!(
         outcome,
         CampaignOutcome::Checkpointed { completed: 1, .. }
@@ -203,8 +223,7 @@ fn kill_and_resume_keeps_progress_accounting_consistent() {
         resume_from: Some(dir.clone()),
         stop_after: None,
     };
-    let (outcome, stats) =
-        run_campaign_monitored(&spec, 2, None, &dir, &ckpt, &opts).expect("phase 2");
+    let (outcome, stats) = run_monitored(&spec, 2, &dir, &ckpt, &opts).expect("phase 2");
     assert!(matches!(outcome, CampaignOutcome::Complete(_)));
     assert_eq!(stats.resumed_runs, 1);
     let p = read_progress(&dir.join("progress.json"));

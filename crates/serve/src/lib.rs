@@ -19,8 +19,9 @@
 //! * [`http`] / [`client`] — the minimal HTTP/1.1 subset both sides of
 //!   the wire protocol (DESIGN.md §12) speak.
 //! * [`pool`] — workers executing leased shards through the scenario
-//!   crate's `execute_run`, checkpointing to the PR5 snapshot format so
-//!   a dead worker's shard resumes instead of restarting.
+//!   crate's `execute_run` (the same single run path the `campaign` CLI
+//!   takes), checkpointing in the CLI's snapshot format so a dead
+//!   worker's shard resumes instead of restarting.
 //! * [`server`] — the listener, routes and lifecycle tying it together.
 //!
 //! The headline invariant: a campaign's `summary.json` served over

@@ -22,8 +22,8 @@ use crate::events::EventHub;
 use crate::queue::{CompleteOutcome, JobStatus, Lease};
 use crate::server::{lock, Core, JobData, WorkerSlot};
 use electrifi_scenario::{
-    execute_run_opts, load_checkpoint_classified, summarize, write_artifacts, write_checkpoint,
-    CheckpointState, ExecOptions, RunRecord, CHECKPOINT_FILE,
+    execute_run, load_checkpoint_classified, summarize, write_artifacts, write_checkpoint,
+    CheckpointState, RunRecord, CHECKPOINT_FILE,
 };
 use simnet::obs::{config_digest, ChannelSink, MetricsSnapshot, Obs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -293,10 +293,7 @@ fn execute_shard(core: &Arc<Core>, lease: &Lease, beat: &Arc<AtomicU64>) -> Shar
             None => Obs::new(),
         };
         let scenario = &job.spec.scenarios[run.scenario_index];
-        let exec = ExecOptions {
-            batch: core.config.batch.max(1),
-        };
-        match execute_run_opts(run, scenario, obs, &exec) {
+        match execute_run(run, scenario, obs) {
             Ok(record) => {
                 core.metrics.inc(&core.metrics.workers_runs_executed);
                 publish_line(

@@ -65,10 +65,6 @@ pub struct ServeConfig {
     pub scenario_root: PathBuf,
     /// Shard worker threads.
     pub workers: usize,
-    /// Lockstep batch width for batchable experiments within a run
-    /// (`1` = serial). Execution shape only — results are
-    /// byte-identical for every value.
-    pub batch: usize,
     /// Maximum live (queued/running/finalizing) jobs; beyond it
     /// submissions get 429.
     pub queue_cap: usize,
@@ -109,7 +105,6 @@ impl ServeConfig {
             out_root: out_root.into(),
             scenario_root: PathBuf::from("."),
             workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
-            batch: 1,
             queue_cap: 8,
             shard_size: 4,
             max_head_bytes: 16 * 1024,

@@ -26,8 +26,7 @@
 //! * [`obs`] — sim-time observability: a metrics registry, a structured
 //!   event log, and run manifests, guaranteed never to perturb a run.
 //! * [`threads`] — validated worker-count parsing (`ELECTRIFI_THREADS`,
-//!   `ELECTRIFI_BATCH`, `--workers`, `--batch`) with typed errors naming
-//!   the misconfigured source.
+//!   `--workers`) with typed errors naming the misconfigured source.
 //! * [`wheel`] — a hierarchical time wheel and lockstep batch engine
 //!   advancing N independent sims through shared epochs, bit-identically
 //!   to stepping each one alone.

@@ -15,12 +15,6 @@ use std::fmt;
 /// Environment variable overriding the sweep/campaign worker count.
 pub const THREADS_ENV: &str = "ELECTRIFI_THREADS";
 
-/// Environment variable setting the in-worker sim batch size (see
-/// `campaign --batch` and `serve --batch`). Parsed exactly like
-/// [`THREADS_ENV`]: a positive integer, rejected with a typed error
-/// otherwise.
-pub const BATCH_ENV: &str = "ELECTRIFI_BATCH";
-
 /// What was wrong with a worker-count value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerCountErrorKind {
@@ -95,12 +89,19 @@ pub fn parse_worker_count(source: &str, raw: &str) -> Result<usize, WorkerCountE
 
 /// Read and validate a positive count from the environment variable
 /// `var`: `Ok(None)` when unset, `Ok(Some(n))` for a valid value,
-/// `Err` for a set-but-invalid one. Shared by [`worker_count_from_env`]
-/// and [`batch_from_env`] so every counted knob fails the same way.
-pub fn count_from_env(var: &'static str) -> Result<Option<usize>, WorkerCountError> {
-    match std::env::var(var) {
-        Err(_) => Ok(None),
-        Ok(v) => parse_worker_count(var, &v).map(Some),
+/// `Err` for a set-but-invalid one, including a value that is not
+/// Unicode.
+fn count_from_env(var: &str) -> Result<Option<usize>, WorkerCountError> {
+    let Some(raw) = std::env::var_os(var) else {
+        return Ok(None);
+    };
+    match raw.to_str() {
+        Some(v) => parse_worker_count(var, v).map(Some),
+        None => Err(WorkerCountError {
+            source: var.to_string(),
+            raw: raw.to_string_lossy().into_owned(),
+            kind: WorkerCountErrorKind::NotANumber,
+        }),
     }
 }
 
@@ -109,14 +110,6 @@ pub fn count_from_env(var: &'static str) -> Result<Option<usize>, WorkerCountErr
 /// set-but-invalid one.
 pub fn worker_count_from_env() -> Result<Option<usize>, WorkerCountError> {
     count_from_env(THREADS_ENV)
-}
-
-/// The sim batch size configured via [`BATCH_ENV`], same contract as
-/// [`worker_count_from_env`]. `0` is rejected (batching cannot be
-/// disabled below one sim per step); unset means "no batching" and is
-/// resolved to 1 by the callers.
-pub fn batch_from_env() -> Result<Option<usize>, WorkerCountError> {
-    count_from_env(BATCH_ENV)
 }
 
 #[cfg(test)]
@@ -147,19 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_env_shares_the_typed_parser() {
-        // ELECTRIFI_BATCH goes through the very same validation as
-        // ELECTRIFI_THREADS: zero and garbage produce the typed error
-        // naming the batch variable, not an ad-hoc parse.
-        let err = parse_worker_count(BATCH_ENV, "0").unwrap_err();
-        assert_eq!(err.kind, WorkerCountErrorKind::Zero);
-        let msg = err.to_string();
-        assert!(msg.starts_with(BATCH_ENV), "{msg}");
-        let err = parse_worker_count(BATCH_ENV, "lots").unwrap_err();
-        assert_eq!(err.kind, WorkerCountErrorKind::NotANumber);
-    }
-
-    #[test]
     fn garbage_is_rejected_with_the_raw_value() {
         for bad in ["", "  ", "four", "-2", "3.5", "8x"] {
             let err = parse_worker_count("--workers", bad).unwrap_err();
@@ -167,5 +147,21 @@ mod tests {
             let msg = err.to_string();
             assert!(msg.contains("positive integer"), "{bad:?}: {msg}");
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn non_unicode_env_value_is_rejected_not_ignored() {
+        use std::ffi::OsStr;
+        use std::os::unix::ffi::OsStrExt;
+        // A name no other test reads, so setting it cannot race them.
+        const VAR: &str = "ELECTRIFI_THREADS_NON_UNICODE_PROBE";
+        std::env::set_var(VAR, OsStr::from_bytes(b"4\xff"));
+        let err = count_from_env(VAR).unwrap_err();
+        std::env::remove_var(VAR);
+        assert_eq!(err.kind, WorkerCountErrorKind::NotANumber);
+        assert_eq!(err.source, VAR);
+        assert!(err.to_string().contains("positive integer"), "{err}");
+        assert_eq!(count_from_env(VAR), Ok(None));
     }
 }

@@ -53,15 +53,6 @@ rm -rf out/smoke-ckpt
     --out out/smoke-ckpt --resume out/smoke-ckpt
 cmp out/smoke-campaign/summary.json out/smoke-ckpt/summary.json
 
-echo "== batch engine smoke (--batch 64 == unbatched bytes) =="
-# The lockstep batch engine is execution shape only: a campaign run at
-# any --batch width must produce a summary.json byte-identical to the
-# unbatched run above (which also had telemetry and tracing on).
-rm -rf out/smoke-batch
-./target/release/campaign scenarios/smoke-campaign.json --workers 2 \
-    --batch 64 --out out/smoke-batch
-cmp out/smoke-campaign/summary.json out/smoke-batch/summary.json
-
 echo "== trace smoke (fig16 Chrome trace: valid JSON, spans nest) =="
 cargo build --release -q -p electrifi-bench --bin fig16
 ELECTRIFI_SCALE=quick ELECTRIFI_TRACE=out/trace-smoke.json \
@@ -157,12 +148,10 @@ trap - EXIT
 echo "== campaign exit codes (usage=2, io=3) =="
 set +e
 ./target/release/campaign --workers 0 scenarios/smoke-campaign.json 2>/dev/null; RC_USAGE=$?
-./target/release/campaign --batch 0 scenarios/smoke-campaign.json 2>/dev/null; RC_BATCH=$?
 ./target/release/campaign no-such-campaign.json 2>/dev/null; RC_IO=$?
 ./target/release/campaign --help > /dev/null; RC_HELP=$?
 set -e
 [ "$RC_USAGE" -eq 2 ] || { echo "--workers 0 must exit 2, got $RC_USAGE"; exit 1; }
-[ "$RC_BATCH" -eq 2 ] || { echo "--batch 0 must exit 2, got $RC_BATCH"; exit 1; }
 [ "$RC_IO" -eq 3 ] || { echo "missing campaign file must exit 3, got $RC_IO"; exit 1; }
 [ "$RC_HELP" -eq 0 ] || { echo "--help must exit 0, got $RC_HELP"; exit 1; }
 echo "exit codes OK: usage=2 io=3 help=0"
