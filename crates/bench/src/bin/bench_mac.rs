@@ -13,26 +13,16 @@
 //! * a **digest match** between the two arms (same seed ⇒ byte-identical
 //!   observables), so a perf win can never silently change results;
 //! * the **idle-skip hit rate** on a mostly-idle probing workload, read
-//!   from the `plc.mac.idle_skips` / `plc.mac.idle_rescans` counters.
+//!   from the `plc.mac.idle_skips` / `plc.mac.idle_rescans` counters;
+//! * the **span-tracing overhead** on the gated workload.
 //!
-//! A second report, `out/BENCH_batch.json`, covers the **batched
-//! multi-sim engine** ([`plc_mac::PlcBatch`]): a 256-link ensemble
-//! advanced at batch widths 1/16/256, where width 1 is today's per-sim
-//! pattern (every sim advanced at the experiments' 10 ms chunk cadence,
-//! idle or not) and the wider arms drive lockstep engines over a shared
-//! time wheel. All arms must produce the same digest and the same
-//! canonical step count; the gate requires ≥ 2× wall-clock speedup at
-//! width 256 on the fig16-shaped (mixed probing rates) profile and zero
-//! allocations inside the engine arms' timed windows.
-//!
-//! After writing both reports the bin gates them (see [`gate`]) and
-//! exits 1 on any failure. Every mode gates the invariants: digest
-//! matches and allocation-free optimized and engine windows. Full mode
-//! adds the timing gates: the 3× `mac_loop` and 2× batch floors, the
-//! 0.95 span budget, and no >20% regression against
-//! `scripts/baselines/BENCH_mac.baseline.json` and
-//! `scripts/baselines/BENCH_batch.baseline.json`. Absolute steps/sec is
-//! host-dependent, so it only warns unless `PERF_GATE_ABSOLUTE=1`.
+//! After writing the report the bin gates it (see [`gate`]) and exits 1
+//! on any failure. Every mode gates the invariants: digest matches and
+//! allocation-free optimized windows. Full mode adds the timing gates:
+//! the 3× `mac_loop` floor, the 0.95 span budget, and no >20%
+//! regression against `scripts/baselines/BENCH_mac.baseline.json`.
+//! Absolute steps/sec is host-dependent, so it only warns unless
+//! `PERF_GATE_ABSOLUTE=1`.
 //!
 //! Environment:
 //! * `ELECTRIFI_BENCH_SECS` — simulated seconds in the timed window
@@ -44,7 +34,6 @@
 use electrifi_bench::gate::{self as knobs, Gate, TOL};
 use plc_mac::pb::CompletedPacket;
 use plc_mac::sim::{Flow, PlcSim, SimConfig, StationId};
-use plc_mac::PlcBatch;
 use serde::{Deserialize, Serialize};
 use simnet::appliance::ApplianceKind;
 use simnet::grid::Grid;
@@ -474,300 +463,6 @@ fn measure_span_overhead(
     }
 }
 
-/// Links in the batched-ensemble profiles.
-const BATCH_SIMS: usize = 256;
-/// Lockstep widths compared; width 1 is the serial per-sim pattern.
-const BATCH_WIDTHS: [usize; 3] = [1, 16, 256];
-/// Probing rate (packets/s) for link `i` of the fig16-shaped ensemble.
-/// The adaptive probing policy (Fig. 16) backs stable links off to rare
-/// probes, so the campaign steady state is a few fast probers over a
-/// long tail of nearly-idle links: per 128 links, one at the paper's
-/// fastest 200 pkt/s, one at 50, two at 10 and the rest at 1.
-fn batch_probe_rate(i: usize) -> f64 {
-    match i % 128 {
-        0 => 200.0,
-        1 => 50.0,
-        2 | 3 => 10.0,
-        _ => 1.0,
-    }
-}
-
-/// One arm of the batched-ensemble comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct BatchArm {
-    /// Lockstep width (1 = per-sim chunked round-robin, no engine).
-    batch: usize,
-    /// MAC scheduling steps inside the timed window.
-    steps: u64,
-    /// Wall-clock seconds for the window.
-    wall_s: f64,
-    /// Steps per wall-clock second.
-    steps_per_sec: f64,
-    /// Heap allocations (allocs + reallocs) inside the timed window.
-    allocs_in_window: u64,
-    /// FNV digest over every per-sim observable, folded at each drain
-    /// boundary in sim order — identical across widths by construction.
-    digest: String,
-}
-
-/// One ensemble profile advanced at every width in [`BATCH_WIDTHS`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct BatchProfile {
-    /// Links in the ensemble.
-    sims: usize,
-    /// Simulated seconds in the timed window.
-    window_sim_s: f64,
-    /// `plc.mac.steps` in the engine arms (equal across engine widths;
-    /// the serial arm adds one boundary step per sim per idle chunk,
-    /// which is exactly the overhead the wheel removes).
-    canonical_steps: u64,
-    /// Serial wall-clock over the width-16 arm's.
-    speedup_16_over_1: f64,
-    /// Serial wall-clock over the width-256 arm's (the gated number on
-    /// the fig16-shaped profile).
-    speedup_256_over_1: f64,
-    /// Every arm produced the same digest.
-    digest_match: bool,
-    arms: Vec<BatchArm>,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct BatchReport {
-    name: String,
-    seed: u64,
-    smoke: bool,
-    reps: usize,
-    /// Mixed probing rates, most links mostly idle — the campaign
-    /// ensemble shape and the gated ≥ 2× speedup.
-    fig16_shaped: BatchProfile,
-    /// Every link saturated: no idle time for the wheel to skip, so the
-    /// ratio is structurally ~1× (gated on digest and allocs only).
-    saturated: BatchProfile,
-}
-
-/// One 2-station link for the batched-ensemble profiles, seeded and
-/// phase-staggered per index like the figure experiments' link sims.
-fn build_batch_link(i: usize, pattern: TrafficPattern) -> PlcSim {
-    let mut g = Grid::new();
-    let j = g.add_junction("j0");
-    let oa = g.add_outlet("a");
-    let ob = g.add_outlet("b");
-    g.connect(j, oa, 2.0 + (i % 7) as f64);
-    g.connect(j, ob, 5.0 + (i % 11) as f64);
-    let cfg = SimConfig {
-        seed: SEED ^ 0x00F1_6000 ^ i as u64,
-        ..SimConfig::default()
-    };
-    let mut sim = PlcSim::new(cfg, &g, &[(0, oa), (1, ob)]);
-    sim.add_flow(Flow::unicast(
-        0,
-        1,
-        TrafficSource::new(pattern, Time::from_millis((i as u64 * 7) % 40)),
-    ));
-    sim
-}
-
-fn batch_fig16_sims() -> Vec<PlcSim> {
-    (0..BATCH_SIMS)
-        .map(|i| {
-            build_batch_link(
-                i,
-                TrafficPattern::Cbr {
-                    rate_bps: batch_probe_rate(i) * 1300.0 * 8.0,
-                    pkt_bytes: 1300,
-                },
-            )
-        })
-        .collect()
-}
-
-fn batch_saturated_sims() -> Vec<PlcSim> {
-    (0..BATCH_SIMS)
-        .map(|i| build_batch_link(i, TrafficPattern::Saturated { pkt_bytes: 1500 }))
-        .collect()
-}
-
-/// Drain one sim's window output into the running digest (and clear the
-/// shared buffers). Both arms call this at the same drain boundaries in
-/// the same sim order, so equal simulations fold to equal digests.
-fn fold_outputs(
-    h: &mut u64,
-    sim: &mut PlcSim,
-    delivered: &mut Vec<CompletedPacket>,
-    tx_counts: &mut Vec<u32>,
-) {
-    sim.drain_delivered_into(0, delivered);
-    sim.drain_tx_counts_into(0, tx_counts);
-    for p in delivered.iter() {
-        mix(h, p.seq);
-        mix(h, p.created.as_nanos());
-        mix(h, p.delivered.as_nanos());
-    }
-    for &c in tx_counts.iter() {
-        mix(h, c as u64);
-    }
-    mix(h, sim.now().as_nanos());
-    delivered.clear();
-    tx_counts.clear();
-}
-
-/// Advance one freshly built ensemble through the timed window at the
-/// given width. Width 1 reproduces the callers the engine replaces:
-/// every sim advanced at the experiments' 10 ms chunk cadence whether
-/// it has work or not. Wider arms split the ensemble into lockstep
-/// engines and let the shared wheel skip idle sims. Output is drained
-/// and folded at a 2 s cadence in both shapes.
-fn run_batch_arm(build: &dyn Fn() -> Vec<PlcSim>, batch: usize, window: Duration) -> BatchArm {
-    let obs = Obs::new();
-    obs::with_default(obs.clone(), || {
-        let mut sims = build();
-        let n = sims.len();
-        let warm_end = Time::ZERO + Duration::from_secs(WARMUP_SECS);
-        let mut delivered: Vec<CompletedPacket> = Vec::with_capacity(1 << 16);
-        let mut tx_counts: Vec<u32> = Vec::with_capacity(1 << 16);
-        for sim in &mut sims {
-            sim.run_until(warm_end);
-            sim.set_observe_min_gap(QUIESCE_GAP);
-            sim.set_spectrum_refresh(QUIESCE_GAP);
-            sim.prewarm_spectra();
-            sim.reserve_flow_buffers(1 << 10);
-            sim.drain_delivered_into(0, &mut delivered);
-            sim.drain_tx_counts_into(0, &mut tx_counts);
-        }
-        delivered.clear();
-        tx_counts.clear();
-
-        // Engines are built before the timed window so their one-time
-        // allocations (wheel lanes, due buffer, counters) stay out of
-        // the alloc delta, exactly like sim construction does.
-        enum Exec {
-            Serial(Vec<PlcSim>),
-            Engines(Vec<PlcBatch>),
-        }
-        let mut exec = if batch <= 1 {
-            Exec::Serial(sims)
-        } else {
-            let mut groups = Vec::with_capacity(n.div_ceil(batch));
-            let mut it = sims.into_iter();
-            loop {
-                let g: Vec<PlcSim> = it.by_ref().take(batch).collect();
-                if g.is_empty() {
-                    break;
-                }
-                groups.push(PlcBatch::new(g));
-            }
-            Exec::Engines(groups)
-        };
-
-        let chunk = Duration::from_millis(10);
-        let drain_every = Duration::from_secs(2);
-        let end = warm_end + window;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let m0 = obs.registry().snapshot();
-        let a0 = ALLOC.snapshot();
-        let t0 = std::time::Instant::now();
-        match &mut exec {
-            Exec::Serial(sims) => {
-                let mut t = warm_end;
-                while t < end {
-                    let stop = (t + drain_every).min(end);
-                    while t < stop {
-                        t = (t + chunk).min(stop);
-                        for sim in sims.iter_mut() {
-                            sim.run_until(t);
-                        }
-                    }
-                    for sim in sims.iter_mut() {
-                        fold_outputs(&mut h, sim, &mut delivered, &mut tx_counts);
-                    }
-                }
-            }
-            Exec::Engines(groups) => {
-                let mut t = warm_end;
-                while t < end {
-                    t = (t + drain_every).min(end);
-                    for g in groups.iter_mut() {
-                        g.run_until(t);
-                    }
-                    for g in groups.iter_mut() {
-                        for sim in g.sims_mut() {
-                            fold_outputs(&mut h, sim, &mut delivered, &mut tx_counts);
-                        }
-                    }
-                }
-            }
-        }
-        let wall_s = t0.elapsed().as_secs_f64();
-        let a1 = ALLOC.snapshot();
-        let m1 = obs.registry().snapshot();
-        let steps = m1.counter("plc.mac.steps") - m0.counter("plc.mac.steps");
-        let allocs = a0.delta(&a1).events();
-        BatchArm {
-            batch,
-            steps,
-            wall_s,
-            steps_per_sec: steps as f64 / wall_s.max(1e-9),
-            allocs_in_window: allocs,
-            digest: format!("{h:016x}"),
-        }
-    })
-}
-
-/// Best-of-`reps` per width (fastest wall-clock; digests must agree
-/// across reps — the ensemble is deterministic).
-fn best_batch_arm(
-    reps: usize,
-    build: &dyn Fn() -> Vec<PlcSim>,
-    batch: usize,
-    window: Duration,
-) -> BatchArm {
-    let mut best: Option<BatchArm> = None;
-    for _ in 0..reps.max(1) {
-        let arm = run_batch_arm(build, batch, window);
-        if let Some(b) = &best {
-            assert_eq!(
-                b.digest, arm.digest,
-                "nondeterministic batch arm across reps"
-            );
-            if arm.wall_s >= b.wall_s {
-                continue;
-            }
-        }
-        best = Some(arm);
-    }
-    best.expect("reps >= 1")
-}
-
-fn batch_profile(reps: usize, build: &dyn Fn() -> Vec<PlcSim>, window: Duration) -> BatchProfile {
-    let arms: Vec<BatchArm> = BATCH_WIDTHS
-        .iter()
-        .map(|&b| best_batch_arm(reps, build, b, window))
-        .collect();
-    let digest_match = arms.iter().all(|a| a.digest == arms[0].digest);
-    BatchProfile {
-        sims: BATCH_SIMS,
-        window_sim_s: window.as_secs_f64(),
-        canonical_steps: arms[2].steps,
-        speedup_16_over_1: arms[0].wall_s / arms[1].wall_s.max(1e-9),
-        speedup_256_over_1: arms[0].wall_s / arms[2].wall_s.max(1e-9),
-        digest_match,
-        arms,
-    }
-}
-
-fn print_batch_profile(p: &BatchProfile) {
-    for a in &p.arms {
-        eprintln!(
-            "  batch {:>3}: {:>12.0} steps/s | {:>7.3} s wall | {} allocs/window | digest {}",
-            a.batch, a.steps_per_sec, a.wall_s, a.allocs_in_window, a.digest,
-        );
-    }
-    eprintln!(
-        "  speedup 16/1 {:.2}x | 256/1 {:.2}x | digest match: {}",
-        p.speedup_16_over_1, p.speedup_256_over_1, p.digest_match,
-    );
-}
-
 fn main() {
     let smoke = knobs::smoke_from_env();
     let secs: f64 = knobs::knob("ELECTRIFI_BENCH_SECS", if smoke { 2.0 } else { 16.0 });
@@ -845,26 +540,6 @@ fn main() {
         span_overhead.digest_match,
     );
 
-    // Mostly-idle links make even the serial arm fast per sim-second, so
-    // the ensemble window is 4x the per-sim one to keep the timed
-    // region well above timer noise.
-    let ensemble_window = Duration::from_secs_f64(secs * 4.0);
-    eprintln!(
-        "bench_mac: batched ensemble, fig16-shaped ({BATCH_SIMS} links, mixed probing rates), \
-         {} sim-s window...",
-        ensemble_window.as_secs_f64()
-    );
-    let fig16_shaped = batch_profile(reps, &batch_fig16_sims, ensemble_window);
-    print_batch_profile(&fig16_shaped);
-
-    let sat_window = Duration::from_secs_f64((secs / 4.0).max(0.5));
-    eprintln!(
-        "bench_mac: batched ensemble, saturated ({BATCH_SIMS} links), {} sim-s window...",
-        sat_window.as_secs_f64()
-    );
-    let saturated_batch = batch_profile(reps, &batch_saturated_sims, sat_window);
-    print_batch_profile(&saturated_batch);
-
     let report = BenchReport {
         name: "bench_mac",
         seed: SEED,
@@ -876,24 +551,13 @@ fn main() {
         idle,
         span_overhead,
     };
-    let batch_report = BatchReport {
-        name: "bench_batch".to_string(),
-        seed: SEED,
-        smoke,
-        reps,
-        fig16_shaped,
-        saturated: saturated_batch,
-    };
     let json = serde_json::to_string_pretty(&report).expect("serialize") + "\n";
     std::fs::create_dir_all("out").expect("create out/");
     std::fs::write("out/BENCH_mac.json", &json).expect("write out/BENCH_mac.json");
-    let batch_json = serde_json::to_string_pretty(&batch_report).expect("serialize") + "\n";
-    std::fs::write("out/BENCH_batch.json", &batch_json).expect("write out/BENCH_batch.json");
     println!("{json}");
     eprintln!("wrote out/BENCH_mac.json");
-    eprintln!("wrote out/BENCH_batch.json");
     let absolute = std::env::var("PERF_GATE_ABSOLUTE").is_ok_and(|v| v == "1");
-    gate(&report, &batch_report, load_baselines, absolute).finish("bench_mac", smoke);
+    gate(&report, load_baseline, absolute).finish("bench_mac", smoke);
 }
 
 /// The committed `BENCH_mac` baseline's sections that the full-mode gate
@@ -907,21 +571,17 @@ struct MacBaseline {
     idle: IdleReport,
 }
 
-/// Both committed baselines of the full-mode gate.
-type Baselines = (MacBaseline, BatchReport);
-
-fn load_baselines() -> Result<Baselines, String> {
-    Ok((knobs::load_baseline("mac")?, knobs::load_baseline("batch")?))
+fn load_baseline() -> Result<MacBaseline, String> {
+    knobs::load_baseline("mac")
 }
 
-/// Judge both reports: the invariants in both modes, and in full mode
+/// Judge the report: the invariants in both modes, and in full mode
 /// (the report's own `smoke` flag off) the timing gates against the
-/// baselines, which are read only then. `absolute` turns the
+/// baseline, which is read only then. `absolute` turns the
 /// absolute-throughput warning into a failure.
 fn gate(
     rep: &BenchReport,
-    bat: &BatchReport,
-    baselines: impl FnOnce() -> Result<Baselines, String>,
+    baseline: impl FnOnce() -> Result<MacBaseline, String>,
     absolute: bool,
 ) -> Gate {
     let mut g = Gate::default();
@@ -946,30 +606,6 @@ fn gate(
             format!("{name}: optimized window performed {n} heap allocation(s); expected zero")
         });
     }
-    // Every lockstep width folds the serial arm's digest and counts the
-    // same steps, and the engine windows never touch the heap.
-    for (name, p) in [
-        ("fig16_shaped", &bat.fig16_shaped),
-        ("saturated", &bat.saturated),
-    ] {
-        g.check(p.digest_match, || {
-            format!(
-                "batch {name}: digest mismatch — lockstep engine diverged from per-sim stepping"
-            )
-        });
-        for a in p.arms.iter().filter(|a| a.batch > 1) {
-            let (w, n) = (a.batch, a.allocs_in_window);
-            g.check(n == 0, || {
-                format!("batch {name}: width-{w} window performed {n} heap allocation(s); expected zero")
-            });
-            g.check(a.steps == p.canonical_steps, || {
-                let (n, canon) = (a.steps, p.canonical_steps);
-                format!(
-                    "batch {name}: width-{w} engine counted {n} steps, not the canonical {canon}"
-                )
-            });
-        }
-    }
     // Spans observe the simulation, they never steer it.
     g.check(rep.span_overhead.digest_match, || {
         "span_overhead: digest mismatch — span tracing perturbed the simulation".into()
@@ -977,11 +613,10 @@ fn gate(
     if rep.smoke {
         return g;
     }
-    let Ok((base, bat_base)) = baselines().map_err(|e| g.failures.push(e)) else {
+    let Ok(base) = baseline().map_err(|e| g.failures.push(e)) else {
         return g;
     };
     g.refuse_smoke_baseline("mac", base.smoke);
-    g.refuse_smoke_baseline("batch", bat_base.smoke);
 
     // Ratios of two same-host arms are self-normalizing; absolute
     // throughput is not, so it only warns (below).
@@ -1005,25 +640,6 @@ fn gate(
     let fp = rep.full_profile.speedup;
     g.note(format!(
         "full_profile: speedup {fp:.2}x (reported, not gated)"
-    ));
-
-    // The saturated ensemble has no idle time for the wheel to skip, so
-    // only the fig16-shaped ratio is gated.
-    const BATCH_FLOOR: f64 = 2.0;
-    let cur = bat.fig16_shaped.speedup_256_over_1;
-    let refv = bat_base.fig16_shaped.speedup_256_over_1;
-    g.check(cur >= BATCH_FLOOR, || {
-        format!(
-            "batch fig16_shaped: speedup {cur:.2}x at width 256 below the {BATCH_FLOOR:.1}x floor"
-        )
-    });
-    g.check(cur >= TOL * refv, || {
-        format!("batch fig16_shaped: speedup {cur:.2}x regressed >20% vs baseline {refv:.2}x")
-    });
-    g.note(format!("batch: fig16-shaped 256/1 speedup {cur:.2}x (floor {BATCH_FLOOR:.1}x, baseline {refv:.2}x)"));
-    let sat = bat.saturated.speedup_256_over_1;
-    g.note(format!(
-        "batch: saturated 256/1 speedup {sat:.2}x (reported, not gated)"
     ));
 
     // Stats-mode spans may cost at most 5% of the gated workload.
@@ -1068,10 +684,10 @@ fn grouped(v: f64) -> String {
 mod tests {
     use super::*;
 
-    /// Reports equal to the committed baselines (the span section, which
-    /// the mac baseline lacks, is a free span tracer) and the baselines.
-    fn passing() -> (BenchReport, BatchReport, Baselines) {
-        let (base, bat_base) = load_baselines().expect("committed baselines parse");
+    /// A report equal to the committed baseline (the span section, which
+    /// the baseline lacks, is a free span tracer) and the baseline.
+    fn passing() -> (BenchReport, MacBaseline) {
+        let base = load_baseline().expect("committed baseline parses");
         let report = BenchReport {
             name: "bench_mac",
             seed: SEED,
@@ -1090,11 +706,11 @@ mod tests {
                 spans: RunProfile { spans: Vec::new() },
             },
         };
-        (report, bat_base.clone(), (base, bat_base))
+        (report, base)
     }
 
-    fn judge(rep: &BenchReport, bat: &BatchReport, base: Baselines, absolute: bool) -> Gate {
-        gate(rep, bat, || Ok(base), absolute)
+    fn judge(rep: &BenchReport, base: MacBaseline, absolute: bool) -> Gate {
+        gate(rep, || Ok(base), absolute)
     }
 
     /// Exactly one failure, and it names `needle`.
@@ -1106,95 +722,74 @@ mod tests {
     /// One test per gate check: mutate a passing report (or baseline)
     /// and expect exactly the named failure.
     macro_rules! gate_fails {
-        ($($test:ident: |$r:ident, $b:ident, $base:ident| $mutate:block => $needle:literal;)*) => {$(
+        ($($test:ident: |$r:ident, $base:ident| $mutate:block => $needle:literal;)*) => {$(
             #[test]
             fn $test() {
-                let (mut $r, mut $b, mut $base) = passing();
+                let (mut $r, mut $base) = passing();
                 $mutate
-                assert_fails(&judge(&$r, &$b, $base, false), $needle);
+                assert_fails(&judge(&$r, $base, false), $needle);
             }
         )*};
     }
 
     gate_fails! {
-        stepper_digest_mismatch_fails: |r, _b, _base| { r.full_profile.digest_match = false; }
+        stepper_digest_mismatch_fails: |r, _base| { r.full_profile.digest_match = false; }
             => "full_profile: digest mismatch";
-        idle_digest_mismatch_fails: |r, _b, _base| { r.idle.digest_match = false; }
+        idle_digest_mismatch_fails: |r, _base| { r.idle.digest_match = false; }
             => "idle: digest mismatch";
-        optimized_window_allocation_fails: |r, _b, _base| { r.saturated.optimized.allocs_in_window = 3; }
+        optimized_window_allocation_fails: |r, _base| { r.saturated.optimized.allocs_in_window = 3; }
             => "saturated: optimized window performed 3 heap allocation(s)";
-        batch_digest_mismatch_fails: |_r, b, _base| { b.saturated.digest_match = false; }
-            => "batch saturated: digest mismatch";
-        engine_window_allocation_fails: |_r, b, _base| { b.fig16_shaped.arms[1].allocs_in_window = 2; }
-            => "batch fig16_shaped: width-16 window performed 2 heap allocation(s)";
-        engine_step_count_divergence_fails: |_r, b, _base| { b.fig16_shaped.arms[2].steps += 1; }
-            => "batch fig16_shaped: width-256 engine counted";
-        span_digest_mismatch_fails: |r, _b, _base| { r.span_overhead.digest_match = false; }
+        span_digest_mismatch_fails: |r, _base| { r.span_overhead.digest_match = false; }
             => "span_overhead: digest mismatch";
-        mac_loop_below_floor_fails: |r, _b, _base| { r.mac_loop.speedup = 2.9; }
+        mac_loop_below_floor_fails: |r, _base| { r.mac_loop.speedup = 2.9; }
             => "mac_loop: speedup 2.90x below the 3.0x floor";
-        speedup_regression_fails: |_r, _b, base| { base.0.saturated.speedup *= 2.0; }
+        speedup_regression_fails: |_r, base| { base.saturated.speedup *= 2.0; }
             => "saturated: speedup 2.61x regressed >20% vs baseline 5.22x";
-        idle_hit_rate_regression_fails: |r, _b, _base| { r.idle.hit_rate *= 0.7; }
+        idle_hit_rate_regression_fails: |r, _base| { r.idle.hit_rate *= 0.7; }
             => "idle: skip hit rate";
-        batch_below_floor_fails: |_r, b, _base| { b.fig16_shaped.speedup_256_over_1 = 1.95; }
-            => "batch fig16_shaped: speedup 1.95x at width 256 below the 2.0x floor";
-        batch_regression_fails: |_r, _b, base| { base.1.fig16_shaped.speedup_256_over_1 = 4.0; }
-            => "batch fig16_shaped: speedup 2.42x regressed >20% vs baseline 4.00x";
-        span_budget_fails: |r, _b, _base| { r.span_overhead.ratio = 0.94; }
+        span_budget_fails: |r, _base| { r.span_overhead.ratio = 0.94; }
             => "span_overhead: enabled/disabled ratio 0.940 below the 0.95 budget";
-        smoke_mac_baseline_is_refused: |_r, _b, base| { base.0.smoke = true; }
+        smoke_mac_baseline_is_refused: |_r, base| { base.smoke = true; }
             => "BENCH_mac is a smoke run";
-        smoke_batch_baseline_is_refused: |_r, _b, base| { base.1.smoke = true; }
-            => "BENCH_batch is a smoke run";
     }
 
     #[test]
     fn committed_baselines_parse() {
-        // The mac baseline predates span_overhead; the gate never reads it.
-        let (base, bat_base) = load_baselines().expect("committed baselines parse");
-        assert!(!base.smoke && !bat_base.smoke);
-        assert_eq!(bat_base.fig16_shaped.arms.len(), BATCH_WIDTHS.len());
+        // The baseline predates span_overhead; the gate never reads it.
+        let base = load_baseline().expect("committed baseline parses");
+        assert!(!base.smoke);
     }
 
     #[test]
     fn report_equal_to_its_baseline_passes_full_mode() {
-        let (r, b, base) = passing();
-        let g = judge(&r, &b, base, false);
+        let (r, base) = passing();
+        let g = judge(&r, base, false);
         assert!(g.failures.is_empty() && g.warnings.is_empty(), "{g:?}");
-        assert_eq!(g.notes.len(), 7);
+        assert_eq!(g.notes.len(), 5);
     }
 
     #[test]
     fn smoke_mode_skips_every_timing_gate() {
-        let (mut r, mut b, _) = passing();
+        let (mut r, _) = passing();
         r.smoke = true;
-        b.smoke = true;
         for c in [&mut r.mac_loop, &mut r.saturated, &mut r.full_profile] {
             c.speedup = 0.0;
             c.optimized.steps_per_sec = 0.0;
         }
         r.idle.hit_rate = 0.0;
         r.span_overhead.ratio = 0.0;
-        b.fig16_shaped.speedup_256_over_1 = 0.0;
-        let g = gate(
-            &r,
-            &b,
-            || panic!("smoke mode must not read the baselines"),
-            true,
-        );
+        let g = gate(&r, || panic!("smoke mode must not read the baseline"), true);
         assert!(g.failures.is_empty() && g.notes.is_empty(), "{g:?}");
     }
 
     #[test]
     fn invariants_are_gated_in_smoke_mode() {
-        let (mut r, b, _) = passing();
+        let (mut r, _) = passing();
         r.smoke = true;
         r.mac_loop.digest_match = false;
         let g = gate(
             &r,
-            &b,
-            || panic!("smoke mode must not read the baselines"),
+            || panic!("smoke mode must not read the baseline"),
             false,
         );
         assert_fails(&g, "mac_loop: digest mismatch");
@@ -1202,13 +797,13 @@ mod tests {
 
     #[test]
     fn absolute_throughput_warns_unless_opted_in() {
-        let (mut r, b, _) = passing();
+        let (mut r, base) = passing();
         r.mac_loop.optimized.steps_per_sec *= 0.7;
-        let g = judge(&r, &b, passing().2, false);
+        let g = judge(&r, base.clone(), false);
         assert!(g.failures.is_empty(), "{g:?}");
         assert_eq!(g.warnings.len(), 1);
         assert!(g.warnings[0].contains("warn-only; set PERF_GATE_ABSOLUTE=1"));
-        let g = judge(&r, &b, passing().2, true);
+        let g = judge(&r, base, true);
         assert!(g.warnings.is_empty());
         assert_fails(
             &g,

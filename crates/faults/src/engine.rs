@@ -28,7 +28,7 @@ pub struct ResolvedWindow {
 ///
 /// Everything here is immutable after [`compile`](Self::compile): the
 /// medium models only ever *read* it, through pure functions of time, so
-/// sharing one `Arc<CompiledFaults>` across batched lanes is sound.
+/// sharing one `Arc<CompiledFaults>` across threads is sound.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompiledFaults {
     overlays: Vec<(u16, LinkOverlay)>,

@@ -15,8 +15,8 @@
 //! 2. **Profiles** ([`LinkOverlay`], [`JamProfile`], [`DropoutProfile`],
 //!    [`OutageProfile`]) — compiled, *pure functions of simulation time*
 //!    that the medium models evaluate inline. Purity is the determinism
-//!    story: an overlay cannot observe execution shape, so batched
-//!    (lockstep), sharded and serial runs see bit-identical channels.
+//!    story: an overlay cannot observe execution shape, so sharded,
+//!    chunked and serial runs see bit-identical channels.
 //! 3. **Verdicts** ([`Verdict`], [`evaluate`]) — declarative invariants
 //!    evaluated against the measured series of a disturbed run, emitted
 //!    as a typed pass/fail block that gates campaigns (exit code 5).

@@ -3,7 +3,7 @@
 //! Each profile is a sorted set of absolute-time windows baked at
 //! compile time ([`crate::CompiledFaults::compile`]). Medium models call
 //! the accessors inline from their hot paths; because the answer depends
-//! only on the queried [`Time`], batched, sharded and serial executions
+//! only on the queried [`Time`], sharded, chunked and serial executions
 //! of the same scenario observe bit-identical channels.
 //!
 //! Window bounds are stored as nanoseconds-since-epoch (`u64`) rather

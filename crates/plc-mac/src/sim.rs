@@ -860,12 +860,11 @@ impl PlcSim {
         next
     }
 
-    /// One event step toward `end`. Crate-visible so the batch engine
-    /// (`batch.rs`) can slice a run at epoch boundaries: `step(end)`
-    /// depends only on the sim's state and the *final* horizon, so any
-    /// slicing of the `while now < end` loop replays the exact same
-    /// step sequence — the bit-identity the batch stepper is gated on.
-    pub(crate) fn step(&mut self, end: Time) {
+    /// One event step toward `end`. `step(end)` depends only on the
+    /// sim's state and the *final* horizon, so any slicing of the
+    /// `while now < end` loop replays the exact same step sequence: a
+    /// chunked `run_until` is bit-identical to one straight run.
+    fn step(&mut self, end: Time) {
         self.metrics.steps.inc();
         self.metrics.events_fired.inc();
         self.now = Self::skip_beacon_region(self.now);
@@ -877,8 +876,8 @@ impl PlcSim {
         // contention can resolve — fast-forward to the blackout's end
         // (or the horizon, whichever is first). Like the idle-advance
         // below, the jump depends only on sim state and the final
-        // horizon, preserving the step-slicing bit-identity the batch
-        // stepper relies on. Arrivals queue up meanwhile and drain on
+        // horizon, preserving the step-slicing bit-identity of chunked
+        // `run_until` calls. Arrivals queue up meanwhile and drain on
         // the first post-outage step, modelling device buffers riding
         // through the trip.
         if let Some(outage) = &self.cfg.outage {
@@ -1711,8 +1710,8 @@ mod tests {
     fn outage_fast_forward_is_horizon_independent() {
         use electrifi_faults::OutageProfile;
         // Slicing run_until across an outage window must land on the
-        // same state as running straight through (the batch stepper's
-        // bit-identity discipline).
+        // same state as running straight through (the chunked
+        // `run_until` bit-identity discipline).
         let mk = || {
             let cfg = SimConfig {
                 outage: Some(OutageProfile {

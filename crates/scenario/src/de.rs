@@ -11,6 +11,13 @@
 use crate::error::ScenarioError;
 use serde::Value;
 
+/// The longest span, in nanoseconds, that a time-valued field may name:
+/// 2^61 ns, about 73 years of simulated time. A run also ends within it.
+/// Every instant a run computes is the sum of at most four capped values
+/// plus a few seconds of fixed look-ahead, so it stays inside the u64
+/// nanoseconds of [`simnet::time::Time`].
+pub(crate) const MAX_SPAN_NS: u64 = 1 << 61;
+
 /// A JSON value plus the document path that leads to it.
 #[derive(Debug, Clone)]
 pub struct At<'a> {
@@ -100,6 +107,34 @@ impl<'a> At<'a> {
     pub fn usize(&self) -> Result<usize, ScenarioError> {
         let u = self.u64()?;
         usize::try_from(u).map_err(|_| self.err("integer too large"))
+    }
+
+    /// `count` units of `unit_ns` nanoseconds each, in nanoseconds, or an
+    /// error naming this field if the span exceeds [`MAX_SPAN_NS`].
+    pub(crate) fn span_ns(&self, count: u64, unit_ns: u64) -> Result<u64, ScenarioError> {
+        count
+            .checked_mul(unit_ns)
+            .filter(|&ns| ns <= MAX_SPAN_NS)
+            .ok_or_else(|| self.out_of_range(count as f64))
+    }
+
+    /// `secs` (finite, non-negative) seconds in nanoseconds, rounded the
+    /// way [`simnet::time::Duration::from_secs_f64`] rounds, or an error
+    /// naming this field if the span exceeds [`MAX_SPAN_NS`].
+    pub(crate) fn secs_ns(&self, secs: f64) -> Result<u64, ScenarioError> {
+        let ns = (secs * 1e9).round();
+        if ns <= MAX_SPAN_NS as f64 {
+            Ok(ns as u64)
+        } else {
+            Err(self.out_of_range(secs))
+        }
+    }
+
+    fn out_of_range(&self, value: f64) -> ScenarioError {
+        self.err(format!(
+            "{value} is out of range: time values must stay within {:.0} s of simulated time",
+            MAX_SPAN_NS as f64 / 1e9
+        ))
     }
 
     /// A required object field; missing or `null` is an error naming the

@@ -51,6 +51,20 @@ fn non_negative(at: &At) -> Result<f64, ScenarioError> {
     }
 }
 
+/// A positive number of seconds that fits the simulated-time range.
+fn positive_secs(at: &At) -> Result<f64, ScenarioError> {
+    let x = positive(at)?;
+    at.secs_ns(x)?;
+    Ok(x)
+}
+
+/// A non-negative number of seconds that fits the simulated-time range.
+fn non_negative_secs(at: &At) -> Result<f64, ScenarioError> {
+    let x = non_negative(at)?;
+    at.secs_ns(x)?;
+    Ok(x)
+}
+
 fn fraction(at: &At) -> Result<f64, ScenarioError> {
     let x = at.f64()?;
     if x > 0.0 && x <= 1.0 {
@@ -144,11 +158,11 @@ pub fn parse_disturbances(at: &At) -> Result<Vec<DisturbanceSpec>, ScenarioError
             }
             None => String::new(),
         };
-        let at_s = non_negative(&d.req("at_s")?)?;
-        let duration_s = positive(&d.req("duration_s")?)?;
+        let at_s = non_negative_secs(&d.req("at_s")?)?;
+        let duration_s = positive_secs(&d.req("duration_s")?)?;
         let ramp_field = d.opt("ramp_s");
         let ramp_s = match &ramp_field {
-            Some(r) => non_negative(r)?,
+            Some(r) => non_negative_secs(r)?,
             None => 0.0,
         };
         if ramp_s > duration_s {
@@ -200,10 +214,13 @@ pub fn parse_couplings(
                 }
             )));
         }
+        let after_field = c.req("after_ms")?;
+        let after_ms = after_field.u64()?;
+        after_field.span_ns(after_ms, 1_000_000)?;
         out.push(CouplingSpec {
             source,
-            after_ms: c.req("after_ms")?.u64()?,
-            duration_s: positive(&c.req("duration_s")?)?,
+            after_ms,
+            duration_s: positive_secs(&c.req("duration_s")?)?,
             effect: parse_kind(&c.req("effect")?)?,
         });
     }
@@ -231,7 +248,7 @@ pub fn parse_assertions(at: &At) -> Result<Vec<AssertionSpec>, ScenarioError> {
         if let Some(h) = a.opt("hybrid-at-least-best-medium") {
             h.no_unknown_keys(&["within_s"])?;
             out.push(AssertionSpec::HybridAtLeastBestMedium {
-                within_s: positive(&h.req("within_s")?)?,
+                within_s: positive_secs(&h.req("within_s")?)?,
             });
             continue;
         }
@@ -239,14 +256,14 @@ pub fn parse_assertions(at: &At) -> Result<Vec<AssertionSpec>, ScenarioError> {
             e.no_unknown_keys(&["tolerance_frac", "settle_s"])?;
             out.push(AssertionSpec::EstimateWithin {
                 tolerance_frac: fraction(&e.req("tolerance_frac")?)?,
-                settle_s: non_negative(&e.req("settle_s")?)?,
+                settle_s: non_negative_secs(&e.req("settle_s")?)?,
             });
             continue;
         }
         if let Some(r) = a.opt("recovery-within") {
             r.no_unknown_keys(&["within_s", "frac"])?;
             out.push(AssertionSpec::RecoveryWithin {
-                within_s: positive(&r.req("within_s")?)?,
+                within_s: positive_secs(&r.req("within_s")?)?,
                 frac: fraction(&r.req("frac")?)?,
             });
             continue;

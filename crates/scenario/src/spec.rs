@@ -26,9 +26,10 @@
 //! Parsing is done by hand over the JSON value tree (see [`crate::de`])
 //! so every rejection names the offending field.
 
-use crate::de::At;
+use crate::de::{At, MAX_SPAN_NS};
 use crate::disturbance::{parse_assertions, parse_couplings, parse_disturbances};
 use crate::error::ScenarioError;
+use electrifi::experiments::disturbance::WARMUP_SECS;
 use electrifi_faults::{AssertionSpec, CouplingSpec, DisturbanceSpec};
 use hybrid1905::probing::ProbingPolicy;
 use simnet::appliance::ApplianceKind;
@@ -593,24 +594,48 @@ fn parse_grid(at: &At) -> Result<GridSpec, ScenarioError> {
 }
 
 /// Parse a workload object (also used by campaign files).
+///
+/// Every time value is checked in nanoseconds, and so is the run's last
+/// instant: start, warm-up, duration and one more sample period, the
+/// step the samplers take past the end.
 pub fn parse_workload(at: &At) -> Result<WorkloadSpec, ScenarioError> {
     at.obj()?;
     at.no_unknown_keys(&["name", "start_hour", "duration_s", "sample_ms", "max_pairs"])?;
-    let duration_s = positive(&at.req("duration_s")?)?;
+    let duration_field = at.req("duration_s")?;
+    let duration_s = positive(&duration_field)?;
+    let duration_ns = duration_field.secs_ns(duration_s)?;
     let sample_field = at.req("sample_ms")?;
     let sample_ms = sample_field.u64()?;
     if sample_ms == 0 {
         return Err(sample_field.invalid("sampling period must be at least 1 ms"));
+    }
+    let sample_ns = sample_field.span_ns(sample_ms, 1_000_000)?;
+    let start_hour = match at.opt("start_hour") {
+        Some(h) => {
+            let hour = h.u64()?;
+            h.span_ns(hour, 3_600_000_000_000)?;
+            hour
+        }
+        None => 10,
+    };
+    // Each term is at most MAX_SPAN_NS, so the sum cannot overflow.
+    let end_ns = Time::from_hours(start_hour).as_nanos()
+        + WARMUP_SECS * 1_000_000_000
+        + duration_ns
+        + sample_ns;
+    if end_ns > MAX_SPAN_NS {
+        return Err(at.invalid(format!(
+            "the run ends past the simulated-time limit of {:.0} s \
+             (start_hour + {WARMUP_SECS} s warm-up + duration_s + one sample_ms)",
+            MAX_SPAN_NS as f64 / 1e9
+        )));
     }
     Ok(WorkloadSpec {
         name: match at.opt("name") {
             Some(n) => n.str()?.to_string(),
             None => "workload".to_string(),
         },
-        start_hour: match at.opt("start_hour") {
-            Some(h) => h.u64()?,
-            None => 10,
-        },
+        start_hour,
         duration_s,
         sample_ms,
         max_pairs: match at.opt("max_pairs") {
@@ -632,7 +657,9 @@ fn parse_probing(at: &At) -> Result<ProbingPolicy, ScenarioError> {
     }
     at.obj()?;
     at.no_unknown_keys(&["fixed_s"])?;
-    let secs = positive(&at.req("fixed_s")?)?;
+    let field = at.req("fixed_s")?;
+    let secs = positive(&field)?;
+    field.secs_ns(secs)?;
     Ok(ProbingPolicy::Fixed(Duration::from_secs_f64(secs)))
 }
 
@@ -787,6 +814,81 @@ mod tests {
         let err =
             ScenarioSpec::from_json_str(r#"{"name": "bad", "grid": {"bultin": "x"}}"#).unwrap_err();
         assert_eq!(err.field(), Some("grid.bultin"));
+    }
+
+    /// A scenario that sets every time-valued field, each to a distinct
+    /// value so a test can swap exactly one.
+    const TIMED: &str = r#"{"name": "t", "grid": {"builtin": "builtin://imc2015-floor"},
+        "workload": {"start_hour": 10, "duration_s": 20, "sample_ms": 500},
+        "probing": {"fixed_s": 7},
+        "disturbances": [{"name": "s", "at_s": 1, "duration_s": 4, "ramp_s": 0.5,
+                          "kind": "probe-dropout"}],
+        "couplings": [{"source": "s", "after_ms": 250, "duration_s": 3,
+                       "effect": "probe-dropout"}],
+        "assertions": [{"hybrid-at-least-best-medium": {"within_s": 2}},
+                       {"estimate-within": {"tolerance_frac": 0.1, "settle_s": 6}},
+                       {"recovery-within": {"within_s": 5, "frac": 0.8}}]}"#;
+
+    #[test]
+    fn every_time_field_in_range_parses() {
+        ScenarioSpec::from_json_str(TIMED).expect("valid");
+    }
+
+    /// One test per time-valued field: an out-of-range value that would
+    /// overflow the simulated clock at run time is a validation error
+    /// naming the field's path.
+    macro_rules! out_of_range {
+        ($($test:ident: $from:literal => $to:literal at $field:literal;)*) => {$(
+            #[test]
+            fn $test() {
+                assert!(TIMED.contains($from), "template lacks {}", $from);
+                let doc = TIMED.replacen($from, $to, 1);
+                let err = ScenarioSpec::from_json_str(&doc).unwrap_err();
+                assert_eq!(err.field(), Some($field), "{err}");
+                assert!(err.to_string().contains(&format!("`{}`", $field)), "{err}");
+            }
+        )*};
+    }
+
+    out_of_range! {
+        workload_start_hour_out_of_range: r#""start_hour": 10"# => r#""start_hour": 6000000"#
+            at "workload.start_hour";
+        workload_duration_out_of_range: r#""duration_s": 20"# => r#""duration_s": 1e12"#
+            at "workload.duration_s";
+        workload_sample_out_of_range: r#""sample_ms": 500"# => r#""sample_ms": 20000000000000"#
+            at "workload.sample_ms";
+        disturbance_at_out_of_range: r#""at_s": 1"# => r#""at_s": 1e12"#
+            at "disturbances[0].at_s";
+        disturbance_duration_out_of_range: r#""duration_s": 4"# => r#""duration_s": 1e12"#
+            at "disturbances[0].duration_s";
+        disturbance_ramp_out_of_range: r#""ramp_s": 0.5"# => r#""ramp_s": 1e12"#
+            at "disturbances[0].ramp_s";
+        coupling_after_out_of_range: r#""after_ms": 250"# => r#""after_ms": 20000000000000"#
+            at "couplings[0].after_ms";
+        coupling_duration_out_of_range: r#""duration_s": 3"# => r#""duration_s": 1e12"#
+            at "couplings[0].duration_s";
+        hybrid_within_out_of_range: r#""within_s": 2"# => r#""within_s": 1e12"#
+            at "assertions[0].hybrid-at-least-best-medium.within_s";
+        estimate_settle_out_of_range: r#""settle_s": 6"# => r#""settle_s": 1e12"#
+            at "assertions[1].estimate-within.settle_s";
+        recovery_within_out_of_range: r#""within_s": 5"# => r#""within_s": 1e12"#
+            at "assertions[2].recovery-within.within_s";
+        probing_fixed_out_of_range: r#""fixed_s": 7"# => r#""fixed_s": 1e12"#
+            at "probing.fixed_s";
+    }
+
+    #[test]
+    fn run_end_past_the_clock_names_the_workload() {
+        // Each value fits on its own; their sum with the warm-up does not.
+        let doc = TIMED
+            .replacen(r#""start_hour": 10"#, r#""start_hour": 600000"#, 1)
+            .replacen(r#""duration_s": 20"#, r#""duration_s": 2e8"#, 1);
+        let err = ScenarioSpec::from_json_str(&doc).unwrap_err();
+        assert_eq!(err.field(), Some("workload"), "{err}");
+        assert!(err.to_string().contains("the run ends past"), "{err}");
+        let doc = TIMED.replacen(r#""duration_s": 20"#, r#""duration_s": 2.30584e9"#, 1);
+        let err = ScenarioSpec::from_json_str(&doc).unwrap_err();
+        assert_eq!(err.field(), Some("workload"), "{err}");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! duplicated results.
 
 use crate::events::EventHub;
-use crate::queue::{CompleteOutcome, JobStatus, Lease};
+use crate::queue::{CompleteOutcome, JobStatus, Lease, ShardDeath};
 use crate::server::{lock, Core, JobData, WorkerSlot};
 use electrifi_scenario::{
     execute_run, load_checkpoint_classified, summarize, write_artifacts, write_checkpoint,
@@ -128,18 +128,7 @@ fn worker_loop(
             Ok(ShardOutcome::Failed(error)) => {
                 let recorded = lock(&core.sched).fail(&lease, error.clone());
                 if matches!(recorded, CompleteOutcome::Recorded { .. }) {
-                    core.metrics.inc(&core.metrics.queue_failed);
-                    if let Some(job) = core.job(&lease.job) {
-                        job.cancel.store(true, Ordering::SeqCst);
-                        publish_status_event(
-                            core,
-                            &job,
-                            &lease.job,
-                            JobStatus::Failed,
-                            Some(&error),
-                        );
-                        job.hub.close();
-                    }
+                    on_job_failed(core, &lease.job, &error);
                 }
             }
             Ok(ShardOutcome::Cancelled) => {}
@@ -389,23 +378,39 @@ pub(crate) fn finalize_job(core: &Arc<Core>, id: &str) {
     }
 }
 
-/// A worker died (panic or stale heartbeat): re-admit its shards,
-/// wake the pool, and spawn a replacement unless we're draining.
+/// A job the scheduler just failed: stop its in-flight shards, publish
+/// the `failed` status event and close its stream.
+fn on_job_failed(core: &Arc<Core>, id: &str, error: &str) {
+    core.metrics.inc(&core.metrics.queue_failed);
+    if let Some(job) = core.job(id) {
+        job.cancel.store(true, Ordering::SeqCst);
+        publish_status_event(core, &job, id, JobStatus::Failed, Some(error));
+        job.hub.close();
+    }
+}
+
+/// A worker died (panic or stale heartbeat): re-admit its shards, or
+/// fail the job of a shard that has now killed two workers; wake the
+/// pool, and spawn a replacement unless we're draining.
 pub(crate) fn on_worker_death(core: &Arc<Core>, worker: u64) {
     core.metrics.inc(&core.metrics.workers_deaths);
-    let released = lock(&core.sched).worker_dead(worker);
-    core.metrics
-        .add(&core.metrics.workers_shards_requeued, released.len() as u64);
-    for (job_id, shard) in &released {
-        if let Some(job) = core.job(job_id) {
-            publish_line(
-                core,
-                &job.hub,
-                format!(
-                    "{{\"event\":\"shard_requeued\",\"id\":\"{job_id}\",\"shard\":{shard},\
-                     \"reason\":\"worker {worker} died\"}}"
-                ),
-            );
+    let deaths = lock(&core.sched).worker_dead(worker);
+    for death in &deaths {
+        match death {
+            ShardDeath::Requeued { job: job_id, shard } => {
+                core.metrics.inc(&core.metrics.workers_shards_requeued);
+                if let Some(job) = core.job(job_id) {
+                    publish_line(
+                        core,
+                        &job.hub,
+                        format!(
+                            "{{\"event\":\"shard_requeued\",\"id\":\"{job_id}\",\"shard\":{shard},\
+                             \"reason\":\"worker {worker} died\"}}"
+                        ),
+                    );
+                }
+            }
+            ShardDeath::JobFailed { job, error, .. } => on_job_failed(core, job, error),
         }
     }
     core.work_cv.notify_all();

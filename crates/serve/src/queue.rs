@@ -27,6 +27,16 @@
 //! twice. This is what makes the heartbeat supervisor safe: declaring a
 //! slow-but-alive worker dead costs duplicated work, never duplicated
 //! results.
+//!
+//! A shard is re-admitted after its worker's first death only: the
+//! second death of the same shard fails the job (see
+//! [`MAX_SHARD_DEATHS`]), so a run that panics on every attempt cannot
+//! keep killing replacement workers.
+
+/// Worker deaths a shard may cause before its job fails. One death is
+/// recovered by resuming the shard from its checkpoint; a second means
+/// the shard itself is what kills workers.
+pub const MAX_SHARD_DEATHS: u32 = 2;
 
 /// How a job moves through the control plane.
 ///
@@ -118,6 +128,8 @@ pub struct JobEntry<R> {
     /// `[start, end)` run ranges, one per shard.
     ranges: Vec<(usize, usize)>,
     shards: Vec<ShardState>,
+    /// Worker deaths per shard.
+    deaths: Vec<u32>,
     results: Vec<Option<R>>,
 }
 
@@ -174,6 +186,30 @@ pub enum CompleteOutcome {
     /// The lease was stale (worker declared dead, job cancelled or
     /// failed meanwhile, or unknown job). The result must be discarded.
     Stale,
+}
+
+/// What [`Scheduler::worker_dead`] did with one of the dead worker's
+/// shards.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardDeath {
+    /// Back to pending, to be resumed from its checkpoint by a live
+    /// worker.
+    Requeued {
+        /// Job id.
+        job: String,
+        /// Shard index within the job.
+        shard: usize,
+    },
+    /// The shard's [`MAX_SHARD_DEATHS`]th death: the job is now
+    /// `Failed` with `error`.
+    JobFailed {
+        /// Job id.
+        job: String,
+        /// Shard index within the job.
+        shard: usize,
+        /// The job's error, naming the shard and its runs.
+        error: String,
+    },
 }
 
 /// The scheduler. Generic over the per-shard result payload `R` so the
@@ -237,6 +273,7 @@ impl<R> Scheduler<R> {
             start = end;
         }
         let shards = vec![ShardState::Pending; ranges.len()];
+        let deaths = vec![0; ranges.len()];
         let results = ranges.iter().map(|_| None).collect();
         self.jobs.push(JobEntry {
             id: id.to_string(),
@@ -246,6 +283,7 @@ impl<R> Scheduler<R> {
             assertion_failures: None,
             ranges,
             shards,
+            deaths,
             results,
         });
         Ok(())
@@ -351,22 +389,59 @@ impl<R> Scheduler<R> {
         Some((before, job.status))
     }
 
-    /// Declare `worker` dead: every shard it holds goes back to pending
-    /// (to be re-leased — and resumed from its checkpoint — by a live
-    /// worker). Returns the `(job id, shard index)` pairs re-admitted.
-    pub fn worker_dead(&mut self, worker: u64) -> Vec<(String, usize)> {
-        let mut released = Vec::new();
+    /// Declare `worker` dead. Each shard it holds goes back to pending
+    /// (to be re-leased, and resumed from its checkpoint, by a live
+    /// worker), unless this is the shard's [`MAX_SHARD_DEATHS`]th death:
+    /// then its job fails through [`Scheduler::fail`]. Returns what
+    /// happened to each shard of a live job.
+    pub fn worker_dead(&mut self, worker: u64) -> Vec<ShardDeath> {
+        let mut out = Vec::new();
+        let mut exhausted = Vec::new();
         for job in &mut self.jobs {
+            let live = matches!(job.status, JobStatus::Queued | JobStatus::Running);
             for (k, state) in job.shards.iter_mut().enumerate() {
-                if matches!(state, ShardState::Leased { worker: w, .. } if *w == worker) {
-                    *state = ShardState::Pending;
-                    if matches!(job.status, JobStatus::Queued | JobStatus::Running) {
-                        released.push((job.id.clone(), k));
-                    }
+                let ShardState::Leased { lease, worker: w } = *state else {
+                    continue;
+                };
+                if w != worker {
+                    continue;
+                }
+                job.deaths[k] += 1;
+                if job.deaths[k] >= MAX_SHARD_DEATHS {
+                    let (start, end) = job.ranges[k];
+                    exhausted.push(Lease {
+                        job: job.id.clone(),
+                        shard: k,
+                        start,
+                        end,
+                        lease,
+                        worker,
+                    });
+                    continue;
+                }
+                *state = ShardState::Pending;
+                if live {
+                    out.push(ShardDeath::Requeued {
+                        job: job.id.clone(),
+                        shard: k,
+                    });
                 }
             }
         }
-        released
+        for lease in exhausted {
+            let error = format!(
+                "shard {} (runs {}..{}) failed: its worker died {MAX_SHARD_DEATHS} times running it",
+                lease.shard, lease.start, lease.end
+            );
+            if self.fail(&lease, error.clone()) != CompleteOutcome::Stale {
+                out.push(ShardDeath::JobFailed {
+                    job: lease.job,
+                    shard: lease.shard,
+                    error,
+                });
+            }
+        }
+        out
     }
 
     /// Record the finalized job's assertion-verdict rollup: how many of
@@ -478,7 +553,13 @@ mod tests {
         let mut s: Scheduler<u32> = Scheduler::new(4);
         s.submit("a", 2, 1).unwrap();
         let dead = s.next_work(7).unwrap();
-        assert_eq!(s.worker_dead(7), vec![("a".to_string(), 0)]);
+        assert_eq!(
+            s.worker_dead(7),
+            vec![ShardDeath::Requeued {
+                job: "a".to_string(),
+                shard: 0
+            }]
+        );
         // Shard re-leased to a live worker; the zombie's completion is
         // discarded, the live one is recorded.
         let live = s.next_work(8).unwrap();

@@ -6,7 +6,9 @@
 //! these tests drive the very same code the multithreaded server runs —
 //! just deterministically, through op sequences drawn by proptest.
 
-use electrifi_serve::queue::{CompleteOutcome, JobStatus, Lease, Scheduler, SubmitError};
+use electrifi_serve::queue::{
+    CompleteOutcome, JobStatus, Lease, Scheduler, ShardDeath, SubmitError,
+};
 use proptest::prelude::*;
 
 /// One decoded operation against the scheduler.
@@ -163,6 +165,36 @@ impl Harness {
             self.sched.finalized(&id, None);
         }
     }
+}
+
+/// A shard whose worker dies a second time fails its job instead of
+/// going back to pending, so a run that panics on every attempt cannot
+/// cycle the pool through worker deaths forever.
+#[test]
+fn second_death_of_a_shard_fails_its_job() {
+    let mut s: Scheduler<Vec<u64>> = Scheduler::new(2);
+    s.submit("j", 3, 1).unwrap();
+    let first = s.next_work(1).expect("shard leases");
+    assert_eq!(
+        s.worker_dead(1),
+        vec![ShardDeath::Requeued {
+            job: "j".to_string(),
+            shard: first.shard
+        }]
+    );
+    let second = s.next_work(2).expect("shard re-admitted after one death");
+    assert_eq!(second.shard, first.shard);
+    let deaths = s.worker_dead(2);
+    let [ShardDeath::JobFailed { job, shard, error }] = &deaths[..] else {
+        panic!("second death must fail the job: {deaths:?}");
+    };
+    assert_eq!((job.as_str(), *shard), ("j", first.shard));
+    assert!(error.contains("shard 0 (runs 0..1)"), "{error}");
+    let entry = s.get("j").expect("job exists");
+    assert_eq!(entry.status, JobStatus::Failed);
+    assert_eq!(entry.error.as_deref(), Some(error.as_str()));
+    assert!(!s.has_pending_work());
+    assert!(s.next_work(3).is_none());
 }
 
 proptest! {

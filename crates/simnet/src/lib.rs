@@ -27,9 +27,6 @@
 //!   event log, and run manifests, guaranteed never to perturb a run.
 //! * [`threads`] — validated worker-count parsing (`ELECTRIFI_THREADS`,
 //!   `--workers`) with typed errors naming the misconfigured source.
-//! * [`wheel`] — a hierarchical time wheel and lockstep batch engine
-//!   advancing N independent sims through shared epochs, bit-identically
-//!   to stepping each one alone.
 //!
 //! The design follows the smoltcp idiom: synchronous, event-driven,
 //! allocation-conscious, with no async runtime — the whole system is a
@@ -51,7 +48,6 @@ pub mod threads;
 pub mod time;
 pub mod trace;
 pub mod traffic;
-pub mod wheel;
 
 pub use event::{EventQueue, EventQueueStats, ScheduledEvent};
 pub use obs::{MetricsSnapshot, Obs, ObsEvent, ObsSink, Registry, RunManifest};

@@ -146,15 +146,24 @@ wait "$SERVE_PID"
 trap - EXIT
 
 echo "== campaign exit codes (usage=2, io=3) =="
+# A start hour past the simulated clock must fail validation, not
+# overflow the clock once the run starts.
+mkdir -p out/range-check
+cat > out/range-check/campaign.json <<'JSON'
+{"name": "range-check", "scenarios": ["builtin://imc2015-floor"],
+ "workloads": [{"name": "far", "start_hour": 6000000, "duration_s": 5, "sample_ms": 500}]}
+JSON
 set +e
 ./target/release/campaign --workers 0 scenarios/smoke-campaign.json 2>/dev/null; RC_USAGE=$?
+./target/release/campaign out/range-check/campaign.json --dry-run 2>/dev/null; RC_RANGE=$?
 ./target/release/campaign no-such-campaign.json 2>/dev/null; RC_IO=$?
 ./target/release/campaign --help > /dev/null; RC_HELP=$?
 set -e
 [ "$RC_USAGE" -eq 2 ] || { echo "--workers 0 must exit 2, got $RC_USAGE"; exit 1; }
+[ "$RC_RANGE" -eq 2 ] || { echo "out-of-range start_hour must exit 2, got $RC_RANGE"; exit 1; }
 [ "$RC_IO" -eq 3 ] || { echo "missing campaign file must exit 3, got $RC_IO"; exit 1; }
 [ "$RC_HELP" -eq 0 ] || { echo "--help must exit 0, got $RC_HELP"; exit 1; }
-echo "exit codes OK: usage=2 io=3 help=0"
+echo "exit codes OK: usage=2 out-of-range=2 io=3 help=0"
 
 echo "== disturbance gate smoke (verdict pass=0, fail fixture=5, serve verdict) =="
 # A gated campaign that holds its assertions exits 0 and writes a typed
