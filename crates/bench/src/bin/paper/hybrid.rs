@@ -1,15 +1,13 @@
-//! Reproduce Fig. 20: hybrid WiFi+PLC bandwidth aggregation — four-way
-//! throughput comparison and file-download completion times.
+//! Fig. 20: hybrid WiFi+PLC aggregation (`electrifi::experiments::hybrid`).
 
-use electrifi::experiments::{hybrid, PAPER_SEED};
+use electrifi::experiments::{hybrid, Scale};
 use electrifi::PaperEnv;
-use electrifi_bench::{fmt, render_table, scale_from_env, RunGuard};
+use electrifi_bench::{fmt, render_table};
 
-fn main() {
-    let scale = scale_from_env();
-    let run = RunGuard::begin("fig20", PAPER_SEED, scale);
-    let env = PaperEnv::new(PAPER_SEED);
-    let r = hybrid::fig20(&env, scale);
+/// Reproduce Fig. 20: hybrid WiFi+PLC bandwidth aggregation — four-way
+/// throughput comparison and file-download completion times.
+pub fn fig20(env: &PaperEnv, scale: Scale) {
+    let r = hybrid::fig20(env, scale);
     let d = &r.detail;
     println!("Fig. 20 (left) — link {}-{}:", d.link.0, d.link.1);
     println!("  WiFi only   : {:>6.1} Mb/s", d.wifi_only);
@@ -53,5 +51,4 @@ fn main() {
         )
     );
     println!("\n(paper: drastic decrease in completion times when using both mediums)");
-    run.finish();
 }

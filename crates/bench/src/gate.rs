@@ -155,7 +155,7 @@ pub fn smoke_from_env() -> bool {
 }
 
 /// Print `msg` as a usage error and exit 2.
-pub(crate) fn usage_exit(msg: String) -> ! {
+pub fn usage_exit(msg: String) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }

@@ -1,10 +1,12 @@
 //! # electrifi-bench — reproduction and benchmark harness
 //!
-//! One binary per paper figure/table (`src/bin/fig03.rs` …) plus the
-//! bench bins (`bench_mac`, `bench_channel`, `bench_state`) that time the
-//! hot paths; `bench_mac` and `bench_channel` gate their own reports (see
-//! [`gate`]). This library holds the shared output helpers: plain-text
-//! tables and series dumps that print the same rows the paper reports.
+//! One reproduction binary, `paper <name>`, renders each figure or table
+//! of the paper's evaluation from a name table (`src/bin/paper/`); the
+//! bench bins (`bench_mac`, `bench_channel`, `bench_state`) time the hot
+//! paths, and `bench_mac` and `bench_channel` gate their own reports (see
+//! [`gate`]). This library holds what they share: the [`RunGuard`] run
+//! scaffolding and the plain-text tables that print the same rows the
+//! paper reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,13 +16,13 @@ pub mod gate;
 use electrifi::experiments::Scale;
 use simnet::obs::span::{self, SpanConfig};
 use simnet::obs::{self, Obs, RunManifest};
-use simnet::time::Time;
 
 /// Environment variable naming a Chrome `trace_event` JSON output path.
 /// When set, the run collects spans (with trace events) and writes the
 /// trace there on [`RunGuard::finish`].
 pub const TRACE_ENV: &str = "ELECTRIFI_TRACE";
-/// Trace every Nth root span (default 1 = all); see [`TRACE_ENV`].
+/// Trace every Nth root span (a positive integer, default 1 = all); see
+/// [`TRACE_ENV`].
 pub const TRACE_SAMPLE_ENV: &str = "ELECTRIFI_TRACE_SAMPLE";
 /// When set to `1`, collect span statistics (no trace events) and embed
 /// a profile in the manifest even without [`TRACE_ENV`].
@@ -57,11 +59,11 @@ pub fn scale_from_env() -> Scale {
 /// metrics registry as the ambient [`simnet::obs`] handle (so every
 /// simulation constructed inside the run reports into it) and, on
 /// [`RunGuard::finish`], writes a [`RunManifest`] — seed, config digest,
-/// scale, sim horizon, wall-clock time, events fired and the final
-/// metrics snapshot — to `out/<name>.manifest.json`.
+/// scale, wall-clock time, events fired and the final metrics snapshot —
+/// to `out/<name>.manifest.json`.
 ///
 /// ```no_run
-/// let mut run = electrifi_bench::RunGuard::begin("fig16", 2015, electrifi::experiments::Scale::Quick);
+/// let run = electrifi_bench::RunGuard::begin("fig16", 2015, electrifi::experiments::Scale::Quick);
 /// // ... run the experiment ...
 /// run.finish();
 /// ```
@@ -69,8 +71,6 @@ pub struct RunGuard {
     name: String,
     seed: u64,
     scale: Scale,
-    config_digest: String,
-    sim_horizon_s: f64,
     obs: Obs,
     prev: Obs,
     start: std::time::Instant,
@@ -82,9 +82,9 @@ pub struct RunGuard {
 
 impl RunGuard {
     /// Start a run: install a fresh enabled [`Obs`] as the ambient handle
-    /// and start the wall clock. The config digest defaults to a hash of
-    /// `(name, seed, scale)`; override with [`RunGuard::set_config`] when
-    /// the run has a richer configuration.
+    /// and start the wall clock. The config digest is a hash of
+    /// `(name, seed, scale)`. A malformed [`TRACE_SAMPLE_ENV`] exits 2
+    /// when tracing is on.
     pub fn begin(name: &str, seed: u64, scale: Scale) -> Self {
         let obs = Obs::new();
         let prev = obs::set_default(obs.clone());
@@ -96,11 +96,7 @@ impl RunGuard {
         let spans_enabled = if span::is_enabled() {
             false
         } else if trace_path.is_some() {
-            let sample = std::env::var(TRACE_SAMPLE_ENV)
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(1);
-            span::enable(SpanConfig::traced(sample));
+            span::enable(SpanConfig::traced(gate::knob(TRACE_SAMPLE_ENV, 1)));
             true
         } else if profile_only {
             span::enable(SpanConfig::stats());
@@ -112,30 +108,12 @@ impl RunGuard {
             name: name.to_string(),
             seed,
             scale,
-            config_digest: obs::config_digest(&(name, seed, scale)),
-            sim_horizon_s: 0.0,
             obs,
             prev,
             start: std::time::Instant::now(),
             trace_path: if spans_enabled { trace_path } else { None },
             spans_enabled,
         }
-    }
-
-    /// The run's observability handle (e.g. to attach a sink).
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Digest the run's full configuration instead of the default
-    /// `(name, seed, scale)` triple.
-    pub fn set_config<C: std::fmt::Debug>(&mut self, config: &C) {
-        self.config_digest = obs::config_digest(config);
-    }
-
-    /// Record the simulated horizon covered by the run.
-    pub fn set_sim_horizon(&mut self, end: Time) {
-        self.sim_horizon_s = self.sim_horizon_s.max(end.as_secs_f64());
     }
 
     /// Stop the wall clock, restore the previous ambient handle, build the
@@ -166,12 +144,12 @@ impl RunGuard {
             eprintln!("warning: event sink lost {flush_errors} event(s) to write errors");
         }
         let metrics = self.obs.registry().snapshot();
+        let config_digest = obs::config_digest(&(self.name.as_str(), self.seed, self.scale));
         let manifest = RunManifest {
             name: self.name,
             seed: self.seed,
-            config_digest: self.config_digest,
+            config_digest,
             scale: format!("{:?}", self.scale).to_lowercase(),
-            sim_horizon_s: self.sim_horizon_s,
             wall_clock_s,
             events_fired: metrics.counter("sim.events_fired"),
             metrics,

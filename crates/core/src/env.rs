@@ -4,8 +4,8 @@
 //!
 //! Experiments honour two process-level knobs:
 //!
-//! * `ELECTRIFI_SCALE` — `quick` shrinks durations for smoke runs
-//!   (read by `electrifi-bench::scale_from_env`);
+//! * `ELECTRIFI_SCALE` — `quick` shrinks durations for smoke runs of
+//!   the `paper` binary (read by `electrifi-bench::scale_from_env`);
 //! * `ELECTRIFI_THREADS` — sweep worker count, a **positive integer**.
 //!   Parsing is validated (see [`threads_from_env`], re-exported from
 //!   `electrifi_testbed::sweep`): `0` and non-numeric values are

@@ -326,14 +326,6 @@ impl LinkProbeSim {
         )
     }
 
-    /// Frame length (symbols) a payload would need under the current maps
-    /// (diagnostic for probe-size studies).
-    pub fn symbols_for_payload(&self, t: Time, payload_bytes: u32) -> u64 {
-        let slot = t.tonemap_slot(TONEMAP_SLOTS);
-        let map = self.sender_map(slot);
-        map.symbols_for_bits(plc_mac::pb::pbs_for_packet(payload_bytes) as u64 * PB_BITS)
-    }
-
     /// The ceiling rate of one PB per symbol, `R1sym ≈ 89.4` Mb/s (§7.2).
     pub fn r1sym_mbps() -> f64 {
         PB_BITS as f64 / SYMBOL_US

@@ -755,11 +755,6 @@ impl PlcSim {
         &self.sniffer
     }
 
-    /// Drain captured SoF delimiters.
-    pub fn take_sniffer_records(&mut self) -> Vec<SofRecord> {
-        std::mem::take(&mut self.sniffer)
-    }
-
     // ----- Simulation engine -----
 
     /// Run the simulation until `end`.

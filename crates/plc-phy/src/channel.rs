@@ -492,11 +492,6 @@ impl PlcChannel {
         self.overlay = overlay;
     }
 
-    /// The scripted fault overlay, if one is attached.
-    pub fn fault_overlay(&self) -> Option<&LinkOverlay> {
-        self.overlay.as_ref()
-    }
-
     /// The carrier plan in use.
     pub fn plan(&self) -> &CarrierPlan {
         &self.plan

@@ -24,7 +24,6 @@
 //!   errors makes the estimator return a very low BLE until the next
 //!   regeneration.
 
-use crate::carrier::PlcTechnology;
 use crate::modulation::{FecRate, Modulation};
 use crate::tonemap::{ToneMap, ToneMapSet, TONEMAP_SLOTS};
 use crate::SnrSpectrum;
@@ -67,14 +66,6 @@ impl RateProfile {
             max_modulation: Modulation::Qpsk,
             fec: FecRate::Half,
             repetition: 2,
-        }
-    }
-
-    /// The profile matching a PLC technology.
-    pub fn for_technology(tech: PlcTechnology) -> Self {
-        match tech {
-            PlcTechnology::HpAv | PlcTechnology::HpAv500 => Self::hpav(),
-            PlcTechnology::GreenPhy => Self::greenphy(),
         }
     }
 }

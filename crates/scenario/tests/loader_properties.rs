@@ -7,6 +7,8 @@
 //! every case instead of sampling them. Each mutated document must load
 //! or come back as a typed error naming the leaf, and a document that
 //! loads must describe a workload whose times fit the simulated clock.
+//! A document nested far past the parser's recursion limit is a parse
+//! error, not a stack overflow.
 
 use electrifi_scenario::{CampaignSpec, Scenario, ScenarioError, WorkloadSpec};
 use serde::{Number, Value};
@@ -203,4 +205,20 @@ fn campaign_loader_never_panics_on_hostile_numbers() {
         .map(|(name, doc)| check_every_mutation(name, doc, &load))
         .sum();
     assert!(tried > 10, "only {tried} mutated campaigns");
+}
+
+#[test]
+fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+    let depth = 100_000;
+    let nest = "[".repeat(depth) + &"]".repeat(depth);
+    let scenario = format!("{{\"name\":\"x\",\"grid\":{nest}}}");
+    let campaign = format!("{{\"name\":\"x\",\"scenarios\":{nest}}}");
+    assert!(matches!(
+        Scenario::from_json_str(&scenario),
+        Err(ScenarioError::Parse { .. })
+    ));
+    assert!(matches!(
+        CampaignSpec::from_json_str(&campaign, &scenarios_dir()),
+        Err(ScenarioError::Parse { .. })
+    ));
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests over a real unix socket: submit → execute → fetch,
 //! the byte-identity contract against the CLI path, worker-death
-//! recovery, and the error taxonomy.
+//! recovery, and the error taxonomy (including a document nested past
+//! the JSON parser's depth limit).
 
 use electrifi_scenario::campaign::{run_campaign, CampaignSpec};
 use electrifi_serve::server::{Bind, ServeConfig, Server};
@@ -279,6 +280,34 @@ fn error_taxonomy_and_queue_backpressure() {
     wait_done(&client, &id2);
 
     // Draining refuses new work but the shutdown call itself succeeds.
+    let r = client
+        .request("POST", "/shutdown", Some(br#"{"mode":"drain"}"#))
+        .expect("req");
+    assert_eq!(r.status, 202);
+    server.wait().expect("clean drain");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn deeply_nested_submission_is_rejected_and_the_server_lives() {
+    let root = temp_root("nested");
+    let server = Server::start(config_for(&root)).expect("server starts");
+    let client = server.client();
+    // ~40 KB: well under the body cap, far past the parser's depth limit.
+    let depth = 20_000;
+    let doc = format!(
+        "{{\"name\":\"x\",\"scenarios\":{}{}}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let r = client
+        .request("POST", "/campaigns", Some(doc.as_bytes()))
+        .expect("req");
+    assert_eq!(r.status, 400, "{}", r.text());
+    let r = client
+        .request("GET", "/campaigns/bogus", None)
+        .expect("req");
+    assert_eq!(r.status, 404);
     let r = client
         .request("POST", "/shutdown", Some(br#"{"mode":"drain"}"#))
         .expect("req");

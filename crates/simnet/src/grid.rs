@@ -313,11 +313,6 @@ impl Grid {
         &self.appliances[id.0]
     }
 
-    /// Neighbors of a node with cable lengths.
-    pub fn neighbors(&self, id: NodeId) -> &[(NodeId, f64)] {
-        &self.adj[id.0]
-    }
-
     /// Degree (number of cable segments) of a node.
     pub fn degree(&self, id: NodeId) -> usize {
         self.adj[id.0].len()

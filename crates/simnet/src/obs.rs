@@ -761,7 +761,7 @@ pub fn with_default<T>(obs: Obs, f: impl FnOnce() -> T) -> T {
 // ---------------------------------------------------------------------------
 
 /// What one experiment run did: written as `out/<name>.manifest.json` by
-/// every figure binary (see `bench::RunGuard`).
+/// the reproduction binary (see `bench::RunGuard`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Run name (usually the figure, e.g. `"fig16"`).
@@ -772,8 +772,6 @@ pub struct RunManifest {
     pub config_digest: String,
     /// Scale label (`"quick"` / `"paper"`).
     pub scale: String,
-    /// Simulated horizon in seconds (0 when not applicable).
-    pub sim_horizon_s: f64,
     /// Wall-clock duration of the run in seconds.
     pub wall_clock_s: f64,
     /// Simulation events fired (the registry's `sim.events_fired`).
@@ -785,17 +783,6 @@ pub struct RunManifest {
     /// manifest section allowed to differ between traced and untraced
     /// runs of the same seed).
     pub profile: Option<span::RunProfile>,
-}
-
-impl RunManifest {
-    /// Simulation events fired per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_clock_s > 0.0 {
-            self.events_fired as f64 / self.wall_clock_s
-        } else {
-            0.0
-        }
-    }
 }
 
 /// FNV-1a digest of a configuration's `Debug` rendering, as fixed-width

@@ -67,13 +67,6 @@ impl RngPool {
             ^ splitmix(a.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(b));
         StdRng::seed_from_u64(splitmix(mixed))
     }
-
-    /// Derive a sub-pool: useful to hand a component its own namespace.
-    pub fn subpool(&self, label: &str) -> RngPool {
-        RngPool {
-            master: splitmix(self.master ^ fnv1a(label.as_bytes())),
-        }
-    }
 }
 
 /// Distribution sampling helpers over any [`Rng`].
@@ -86,11 +79,6 @@ impl Distributions {
     /// Uniform in `[0, 1)`, never exactly 1.
     pub fn uniform<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         rng.random::<f64>()
-    }
-
-    /// Uniform in `[lo, hi)`.
-    pub fn uniform_in<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * Self::uniform(rng)
     }
 
     /// Standard normal via Box–Muller. One value per call (the pair's
@@ -125,18 +113,6 @@ impl Distributions {
             }
         };
         -u.ln() / lambda
-    }
-
-    /// Rayleigh with scale `sigma` (multipath amplitude fading).
-    pub fn rayleigh<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
-        debug_assert!(sigma > 0.0);
-        let u = loop {
-            let u = Self::uniform(rng);
-            if u < 1.0 - 1e-300 {
-                break u;
-            }
-        };
-        sigma * (-2.0 * (1.0 - u).ln()).sqrt()
     }
 
     /// Poisson-distributed count with the given mean (Knuth's method for
@@ -223,18 +199,6 @@ impl GaussMarkov {
     /// Stationary mean.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Re-target the stationary mean (e.g. when the electrical load
-    /// changes), keeping the current state so the process relaxes toward
-    /// the new mean over the correlation time.
-    pub fn set_mean(&mut self, mean: f64) {
-        self.mean = mean;
-    }
-
-    /// Re-target the stationary standard deviation.
-    pub fn set_sigma(&mut self, sigma: f64) {
-        self.sigma = sigma.max(0.0);
     }
 
     /// Advance the process by `dt_s` seconds and return the new value.

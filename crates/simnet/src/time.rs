@@ -206,13 +206,6 @@ impl Duration {
     pub fn saturating_sub(self, other: Duration) -> Duration {
         Duration(self.0.saturating_sub(other.0))
     }
-
-    /// Checked integer division of two durations (how many `other` fit in
-    /// `self`).
-    pub fn div_duration(self, other: Duration) -> u64 {
-        debug_assert!(other.0 > 0);
-        self.0 / other.0
-    }
 }
 
 impl Add<Duration> for Time {

@@ -215,16 +215,6 @@ impl SnapshotReader {
         self.version
     }
 
-    /// Names of all sections, in file order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
-    }
-
-    /// True if a section with this name exists.
-    pub fn has_section(&self, name: &str) -> bool {
-        self.sections.iter().any(|(n, _)| n == name)
-    }
-
     /// Open a section for decoding; [`StateError::MissingSection`] if absent.
     pub fn section<'a>(&'a self, name: &'a str) -> Result<SectionReader<'a>, StateError> {
         self.sections

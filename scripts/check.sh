@@ -53,10 +53,14 @@ rm -rf out/smoke-ckpt
     --out out/smoke-ckpt --resume out/smoke-ckpt
 cmp out/smoke-campaign/summary.json out/smoke-ckpt/summary.json
 
+echo "== committed text dumps (table3, fig09: fixed Paper scale) =="
+cargo build --release -q -p electrifi-bench --bin paper
+./target/release/paper table3 | cmp - out/table3.txt
+./target/release/paper fig09 | cmp - out/fig09.txt
+
 echo "== trace smoke (fig16 Chrome trace: valid JSON, spans nest) =="
-cargo build --release -q -p electrifi-bench --bin fig16
 ELECTRIFI_SCALE=quick ELECTRIFI_TRACE=out/trace-smoke.json \
-    ./target/release/fig16 > /dev/null
+    ./target/release/paper fig16 > /dev/null
 python3 - <<'PY'
 import json
 doc = json.load(open("out/trace-smoke.json"))
@@ -145,7 +149,7 @@ PY
 wait "$SERVE_PID"
 trap - EXIT
 
-echo "== campaign exit codes (usage=2, io=3) =="
+echo "== exit codes (usage=2, io=3) =="
 # A start hour past the simulated clock must fail validation, not
 # overflow the clock once the run starts.
 mkdir -p out/range-check
@@ -158,12 +162,19 @@ set +e
 ./target/release/campaign out/range-check/campaign.json --dry-run 2>/dev/null; RC_RANGE=$?
 ./target/release/campaign no-such-campaign.json 2>/dev/null; RC_IO=$?
 ./target/release/campaign --help > /dev/null; RC_HELP=$?
+./target/release/paper 2>/dev/null; RC_PAPER_NONE=$?
+./target/release/paper fig99 2>/dev/null; RC_PAPER_UNKNOWN=$?
+ELECTRIFI_TRACE=out/trace-sample.json ELECTRIFI_TRACE_SAMPLE=abc \
+    ./target/release/paper table3 > /dev/null 2>&1; RC_SAMPLE=$?
 set -e
 [ "$RC_USAGE" -eq 2 ] || { echo "--workers 0 must exit 2, got $RC_USAGE"; exit 1; }
 [ "$RC_RANGE" -eq 2 ] || { echo "out-of-range start_hour must exit 2, got $RC_RANGE"; exit 1; }
 [ "$RC_IO" -eq 3 ] || { echo "missing campaign file must exit 3, got $RC_IO"; exit 1; }
 [ "$RC_HELP" -eq 0 ] || { echo "--help must exit 0, got $RC_HELP"; exit 1; }
-echo "exit codes OK: usage=2 out-of-range=2 io=3 help=0"
+[ "$RC_PAPER_NONE" -eq 2 ] || { echo "paper without a name must exit 2, got $RC_PAPER_NONE"; exit 1; }
+[ "$RC_PAPER_UNKNOWN" -eq 2 ] || { echo "paper fig99 must exit 2, got $RC_PAPER_UNKNOWN"; exit 1; }
+[ "$RC_SAMPLE" -eq 2 ] || { echo "malformed ELECTRIFI_TRACE_SAMPLE must exit 2, got $RC_SAMPLE"; exit 1; }
+echo "exit codes OK: usage=2 out-of-range=2 io=3 help=0 paper-usage=2 trace-sample=2"
 
 echo "== disturbance gate smoke (verdict pass=0, fail fixture=5, serve verdict) =="
 # A gated campaign that holds its assertions exits 0 and writes a typed

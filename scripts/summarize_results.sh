@@ -5,8 +5,8 @@ set -e
 cd "$(dirname "$0")/.."
 
 # --- run manifests -----------------------------------------------------
-# Every reproduction binary writes out/<name>.manifest.json (seed, config
-# digest, scale, horizons, wall clock, events fired, metrics snapshot).
+# Every `paper <name>` run writes out/<name>.manifest.json (seed, config
+# digest, scale, wall clock, events fired, metrics snapshot).
 # One line per run: enough to spot a slow or misconfigured run at a
 # glance.
 if compgen -G "out/*.manifest.json" > /dev/null; then
@@ -39,7 +39,6 @@ for path in sorted(glob.glob("out/*.manifest.json")):
     print(
         f"{m.get('name', '?'):>10}  seed={m.get('seed', '?')}"
         f"  scale={m.get('scale', '?'):>5}"
-        f"  horizon={m.get('sim_horizon_s', 0.0):.0f}s"
         f"  wall={wall:6.1f}s  events={events}  ({eps:,.0f} ev/s)"
         + (f"  top: {top}" if top else "")
         + (f"  checkpoint: {ckpt}" if ckpt else "")
