@@ -28,7 +28,7 @@ use crate::loader::{spec_from_path, Scenario};
 use crate::spec::{parse_experiments, parse_workload, ExperimentKind, ScenarioSpec, WorkloadSpec};
 use electrifi::env::PaperEnv;
 use electrifi::experiments::disturbance::{self, DisturbanceConfig};
-use electrifi::experiments::spatial::{self, SpatialConfig};
+use electrifi::experiments::spatial::{self, PlcMemo, SpatialConfig};
 use electrifi_faults::{evaluate, CompiledFaults, Verdict};
 use electrifi_testbed::sweep;
 use hybrid1905::probing::{ProbingPolicy, PROBE_BYTES};
@@ -294,8 +294,8 @@ fn spatial_config(wl: &WorkloadSpec) -> SpatialConfig {
     }
 }
 
-fn run_fig03(env: &PaperEnv, wl: &WorkloadSpec) -> ExperimentReport {
-    let r = spatial::fig3_with(env, spatial_config(wl));
+fn run_fig03(env: &PaperEnv, memo: &PlcMemo, wl: &WorkloadSpec) -> ExperimentReport {
+    let r = spatial::fig3_with(env, spatial_config(wl), memo);
     ExperimentReport {
         kind: ExperimentKind::Fig03.name().to_string(),
         headline: headline(&[
@@ -325,17 +325,22 @@ fn run_fig07(env: &PaperEnv, wl: &WorkloadSpec) -> ExperimentReport {
     }
 }
 
-fn run_probing(env: &PaperEnv, policy: ProbingPolicy, wl: &WorkloadSpec) -> ExperimentReport {
+fn run_probing(
+    env: &PaperEnv,
+    memo: &PlcMemo,
+    policy: ProbingPolicy,
+    wl: &WorkloadSpec,
+) -> ExperimentReport {
     // Undirected same-network pairs: the 1905.1 probing population.
     let mut pairs: Vec<_> = env.plc_pairs().into_iter().filter(|(a, b)| a < b).collect();
     if let Some(keep) = wl.max_pairs {
         pairs.truncate(keep);
     }
     // Per-link throughput, in pair order: the links are independent, so
-    // each pair runs its own sim loop on whichever sweep worker takes it.
+    // each pair runs on whichever sweep worker takes it. A link fig03
+    // already measured in this run comes from the memo.
     let per_link: Vec<(f64, f64)> = sweep::par_map(&pairs, |_, &(a, b)| {
-        spatial::measure_plc(
-            env,
+        memo.measure_plc(
             a,
             b,
             PlcTechnology::HpAv,
@@ -435,6 +440,10 @@ pub struct ExecOptions {}
 /// worker pool all call it, which is what makes their outputs
 /// byte-identical.
 ///
+/// The run's experiments share one [`PlcMemo`], so a PLC link that
+/// fig03 and probing both measure is simulated once. The memo is
+/// dropped when the run returns.
+///
 /// `obs` must be **fresh** (its registry becomes the record's metric
 /// snapshot), but it may carry an event sink (e.g. a
 /// [`ChannelSink`](simnet::obs::ChannelSink) feeding live subscribers).
@@ -451,6 +460,7 @@ pub fn execute_run(
     drop(setup_span);
     let _span = obs::span::enter("campaign.run_execute");
     let mut verdict: Option<Verdict> = None;
+    let memo = PlcMemo::new(&env);
     let experiments = obs::with_default(obs.clone(), || {
         obs::current()
             .registry()
@@ -459,9 +469,9 @@ pub fn execute_run(
         run.experiments
             .iter()
             .map(|kind| match kind {
-                ExperimentKind::Fig03 => run_fig03(&env, &run.workload),
+                ExperimentKind::Fig03 => run_fig03(&env, &memo, &run.workload),
                 ExperimentKind::Fig07 => run_fig07(&env, &run.workload),
-                ExperimentKind::Probing => run_probing(&env, sc.spec.probing, &run.workload),
+                ExperimentKind::Probing => run_probing(&env, &memo, sc.spec.probing, &run.workload),
                 ExperimentKind::Disturbance => {
                     let (report, v) = run_disturbance(&env, &sc.spec, &run.workload);
                     verdict = Some(v);

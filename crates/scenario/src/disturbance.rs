@@ -106,37 +106,43 @@ pub fn parse_kind(at: &At) -> Result<DisturbanceKind, ScenarioError> {
         "wifi-jam",
         "probe-dropout",
     ])?;
-    if let Some(s) = at.opt("appliance-surge") {
-        s.no_unknown_keys(&["board", "noise_db"])?;
-        return Ok(DisturbanceKind::ApplianceSurge {
-            board: board(&s.req("board")?)?,
-            noise_db: positive(&s.req("noise_db")?)?,
-        });
+    // The one key is a known kind; a `null` body is missing, not absent.
+    let (kind, _) = &fields[0];
+    let body = at.req(kind)?;
+    match kind.as_str() {
+        "appliance-surge" => {
+            body.no_unknown_keys(&["board", "noise_db"])?;
+            Ok(DisturbanceKind::ApplianceSurge {
+                board: board(&body.req("board")?)?,
+                noise_db: positive(&body.req("noise_db")?)?,
+            })
+        }
+        "breaker-trip" => {
+            body.no_unknown_keys(&["board"])?;
+            Ok(DisturbanceKind::BreakerTrip {
+                board: board(&body.req("board")?)?,
+            })
+        }
+        "cable-degrade" => {
+            body.no_unknown_keys(&["board", "atten_db"])?;
+            Ok(DisturbanceKind::CableDegrade {
+                board: board(&body.req("board")?)?,
+                atten_db: positive(&body.req("atten_db")?)?,
+            })
+        }
+        "wifi-jam" => {
+            body.no_unknown_keys(&["penalty_db"])?;
+            Ok(DisturbanceKind::WifiJam {
+                penalty_db: positive(&body.req("penalty_db")?)?,
+            })
+        }
+        // Only `probe-dropout` is left; as an object it takes no parameters.
+        _ => {
+            body.obj()?;
+            body.no_unknown_keys(&[])?;
+            Ok(DisturbanceKind::ProbeDropout)
+        }
     }
-    if let Some(b) = at.opt("breaker-trip") {
-        b.no_unknown_keys(&["board"])?;
-        return Ok(DisturbanceKind::BreakerTrip {
-            board: board(&b.req("board")?)?,
-        });
-    }
-    if let Some(c) = at.opt("cable-degrade") {
-        c.no_unknown_keys(&["board", "atten_db"])?;
-        return Ok(DisturbanceKind::CableDegrade {
-            board: board(&c.req("board")?)?,
-            atten_db: positive(&c.req("atten_db")?)?,
-        });
-    }
-    if let Some(j) = at.opt("wifi-jam") {
-        j.no_unknown_keys(&["penalty_db"])?;
-        return Ok(DisturbanceKind::WifiJam {
-            penalty_db: positive(&j.req("penalty_db")?)?,
-        });
-    }
-    // Only `probe-dropout` is left; as an object it takes no parameters.
-    let d = at.opt("probe-dropout").expect("one key, checked above");
-    d.obj()?;
-    d.no_unknown_keys(&[])?;
-    Ok(DisturbanceKind::ProbeDropout)
 }
 
 /// Parse the `disturbances` array. Names must be unique (anonymous
@@ -245,39 +251,43 @@ pub fn parse_assertions(at: &At) -> Result<Vec<AssertionSpec>, ScenarioError> {
             "recovery-within",
             "counter-at-least",
         ])?;
-        if let Some(h) = a.opt("hybrid-at-least-best-medium") {
-            h.no_unknown_keys(&["within_s"])?;
-            out.push(AssertionSpec::HybridAtLeastBestMedium {
-                within_s: positive_secs(&h.req("within_s")?)?,
-            });
-            continue;
-        }
-        if let Some(e) = a.opt("estimate-within") {
-            e.no_unknown_keys(&["tolerance_frac", "settle_s"])?;
-            out.push(AssertionSpec::EstimateWithin {
-                tolerance_frac: fraction(&e.req("tolerance_frac")?)?,
-                settle_s: non_negative_secs(&e.req("settle_s")?)?,
-            });
-            continue;
-        }
-        if let Some(r) = a.opt("recovery-within") {
-            r.no_unknown_keys(&["within_s", "frac"])?;
-            out.push(AssertionSpec::RecoveryWithin {
-                within_s: positive_secs(&r.req("within_s")?)?,
-                frac: fraction(&r.req("frac")?)?,
-            });
-            continue;
-        }
-        let c = a.opt("counter-at-least").expect("one key, checked above");
-        c.no_unknown_keys(&["counter", "min"])?;
-        let counter_field = c.req("counter")?;
-        let counter = counter_field.str()?.to_string();
-        if counter.is_empty() {
-            return Err(counter_field.invalid("counter name must be non-empty"));
-        }
-        out.push(AssertionSpec::CounterAtLeast {
-            counter,
-            min: non_negative(&c.req("min")?)?,
+        // The one key is a known kind; a `null` body is missing, not absent.
+        let (kind, _) = &fields[0];
+        let body = a.req(kind)?;
+        out.push(match kind.as_str() {
+            "hybrid-at-least-best-medium" => {
+                body.no_unknown_keys(&["within_s"])?;
+                AssertionSpec::HybridAtLeastBestMedium {
+                    within_s: positive_secs(&body.req("within_s")?)?,
+                }
+            }
+            "estimate-within" => {
+                body.no_unknown_keys(&["tolerance_frac", "settle_s"])?;
+                AssertionSpec::EstimateWithin {
+                    tolerance_frac: fraction(&body.req("tolerance_frac")?)?,
+                    settle_s: non_negative_secs(&body.req("settle_s")?)?,
+                }
+            }
+            "recovery-within" => {
+                body.no_unknown_keys(&["within_s", "frac"])?;
+                AssertionSpec::RecoveryWithin {
+                    within_s: positive_secs(&body.req("within_s")?)?,
+                    frac: fraction(&body.req("frac")?)?,
+                }
+            }
+            // Only `counter-at-least` is left.
+            _ => {
+                body.no_unknown_keys(&["counter", "min"])?;
+                let counter_field = body.req("counter")?;
+                let counter = counter_field.str()?.to_string();
+                if counter.is_empty() {
+                    return Err(counter_field.invalid("counter name must be non-empty"));
+                }
+                AssertionSpec::CounterAtLeast {
+                    counter,
+                    min: non_negative(&body.req("min")?)?,
+                }
+            }
         });
     }
     Ok(out)
@@ -401,6 +411,16 @@ mod tests {
             Some("disturbances[0].kind.wifi-jam.penalty_db")
         );
 
+        // a kind whose body is null (this used to panic).
+        for kind in ["appliance-surge", "probe-dropout"] {
+            let err = parse_track(&format!(
+                r#"{{"disturbances": [{{"at_s": 0.0, "duration_s": 1.0,
+                    "kind": {{"{kind}": null}}}}]}}"#
+            ))
+            .unwrap_err();
+            assert_eq!(err.field(), Some(&*format!("disturbances[0].kind.{kind}")));
+        }
+
         // board index out of u16 range.
         let err = parse_track(
             r#"{"disturbances": [{"at_s": 0.0, "duration_s": 1.0,
@@ -498,6 +518,14 @@ mod tests {
             parse_track(r#"{"assertions": [{"counter-at-least": {"counter": "", "min": 1}}]}"#)
                 .unwrap_err();
         assert_eq!(err.field(), Some("assertions[0].counter-at-least.counter"));
+
+        // A kind whose body is null (this used to panic).
+        let err =
+            parse_track(r#"{"assertions": [{"hybrid-at-least-best-medium": null}]}"#).unwrap_err();
+        assert_eq!(
+            err.field(),
+            Some("assertions[0].hybrid-at-least-best-medium")
+        );
 
         // Missing within_s.
         let err =

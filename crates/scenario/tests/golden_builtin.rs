@@ -2,7 +2,7 @@
 //! paper floor **bit-for-bit** — same grid, same stations, same floor,
 //! and bit-identical experiment numbers.
 
-use electrifi::experiments::spatial::{fig3_with, measure_plc, SpatialConfig};
+use electrifi::experiments::spatial::{fig3_with, measure_plc, PlcMemo, SpatialConfig};
 use electrifi::experiments::PAPER_SEED;
 use electrifi::PaperEnv;
 use electrifi_scenario::{Scenario, ScenarioSpec};
@@ -83,8 +83,8 @@ fn builtin_fig3_class_metric_is_bit_identical() {
         sample: Duration::from_millis(500),
         max_pairs: Some(4),
     };
-    let r_a = fig3_with(&env_scenario, cfg);
-    let r_b = fig3_with(&env_hardcoded, cfg);
+    let r_a = fig3_with(&env_scenario, cfg, &PlcMemo::new(&env_scenario));
+    let r_b = fig3_with(&env_hardcoded, cfg, &PlcMemo::new(&env_hardcoded));
     assert_eq!(
         serde_json::to_string(&r_a).unwrap(),
         serde_json::to_string(&r_b).unwrap()

@@ -4,7 +4,9 @@
 //! so repeated `/results` fetches don't re-read the disk; the artifacts
 //! on disk **are** the spill tier — eviction costs a file read, never
 //! data. Entries larger than the whole cache are served straight from
-//! disk without ever being admitted.
+//! disk without ever being admitted. Bodies are exact-size `Arc<[u8]>`
+//! slices with no spare capacity, so the byte count the cap is checked
+//! against is the heap the bodies really hold.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -15,7 +17,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug)]
 struct CacheInner {
     /// LRU order: front = coldest, back = hottest.
-    entries: Vec<(String, Arc<Vec<u8>>)>,
+    entries: Vec<(String, Arc<[u8]>)>,
     used_bytes: usize,
 }
 
@@ -39,7 +41,7 @@ impl ResultsCache {
     }
 
     /// Fetch and mark hot.
-    pub fn get(&self, key: &str) -> Option<Arc<Vec<u8>>> {
+    pub fn get(&self, key: &str) -> Option<Arc<[u8]>> {
         let mut inner = lock(&self.inner);
         let pos = inner.entries.iter().position(|(k, _)| k == key)?;
         let entry = inner.entries.remove(pos);
@@ -51,7 +53,7 @@ impl ResultsCache {
     /// Insert (replacing any same-key entry), evicting coldest entries
     /// to fit. Oversized payloads are not admitted. Returns the number
     /// of entries evicted.
-    pub fn insert(&self, key: &str, bytes: Arc<Vec<u8>>) -> u64 {
+    pub fn insert(&self, key: &str, bytes: Arc<[u8]>) -> u64 {
         if bytes.len() > self.cap_bytes {
             return 0;
         }
@@ -90,8 +92,8 @@ impl ResultsCache {
 mod tests {
     use super::*;
 
-    fn bytes(n: usize) -> Arc<Vec<u8>> {
-        Arc::new(vec![0u8; n])
+    fn bytes(n: usize) -> Arc<[u8]> {
+        vec![0u8; n].into()
     }
 
     #[test]

@@ -352,7 +352,7 @@ pub(crate) fn finalize_job(core: &Arc<Core>, id: &str) {
             let bytes = serde_json::to_string_pretty(&summary)
                 .expect("summary serialization is infallible")
                 .into_bytes();
-            let evicted = core.cache.insert(id, Arc::new(bytes));
+            let evicted = core.cache.insert(id, bytes.into());
             core.metrics.add(&core.metrics.cache_evictions, evicted);
             lock(&core.sched).finalized(id, None);
             core.metrics.inc(&core.metrics.queue_completed);

@@ -728,7 +728,7 @@ fn handle_results(
             let path = job.dir.join("summary.json");
             match read_capped(&path, core.config.max_result_bytes) {
                 Ok(bytes) => {
-                    let bytes = Arc::new(bytes);
+                    let bytes: Arc<[u8]> = bytes.into();
                     let evicted = core.cache.insert(id, Arc::clone(&bytes));
                     core.metrics.add(&core.metrics.cache_evictions, evicted);
                     http::respond(out, 200, "application/json", &[], &bytes)

@@ -15,8 +15,10 @@
 //! * retransmission: Fig. 21's broadcast runs and then its night
 //!   references (one per unique link), Fig. 22's links, and the
 //!   sensitivity runs of Figs. 23–24;
-//! * campaigns: the probing experiment's per-pair measurements, and the
-//!   campaign runners shard whole runs with [`par_map_workers`].
+//! * campaigns: fig03's and the probing experiment's per-pair
+//!   measurements, which share one per-run memo of PLC links (a worker
+//!   reads a link another experiment of the run already measured), and
+//!   the campaign runners shard whole runs with [`par_map_workers`].
 //!
 //! That makes the loops embarrassingly parallel, *provided* the parallel
 //! schedule cannot leak into the results:
