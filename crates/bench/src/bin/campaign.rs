@@ -22,7 +22,7 @@
 //! * `--stop-after N` checkpoints and exits after N runs (testing aid);
 //! * `--progress FILE` writes an atomically-replaced progress.json
 //!   heartbeat (runs done/total/failed, per-worker throughput, EWMA
-//!   rate, ETA) every `--progress-every SECS` (default 1);
+//!   rate, ETA) every second;
 //! * `--follow FILE` appends one JSON line per completed run;
 //! * `--trace FILE` records wall-clock spans across the campaign and
 //!   writes a Chrome `trace_event` JSON (Perfetto-viewable), sampling
@@ -47,7 +47,6 @@ use electrifi_testbed::sweep;
 use simnet::obs::span::{self, SpanConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 // Distinct exit codes so scripts can branch on *why* a campaign failed
 // (documented in README.md): 2 = bad usage or an invalid campaign /
@@ -83,7 +82,6 @@ struct Args {
     resume: Option<PathBuf>,
     stop_after: Option<usize>,
     progress: Option<PathBuf>,
-    progress_every: f64,
     follow: Option<PathBuf>,
     trace: Option<PathBuf>,
     trace_sample: u64,
@@ -92,7 +90,7 @@ struct Args {
 const USAGE: &str = "usage: campaign <campaign.json> [--list] [--dry-run] \
                      [--filter SUBSTR] [--workers N] [--out DIR] \
                      [--checkpoint-every SECS] [--resume DIR] [--stop-after N] \
-                     [--progress FILE] [--progress-every SECS] [--follow FILE] \
+                     [--progress FILE] [--follow FILE] \
                      [--trace FILE] [--trace-sample N]";
 
 enum ArgsOutcome {
@@ -111,7 +109,6 @@ fn parse_args() -> Result<ArgsOutcome, String> {
     let mut resume = None;
     let mut stop_after = None;
     let mut progress = None;
-    let mut progress_every = 1.0f64;
     let mut follow = None;
     let mut trace = None;
     let mut trace_sample = 1u64;
@@ -159,16 +156,6 @@ fn parse_args() -> Result<ArgsOutcome, String> {
             "--progress" => {
                 progress = Some(PathBuf::from(it.next().ok_or("--progress needs a file")?));
             }
-            "--progress-every" => {
-                let raw = it.next().ok_or("--progress-every needs seconds")?;
-                let secs: f64 = raw
-                    .parse()
-                    .map_err(|_| format!("--progress-every: not a number: {raw:?}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!("--progress-every: must be positive, got {raw:?}"));
-                }
-                progress_every = secs;
-            }
             "--follow" => {
                 follow = Some(PathBuf::from(it.next().ok_or("--follow needs a file")?));
             }
@@ -207,7 +194,6 @@ fn parse_args() -> Result<ArgsOutcome, String> {
         resume,
         stop_after,
         progress,
-        progress_every,
         follow,
         trace,
         trace_sample,
@@ -331,7 +317,6 @@ fn main() -> ExitCode {
     };
     let telemetry = TelemetryOptions {
         progress: args.progress.clone(),
-        progress_every: Duration::from_secs_f64(args.progress_every),
         follow: args.follow.clone(),
     };
     // Tracing covers the whole campaign: the sharded sweep re-enables

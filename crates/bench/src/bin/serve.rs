@@ -3,8 +3,6 @@
 //! ```text
 //! serve (--unix PATH | --tcp ADDR) [--out DIR] [--scenario-root DIR]
 //!       [--workers N] [--queue-cap N] [--shard-size N]
-//!       [--checkpoint-every-runs N] [--heartbeat-timeout SECS]
-//!       [--events-ring N] [--max-body BYTES]
 //! ```
 //!
 //! Campaigns are submitted as JSON over HTTP (`POST /campaigns`),
@@ -23,14 +21,10 @@ use electrifi_serve::server::{Bind, ServeConfig, Server};
 use simnet::threads;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 const USAGE: &str = "usage: serve (--unix PATH | --tcp ADDR) [--out DIR] \
                      [--scenario-root DIR] [--workers N] \
-                     [--queue-cap N] [--shard-size N] \
-                     [--checkpoint-every-runs N] \
-                     [--heartbeat-timeout SECS] [--events-ring N] \
-                     [--max-body BYTES]";
+                     [--queue-cap N] [--shard-size N]";
 
 fn parse_positive(flag: &str, raw: &str) -> Result<usize, String> {
     let n: usize = raw
@@ -49,10 +43,6 @@ fn parse_config() -> Result<Option<ServeConfig>, String> {
     let mut workers = None;
     let mut queue_cap = None;
     let mut shard_size = None;
-    let mut checkpoint_every = None;
-    let mut heartbeat = None;
-    let mut events_ring = None;
-    let mut max_body = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -83,32 +73,6 @@ fn parse_config() -> Result<Option<ServeConfig>, String> {
                 let raw = it.next().ok_or("--shard-size needs a positive integer")?;
                 shard_size = Some(parse_positive("--shard-size", &raw)?);
             }
-            "--checkpoint-every-runs" => {
-                let raw = it
-                    .next()
-                    .ok_or("--checkpoint-every-runs needs a positive integer")?;
-                checkpoint_every = Some(parse_positive("--checkpoint-every-runs", &raw)?);
-            }
-            "--heartbeat-timeout" => {
-                let raw = it.next().ok_or("--heartbeat-timeout needs seconds")?;
-                let secs: f64 = raw
-                    .parse()
-                    .map_err(|_| format!("--heartbeat-timeout: not a number: {raw:?}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!(
-                        "--heartbeat-timeout: must be positive, got {raw:?}"
-                    ));
-                }
-                heartbeat = Some(Duration::from_secs_f64(secs));
-            }
-            "--events-ring" => {
-                let raw = it.next().ok_or("--events-ring needs a positive integer")?;
-                events_ring = Some(parse_positive("--events-ring", &raw)?);
-            }
-            "--max-body" => {
-                let raw = it.next().ok_or("--max-body needs bytes")?;
-                max_body = Some(parse_positive("--max-body", &raw)?);
-            }
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
         }
@@ -126,18 +90,6 @@ fn parse_config() -> Result<Option<ServeConfig>, String> {
     }
     if let Some(n) = shard_size {
         config.shard_size = n;
-    }
-    if let Some(n) = checkpoint_every {
-        config.checkpoint_every_runs = n;
-    }
-    if let Some(d) = heartbeat {
-        config.heartbeat_timeout = d;
-    }
-    if let Some(n) = events_ring {
-        config.events_ring = n;
-    }
-    if let Some(n) = max_body {
-        config.max_body_bytes = n;
     }
     if let Ok(marker) = std::env::var("ELECTRIFI_SERVE_KILL_RUN") {
         if !marker.is_empty() {

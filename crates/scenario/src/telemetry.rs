@@ -35,26 +35,18 @@ const EWMA_ALPHA: f64 = 0.4;
 /// Counters kept in the progress snapshot (top by absorbed total).
 const PROGRESS_TOP_COUNTERS: usize = 12;
 
+/// Heartbeat interval for the progress file.
+const PROGRESS_EVERY: StdDuration = StdDuration::from_secs(1);
+
 /// Telemetry configuration for a campaign invocation. Default: fully
 /// disabled (no files written, no thread spawned).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TelemetryOptions {
-    /// Write an atomically-replaced [`ProgressSnapshot`] here.
+    /// Write an atomically-replaced [`ProgressSnapshot`] here, every
+    /// second and once more when the campaign ends.
     pub progress: Option<PathBuf>,
-    /// Heartbeat interval for the progress file.
-    pub progress_every: StdDuration,
     /// Append one [`RunCompletion`] JSON line here per finished run.
     pub follow: Option<PathBuf>,
-}
-
-impl Default for TelemetryOptions {
-    fn default() -> Self {
-        TelemetryOptions {
-            progress: None,
-            progress_every: StdDuration::from_secs(1),
-            follow: None,
-        }
-    }
 }
 
 impl TelemetryOptions {
@@ -208,7 +200,6 @@ impl Telemetry {
             opts: opts.clone(),
             warned: false,
         };
-        let every = opts.progress_every.max(StdDuration::from_millis(10));
         let thread = std::thread::Builder::new()
             .name("campaign-telemetry".to_string())
             .spawn(move || {
@@ -216,10 +207,10 @@ impl Telemetry {
                 // soon as the campaign starts, not one interval in.
                 state.beat(false);
                 loop {
-                    match rx.recv_timeout(every) {
+                    match rx.recv_timeout(PROGRESS_EVERY) {
                         Ok(msg) => {
                             state.apply(msg);
-                            if state.last_beat.elapsed() >= every {
+                            if state.last_beat.elapsed() >= PROGRESS_EVERY {
                                 state.beat(false);
                             }
                         }

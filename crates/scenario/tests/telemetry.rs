@@ -13,7 +13,6 @@ use electrifi_scenario::{run_campaign, write_artifacts, CampaignSpec, ExecOption
 use simnet::obs::span::{self, SpanConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// The checkpointing campaign driver over the whole work list.
 fn run_monitored(
@@ -89,8 +88,6 @@ fn read_progress(path: &Path) -> ProgressSnapshot {
 fn telemetry_opts(dir: &Path) -> TelemetryOptions {
     TelemetryOptions {
         progress: Some(dir.join("progress.json")),
-        // Short interval so even a fast campaign gets mid-run beats.
-        progress_every: Duration::from_millis(20),
         follow: Some(dir.join("follow.jsonl")),
     }
 }

@@ -12,8 +12,6 @@
 //!   threads.
 //! * [`events`] — bounded per-job broadcast rings with drop-counted
 //!   backpressure for `/events` subscribers.
-//! * [`cache`] — byte-bounded LRU over finished `summary.json` bodies;
-//!   the artifacts on disk are the spill tier.
 //! * [`metrics`] — atomic serve counters snapshotted into the
 //!   workspace's standard `MetricsSnapshot` shape.
 //! * [`http`] / [`client`] — the minimal HTTP/1.1 subset both sides of
@@ -32,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod events;
 pub mod http;

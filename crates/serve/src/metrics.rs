@@ -42,9 +42,6 @@ macro_rules! serve_metrics {
 }
 
 serve_metrics! {
-    cache_evictions => "serve.cache.evictions",
-    cache_hits => "serve.cache.hits",
-    cache_misses => "serve.cache.misses",
     http_bad_requests => "serve.http.bad_requests",
     http_connections => "serve.http.connections",
     http_rejected_busy => "serve.http.rejected_busy",

@@ -1,26 +1,24 @@
-//! The work-stealing worker pool, heartbeat supervisor and finalizer.
+//! The work-stealing worker pool, metrics writer and finalizer.
 //!
 //! Workers pull **shards** (contiguous run ranges, the scheduler's unit
 //! of lease) FIFO across jobs, execute each run with a fresh `Obs`, and
 //! checkpoint the shard's accumulated records to
-//! `<job dir>/shard-NNNN/checkpoint.efistate` in the exact snapshot
-//! format the `campaign --checkpoint` CLI uses. That makes worker death
-//! survivable by construction: a dead worker's in-memory partials are
-//! lost, its shards are re-admitted, and the next worker resumes from
-//! the last checkpoint — and because runs are deterministic, redone work
-//! produces identical records, so the final `summary.json` is
-//! byte-identical to an uninterrupted run.
+//! `<job dir>/shard-NNNN/checkpoint.efistate` after every run, in the
+//! exact snapshot format the `campaign --checkpoint` CLI uses. That
+//! makes worker death survivable by construction: a dead worker's
+//! in-memory partials are lost, its shards are re-admitted, and the next
+//! worker resumes from the last checkpoint — and because runs are
+//! deterministic, redone work produces identical records, so the final
+//! `summary.json` is byte-identical to an uninterrupted run.
 //!
-//! Death detection is two-tier: a panicking worker reports itself on
-//! the way out (`catch_unwind`), and the supervisor declares workers
-//! with stale heartbeats dead. Either way the lease discipline in
-//! [`crate::queue`] discards stale completions, so a slow-but-alive
-//! worker mistakenly declared dead costs duplicated work, never
-//! duplicated results.
+//! Workers are threads of this process, so one can only end by
+//! returning or by panicking. A panicking worker reports its own death
+//! on the way out (`catch_unwind`); nothing else declares a worker
+//! dead, so a run may take as long as it takes.
 
 use crate::events::EventHub;
 use crate::queue::{CompleteOutcome, JobStatus, Lease, ShardDeath};
-use crate::server::{lock, Core, JobData, WorkerSlot};
+use crate::server::{lock, Core, JobData};
 use electrifi_scenario::{
     execute_run, load_checkpoint_classified, summarize, write_artifacts, write_checkpoint,
     CheckpointState, RunRecord, CHECKPOINT_FILE,
@@ -28,51 +26,38 @@ use electrifi_scenario::{
 use simnet::obs::{config_digest, ChannelSink, MetricsSnapshot, Obs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
+
+/// Capacity of the per-shard ObsEvent channel (`?obs=1` streaming).
+const OBS_CHANNEL_CAP: usize = 1024;
+/// How soon the metrics writer notices shutdown.
+const METRICS_TICK: Duration = Duration::from_millis(100);
+/// How often the metrics writer rewrites `server.metrics.json`.
+const METRICS_EVERY: Duration = Duration::from_secs(1);
 
 /// Panic payload marker for the `kill_run_marker` test hook; the quiet
 /// panic hook in `server.rs` suppresses backtraces carrying it.
 pub(crate) const INJECTED_DEATH_MARKER: &str = "injected worker death";
 
-/// Spawn one worker thread and register its slot.
+/// Spawn one worker thread and register its handle.
 pub(crate) fn spawn_worker(core: &Arc<Core>) {
     let id = core.next_worker.fetch_add(1, Ordering::SeqCst);
-    let beat = Arc::new(AtomicU64::new(core.now_ms()));
-    let busy = Arc::new(AtomicBool::new(false));
-    let alive = Arc::new(AtomicBool::new(true));
     let handle = {
         let core = Arc::clone(core);
-        let (beat, busy, alive) = (Arc::clone(&beat), Arc::clone(&busy), Arc::clone(&alive));
-        std::thread::spawn(move || worker_loop(&core, id, &beat, &busy, &alive))
+        std::thread::spawn(move || worker_loop(&core, id))
     };
     core.metrics.inc(&core.metrics.workers_spawned);
-    lock(&core.workers).push(WorkerSlot {
-        id,
-        beat_ms: beat,
-        busy,
-        alive,
-        handle: Some(handle),
-    });
+    lock(&core.workers).push(handle);
 }
 
-fn worker_loop(
-    core: &Arc<Core>,
-    id: u64,
-    beat: &Arc<AtomicU64>,
-    busy: &Arc<AtomicBool>,
-    alive: &Arc<AtomicBool>,
-) {
-    loop {
-        if core.draining.load(Ordering::SeqCst) || !alive.load(Ordering::SeqCst) {
-            break;
-        }
-        beat.store(core.now_ms(), Ordering::SeqCst);
+fn worker_loop(core: &Arc<Core>, id: u64) {
+    while !core.draining.load(Ordering::SeqCst) {
         let lease = {
             let mut sched = lock(&core.sched);
             loop {
-                if core.draining.load(Ordering::SeqCst) || !alive.load(Ordering::SeqCst) {
+                if core.draining.load(Ordering::SeqCst) {
                     break None;
                 }
                 if let Some(lease) = sched.next_work(id) {
@@ -83,20 +68,14 @@ fn worker_loop(
                     .wait_timeout(sched, Duration::from_millis(200))
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 sched = guard;
-                beat.store(core.now_ms(), Ordering::SeqCst);
             }
         };
         let Some(lease) = lease else { continue };
-        busy.store(true, Ordering::SeqCst);
-        beat.store(core.now_ms(), Ordering::SeqCst);
-        let outcome = catch_unwind(AssertUnwindSafe(|| execute_shard(core, &lease, beat)));
-        busy.store(false, Ordering::SeqCst);
-        match outcome {
+        match catch_unwind(AssertUnwindSafe(|| execute_shard(core, &lease))) {
             Err(_) => {
                 // This worker just died mid-shard (for real or via the
                 // injected kill). Report and let the thread end; a
                 // replacement is spawned and the shard re-admitted.
-                alive.store(false, Ordering::SeqCst);
                 on_worker_death(core, id);
                 return;
             }
@@ -139,7 +118,6 @@ fn worker_loop(
             }
         }
     }
-    alive.store(false, Ordering::SeqCst);
 }
 
 enum ShardOutcome {
@@ -153,7 +131,7 @@ fn shard_dir(job: &JobData, shard: usize) -> PathBuf {
     job.dir.join(format!("shard-{shard:04}"))
 }
 
-fn execute_shard(core: &Arc<Core>, lease: &Lease, beat: &Arc<AtomicU64>) -> ShardOutcome {
+fn execute_shard(core: &Arc<Core>, lease: &Lease) -> ShardOutcome {
     let Some(job) = core.job(&lease.job) else {
         return ShardOutcome::Failed(format!("no job data for {}", lease.job));
     };
@@ -227,7 +205,7 @@ fn execute_shard(core: &Arc<Core>, lease: &Lease, beat: &Arc<AtomicU64>) -> Shar
     // bounded, never-blocking sink per run; the records themselves are
     // identical with or without it.
     let obs_tx = if job.obs_wanted.load(Ordering::SeqCst) {
-        let (tx, rx) = mpsc::sync_channel::<simnet::obs::ObsEvent>(core.config.obs_channel_cap);
+        let (tx, rx) = mpsc::sync_channel::<simnet::obs::ObsEvent>(OBS_CHANNEL_CAP);
         let fw_core = Arc::clone(core);
         let fw_hub = Arc::clone(&job.hub);
         std::thread::spawn(move || {
@@ -245,21 +223,12 @@ fn execute_shard(core: &Arc<Core>, lease: &Lease, beat: &Arc<AtomicU64>) -> Shar
         None
     };
 
-    let checkpoint_every = core.config.checkpoint_every_runs.max(1);
-    let start_len = records.len();
-    for (i, run) in shard_runs.iter().enumerate().skip(start_len) {
-        beat.store(core.now_ms(), Ordering::SeqCst);
+    for run in shard_runs.iter().skip(records.len()) {
         if job.cancel.load(Ordering::SeqCst) {
             return ShardOutcome::Cancelled;
         }
         if core.stop_now.load(Ordering::SeqCst) {
-            if records.len() > start_len {
-                if let Err(e) =
-                    write_shard_checkpoint(core, &dir, &shard_digest, shard_runs.len(), &records)
-                {
-                    return ShardOutcome::Failed(e);
-                }
-            }
+            // Every finished run is already checkpointed.
             return ShardOutcome::Draining;
         }
         if let Some(marker) = &core.config.kill_run_marker {
@@ -299,13 +268,10 @@ fn execute_shard(core: &Arc<Core>, lease: &Lease, beat: &Arc<AtomicU64>) -> Shar
                 return ShardOutcome::Failed(format!("run {} failed: {e}", run.run_name));
             }
         }
-        let done = i + 1 == shard_runs.len();
-        if done || (records.len() - start_len).is_multiple_of(checkpoint_every) {
-            if let Err(e) =
-                write_shard_checkpoint(core, &dir, &shard_digest, shard_runs.len(), &records)
-            {
-                return ShardOutcome::Failed(e);
-            }
+        if let Err(e) =
+            write_shard_checkpoint(core, &dir, &shard_digest, shard_runs.len(), &records)
+        {
+            return ShardOutcome::Failed(e);
         }
     }
     ShardOutcome::Completed(records)
@@ -349,11 +315,6 @@ pub(crate) fn finalize_job(core: &Arc<Core>, id: &str) {
     }
     match write_artifacts(&summary, &job.dir) {
         Ok(()) => {
-            let bytes = serde_json::to_string_pretty(&summary)
-                .expect("summary serialization is infallible")
-                .into_bytes();
-            let evicted = core.cache.insert(id, bytes.into());
-            core.metrics.add(&core.metrics.cache_evictions, evicted);
             lock(&core.sched).finalized(id, None);
             core.metrics.inc(&core.metrics.queue_completed);
             publish_status_event(core, &job, id, JobStatus::Done, None);
@@ -389,9 +350,9 @@ fn on_job_failed(core: &Arc<Core>, id: &str, error: &str) {
     }
 }
 
-/// A worker died (panic or stale heartbeat): re-admit its shards, or
-/// fail the job of a shard that has now killed two workers; wake the
-/// pool, and spawn a replacement unless we're draining.
+/// A worker panicked: re-admit its shards, or fail the job of a shard
+/// that has now killed two workers; wake the pool, and spawn a
+/// replacement unless we're draining.
 pub(crate) fn on_worker_death(core: &Arc<Core>, worker: u64) {
     core.metrics.inc(&core.metrics.workers_deaths);
     let deaths = lock(&core.sched).worker_dead(worker);
@@ -419,38 +380,20 @@ pub(crate) fn on_worker_death(core: &Arc<Core>, worker: u64) {
     }
 }
 
-/// Heartbeat supervisor: declares stuck workers dead and periodically
-/// writes `server.metrics.json` (atomic tmp+rename) so the standard
-/// summarize tooling can read serve counters without talking HTTP.
-pub(crate) fn supervisor_loop(core: &Arc<Core>) {
-    let timeout_ms = core.config.heartbeat_timeout.as_millis() as u64;
-    let mut since_metrics_write = Duration::ZERO;
-    let metrics_every = Duration::from_secs(1);
+/// Metrics writer: periodically writes `server.metrics.json` (atomic
+/// tmp+rename) so the standard summarize tooling can read serve
+/// counters without talking HTTP, and once more on shutdown.
+pub(crate) fn metrics_loop(core: &Arc<Core>) {
+    let mut since_write = Duration::ZERO;
     loop {
-        if core.supervisor_stop.load(Ordering::SeqCst) {
+        if core.metrics_stop.load(Ordering::SeqCst) {
             write_metrics_file(core);
             return;
         }
-        std::thread::sleep(core.config.supervisor_interval);
-        since_metrics_write += core.config.supervisor_interval;
-        let now = core.now_ms();
-        let stale: Vec<u64> = lock(&core.workers)
-            .iter()
-            .filter(|w| {
-                w.alive.load(Ordering::SeqCst)
-                    && w.busy.load(Ordering::SeqCst)
-                    && now.saturating_sub(w.beat_ms.load(Ordering::SeqCst)) > timeout_ms
-            })
-            .map(|w| {
-                w.alive.store(false, Ordering::SeqCst);
-                w.id
-            })
-            .collect();
-        for id in stale {
-            on_worker_death(core, id);
-        }
-        if since_metrics_write >= metrics_every {
-            since_metrics_write = Duration::ZERO;
+        std::thread::sleep(METRICS_TICK);
+        since_write += METRICS_TICK;
+        if since_write >= METRICS_EVERY {
+            since_write = Duration::ZERO;
             write_metrics_file(core);
         }
     }
@@ -459,11 +402,7 @@ pub(crate) fn supervisor_loop(core: &Arc<Core>) {
 /// The current metrics in the workspace's standard snapshot shape.
 pub(crate) fn metrics_snapshot(core: &Arc<Core>) -> MetricsSnapshot {
     let depth = lock(&core.sched).live_count() as u64;
-    let alive = lock(&core.workers)
-        .iter()
-        .filter(|w| w.alive.load(Ordering::SeqCst))
-        .count() as u64;
-    core.metrics.snapshot(depth, alive)
+    core.metrics.snapshot(depth, core.workers_alive() as u64)
 }
 
 fn write_metrics_file(core: &Arc<Core>) {

@@ -22,11 +22,10 @@
 //!
 //! Each handed-out shard carries a unique lease id. Completions and
 //! failures must present the lease; if the shard has been re-leased in
-//! the meantime (its worker was declared dead and the shard
-//! re-admitted) the stale result is **discarded**, never recorded
-//! twice. This is what makes the heartbeat supervisor safe: declaring a
-//! slow-but-alive worker dead costs duplicated work, never duplicated
-//! results.
+//! the meantime (its worker died and the shard was re-admitted) the
+//! stale result is **discarded**, never recorded twice. Whatever order
+//! the pool reports deaths and completions in, a shard's records are
+//! counted once.
 //!
 //! A shard is re-admitted after its worker's first death only: the
 //! second death of the same shard fails the job (see

@@ -1,9 +1,9 @@
 //! The control-plane server: listener, routes and shared state.
 //!
 //! One `Server` owns a listener (TCP or unix socket), a pool of
-//! work-stealing shard workers (see [`crate::pool`]), a heartbeat
-//! supervisor and the shared [`Core`] every thread hangs off. The wire
-//! protocol is specified in DESIGN.md §12; this module is its reference
+//! work-stealing shard workers (see [`crate::pool`]), a metrics writer
+//! and the shared [`Core`] every thread hangs off. The wire protocol is
+//! specified in DESIGN.md §12; this module is its reference
 //! implementation.
 //!
 //! Degradation rules, all enforced here or one module down:
@@ -12,13 +12,11 @@
 //! * bounded job queue → 429 with `Retry-After`;
 //! * bounded per-job event rings → slow subscribers get gap notices,
 //!   publishers never block;
-//! * bounded results cache → eviction spills to the artifacts already
-//!   on disk;
+//! * result size cap → 413 instead of reading a huge artifact;
 //! * connection cap → immediate 503;
 //! * `POST /shutdown` → drain (finish + checkpoint in-flight shards,
 //!   refuse new work) or `now` (checkpoint at the next run boundary).
 
-use crate::cache::ResultsCache;
 use crate::client::{Endpoint, HttpClient};
 use crate::events::{Batch, EventHub};
 use crate::http::{self, ChunkedWriter, HttpError, Request};
@@ -35,7 +33,8 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Recover from mutex poisoning: all guarded state keeps its invariants
 /// across panics (the worker-death path is *designed* around panics).
@@ -51,6 +50,17 @@ pub enum Bind {
     /// Unix domain socket path (any stale file is replaced).
     Unix(PathBuf),
 }
+
+/// Request head cap in bytes (431 beyond it).
+const MAX_HEAD_BYTES: usize = 16 * 1024;
+/// Request body cap in bytes (413 beyond it).
+const MAX_BODY_BYTES: usize = 1024 * 1024;
+/// Results read from disk are refused beyond this size (413).
+const MAX_RESULT_BYTES: u64 = 256 * 1024 * 1024;
+/// Per-job event ring capacity in lines.
+const EVENTS_RING: usize = 1024;
+/// Concurrent connections beyond this get an immediate 503.
+const MAX_CONNECTIONS: usize = 64;
 
 /// Server configuration. `new` fills every knob with a sane default;
 /// the fields are public so callers override what they need.
@@ -70,27 +80,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Runs per shard (the unit of lease, checkpoint and recovery).
     pub shard_size: usize,
-    /// Request head cap in bytes (431 beyond it).
-    pub max_head_bytes: usize,
-    /// Request body cap in bytes (413 beyond it).
-    pub max_body_bytes: usize,
-    /// Results served from disk or cache are refused beyond this size.
-    pub max_result_bytes: u64,
-    /// In-memory results cache capacity in bytes.
-    pub cache_bytes: usize,
-    /// Per-job event ring capacity in lines.
-    pub events_ring: usize,
-    /// Capacity of the per-shard ObsEvent channel (`?obs=1` streaming).
-    pub obs_channel_cap: usize,
-    /// Concurrent connections beyond this get an immediate 503.
-    pub max_connections: usize,
-    /// A busy worker whose heartbeat is older than this is declared
-    /// dead and its shards re-admitted.
-    pub heartbeat_timeout: Duration,
-    /// Supervisor scan interval.
-    pub supervisor_interval: Duration,
-    /// Write a shard checkpoint every N completed runs.
-    pub checkpoint_every_runs: usize,
     /// Test hook: the first worker about to execute the run with this
     /// name panics instead, simulating worker death mid-campaign
     /// (`ELECTRIFI_SERVE_KILL_RUN` in the `serve` binary).
@@ -107,16 +96,6 @@ impl ServeConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
             queue_cap: 8,
             shard_size: 4,
-            max_head_bytes: 16 * 1024,
-            max_body_bytes: 1024 * 1024,
-            max_result_bytes: 256 * 1024 * 1024,
-            cache_bytes: 64 * 1024 * 1024,
-            events_ring: 1024,
-            obs_channel_cap: 1024,
-            max_connections: 64,
-            heartbeat_timeout: Duration::from_secs(30),
-            supervisor_interval: Duration::from_millis(100),
-            checkpoint_every_runs: 1,
             kill_run_marker: None,
         }
     }
@@ -139,17 +118,6 @@ pub(crate) struct JobData {
     pub obs_wanted: Arc<AtomicBool>,
 }
 
-pub(crate) struct WorkerSlot {
-    pub id: u64,
-    /// Milliseconds since `Core::epoch` of the last heartbeat.
-    pub beat_ms: Arc<AtomicU64>,
-    pub busy: Arc<AtomicBool>,
-    /// Cleared by the supervisor on declared death (the zombie retires
-    /// at its next loop iteration) or by the worker on exit.
-    pub alive: Arc<AtomicBool>,
-    pub handle: Option<std::thread::JoinHandle<()>>,
-}
-
 /// Shared state every thread of the server hangs off.
 pub(crate) struct Core {
     pub config: ServeConfig,
@@ -157,30 +125,33 @@ pub(crate) struct Core {
     pub sched: Mutex<Scheduler<Vec<RunRecord>>>,
     pub work_cv: Condvar,
     pub jobs: Mutex<HashMap<String, Arc<JobData>>>,
-    pub workers: Mutex<Vec<WorkerSlot>>,
-    pub cache: ResultsCache,
+    /// Every worker thread spawned, dead ones included.
+    pub workers: Mutex<Vec<JoinHandle<()>>>,
     pub metrics: ServeMetrics,
     /// No new submissions; workers exit after their current shard.
     pub draining: AtomicBool,
     /// Workers checkpoint and stop at the next run boundary.
     pub stop_now: AtomicBool,
-    /// Supervisor exits (after a final metrics write).
-    pub supervisor_stop: AtomicBool,
+    /// The metrics writer exits (after a final write).
+    pub metrics_stop: AtomicBool,
     pub next_job: AtomicU64,
     pub next_worker: AtomicU64,
     pub active_conns: AtomicUsize,
     /// One-shot arming of `kill_run_marker`.
     pub kill_armed: AtomicBool,
-    epoch: Instant,
 }
 
 impl Core {
-    pub fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
     pub fn job(&self, id: &str) -> Option<Arc<JobData>> {
         lock(&self.jobs).get(id).cloned()
+    }
+
+    /// Worker threads that have not exited yet.
+    pub fn workers_alive(&self) -> usize {
+        lock(&self.workers)
+            .iter()
+            .filter(|h| !h.is_finished())
+            .count()
     }
 }
 
@@ -231,12 +202,12 @@ impl Listener {
 /// A running control-plane server.
 pub struct Server {
     core: Arc<Core>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    supervisor_handle: Option<std::thread::JoinHandle<()>>,
+    accept_handle: Option<JoinHandle<()>>,
+    metrics_handle: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind, spawn the worker pool and supervisor, and start accepting.
+    /// Bind, spawn the worker pool and metrics writer, and start accepting.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         install_quiet_panic_hook();
         std::fs::create_dir_all(&config.out_root)?;
@@ -266,24 +237,22 @@ impl Server {
             work_cv: Condvar::new(),
             jobs: Mutex::new(HashMap::new()),
             workers: Mutex::new(Vec::new()),
-            cache: ResultsCache::new(config.cache_bytes),
             metrics: ServeMetrics::new(),
             draining: AtomicBool::new(false),
             stop_now: AtomicBool::new(false),
-            supervisor_stop: AtomicBool::new(false),
+            metrics_stop: AtomicBool::new(false),
             next_job: AtomicU64::new(1),
             next_worker: AtomicU64::new(1),
             active_conns: AtomicUsize::new(0),
             kill_armed: AtomicBool::new(config.kill_run_marker.is_some()),
-            epoch: Instant::now(),
             config,
         });
         for _ in 0..workers {
             pool::spawn_worker(&core);
         }
-        let supervisor_handle = {
+        let metrics_handle = {
             let core = Arc::clone(&core);
-            std::thread::spawn(move || pool::supervisor_loop(&core))
+            std::thread::spawn(move || pool::metrics_loop(&core))
         };
         let accept_handle = {
             let core = Arc::clone(&core);
@@ -292,7 +261,7 @@ impl Server {
         Ok(Server {
             core,
             accept_handle: Some(accept_handle),
-            supervisor_handle: Some(supervisor_handle),
+            metrics_handle: Some(metrics_handle),
         })
     }
 
@@ -320,19 +289,19 @@ impl Server {
             let _ = h.join();
         }
         self.core.work_cv.notify_all();
+        // A worker dying meanwhile pushes its replacement, so pop until
+        // the list stays empty.
         loop {
-            let slot = lock(&self.core.workers)
-                .iter_mut()
-                .find_map(|w| w.handle.take());
-            match slot {
+            let handle = lock(&self.core.workers).pop();
+            match handle {
                 Some(h) => {
                     let _ = h.join();
                 }
                 None => break,
             }
         }
-        self.core.supervisor_stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.supervisor_handle.take() {
+        self.core.metrics_stop.store(true, Ordering::SeqCst);
+        if let Some(h) = self.metrics_handle.take() {
             let _ = h.join();
         }
         if let Endpoint::Unix(path) = &self.core.endpoint {
@@ -386,7 +355,7 @@ fn accept_loop(core: &Arc<Core>, listener: Listener) {
             break;
         }
         core.metrics.inc(&core.metrics.http_connections);
-        if core.active_conns.load(Ordering::SeqCst) >= core.config.max_connections {
+        if core.active_conns.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
             core.metrics.inc(&core.metrics.http_rejected_busy);
             let mut stream = stream;
             let _ = http::respond_error(&mut stream, 503, "connection limit reached");
@@ -403,11 +372,7 @@ fn accept_loop(core: &Arc<Core>, listener: Listener) {
 
 fn handle_connection(core: &Arc<Core>, stream: ServerStream) {
     let mut reader = BufReader::new(stream);
-    let req = match http::read_request(
-        &mut reader,
-        core.config.max_head_bytes,
-        core.config.max_body_bytes,
-    ) {
+    let req = match http::read_request(&mut reader, MAX_HEAD_BYTES, MAX_BODY_BYTES) {
         Ok(Some(req)) => req,
         Ok(None) => return,
         Err(e) => {
@@ -515,15 +480,11 @@ fn route(core: &Arc<Core>, req: &Request, out: &mut impl Write) -> std::io::Resu
         ("GET", ["campaigns", id, "results"]) => handle_results(core, id, req, out),
         ("GET", ["campaigns", id, "events"]) => handle_events(core, id, req, out),
         ("GET", ["healthz"]) => {
-            let workers_alive = lock(&core.workers)
-                .iter()
-                .filter(|w| w.alive.load(Ordering::SeqCst))
-                .count();
             let doc = HealthDoc {
                 status: "ok",
                 draining: core.draining.load(Ordering::SeqCst),
                 jobs_live: lock(&core.sched).live_count(),
-                workers_alive,
+                workers_alive: core.workers_alive(),
             };
             http::respond_json(out, 200, &to_json(&doc))
         }
@@ -589,7 +550,7 @@ fn handle_submit(core: &Arc<Core>, req: &Request, out: &mut impl Write) -> std::
             &format!("cannot create job directory {}: {e}", dir.display()),
         );
     }
-    let hub = Arc::new(EventHub::new(core.config.events_ring));
+    let hub = Arc::new(EventHub::new(EVENTS_RING));
     let job = Arc::new(JobData {
         spec,
         runs,
@@ -720,19 +681,9 @@ fn handle_results(
     }
     match req.query_param("manifest") {
         None => {
-            if let Some(bytes) = core.cache.get(id) {
-                core.metrics.inc(&core.metrics.cache_hits);
-                return http::respond(out, 200, "application/json", &[], &bytes);
-            }
-            core.metrics.inc(&core.metrics.cache_misses);
             let path = job.dir.join("summary.json");
-            match read_capped(&path, core.config.max_result_bytes) {
-                Ok(bytes) => {
-                    let bytes: Arc<[u8]> = bytes.into();
-                    let evicted = core.cache.insert(id, Arc::clone(&bytes));
-                    core.metrics.add(&core.metrics.cache_evictions, evicted);
-                    http::respond(out, 200, "application/json", &[], &bytes)
-                }
+            match read_capped(&path, MAX_RESULT_BYTES) {
+                Ok(bytes) => http::respond(out, 200, "application/json", &[], &bytes),
                 Err(ReadError::TooLarge { limit }) => http::respond_error(
                     out,
                     413,
@@ -754,7 +705,7 @@ fn handle_results(
                 return http::respond_error(out, 400, &format!("bad run name {run:?}"));
             }
             let path = job.dir.join(format!("{run}.manifest.json"));
-            match read_capped(&path, core.config.max_result_bytes) {
+            match read_capped(&path, MAX_RESULT_BYTES) {
                 Ok(bytes) => http::respond(out, 200, "application/json", &[], &bytes),
                 Err(ReadError::TooLarge { limit }) => http::respond_error(
                     out,

@@ -1,9 +1,10 @@
 //! End-to-end tests over a real unix socket: submit → execute → fetch,
 //! the byte-identity contract against the CLI path, worker-death
-//! recovery, and the error taxonomy (including a document nested past
-//! the JSON parser's depth limit).
+//! recovery, a run far longer than any polling interval, and the error
+//! taxonomy (including a document nested past the JSON parser's depth
+//! limit).
 
-use electrifi_scenario::campaign::{run_campaign, CampaignSpec};
+use electrifi_scenario::campaign::{run_campaign, write_artifacts, CampaignSpec};
 use electrifi_serve::server::{Bind, ServeConfig, Server};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -50,17 +51,33 @@ fn config_for(root: &Path) -> ServeConfig {
     let mut c = ServeConfig::new(Bind::Unix(root.join("ctl.sock")), root.join("out"));
     c.workers = 2;
     c.shard_size = 1;
-    c.checkpoint_every_runs = 1;
     c
 }
 
-/// The bytes the CLI path would write for the same campaign document.
-fn cli_summary_bytes() -> Vec<u8> {
+/// Write the CLI path's artifacts for the same campaign document into
+/// `dir` and return the bytes of its `summary.json`.
+fn cli_artifacts(dir: &Path) -> Vec<u8> {
     let spec = CampaignSpec::from_json_str(CAMPAIGN_JSON, Path::new(".")).expect("spec parses");
     let summary = run_campaign(&spec, 1, None).expect("cli campaign runs");
-    serde_json::to_string_pretty(&summary)
-        .expect("summary serializes")
-        .into_bytes()
+    write_artifacts(&summary, dir).expect("cli artifacts write");
+    std::fs::read(dir.join("summary.json")).expect("cli summary.json")
+}
+
+/// One counter of a `GET /metrics` snapshot.
+fn counter(client: &electrifi_serve::HttpClient, name: &str) -> u64 {
+    let metrics = client.request("GET", "/metrics", None).expect("metrics");
+    let mtext = metrics.text();
+    mtext
+        .split(&format!("\"{name}\","))
+        .nth(1)
+        .and_then(|rest| {
+            rest.trim_start()
+                .split(|c: char| !c.is_ascii_digit())
+                .next()?
+                .parse()
+                .ok()
+        })
+        .unwrap_or_else(|| panic!("counter {name} missing: {mtext}"))
 }
 
 fn submit(client: &electrifi_serve::HttpClient) -> String {
@@ -120,18 +137,20 @@ fn served_summary_is_byte_identical_to_cli() {
         .request("GET", &format!("/campaigns/{id}/results"), None)
         .expect("results");
     assert_eq!(results.status, 200);
+    let cli_dir = root.join("cli");
     assert_eq!(
         results.body,
-        cli_summary_bytes(),
+        cli_artifacts(&cli_dir),
         "served summary.json must be byte-identical to the CLI's"
     );
-    // Second fetch is served from cache — still the same bytes.
+    // A repeated fetch re-reads the same file: still the same bytes.
     let again = client
         .request("GET", &format!("/campaigns/{id}/results"), None)
         .expect("results again");
     assert_eq!(again.body, results.body);
 
-    // Per-run manifest fetch.
+    // Per-run manifest fetch: the very bytes `write_artifacts` writes
+    // next to the CLI's summary.
     let manifest = client
         .request(
             "GET",
@@ -140,7 +159,12 @@ fn served_summary_is_byte_identical_to_cli() {
         )
         .expect("manifest");
     assert_eq!(manifest.status, 200, "{}", manifest.text());
-    assert!(manifest.text().contains("\"run\""), "{}", manifest.text());
+    let cli_manifest =
+        std::fs::read(cli_dir.join("gen-s1-tiny.manifest.json")).expect("cli manifest");
+    assert_eq!(
+        manifest.body, cli_manifest,
+        "served manifest must be byte-identical to the CLI's"
+    );
 
     // The event stream replays the retained ring and ends at close.
     let mut lines = Vec::new();
@@ -189,28 +213,46 @@ fn killed_worker_recovers_with_identical_bytes() {
     assert_eq!(results.status, 200);
     assert_eq!(
         results.body,
-        cli_summary_bytes(),
+        cli_artifacts(&root.join("cli")),
         "summary must be byte-identical even after a worker died mid-campaign"
     );
 
-    let metrics = client.request("GET", "/metrics", None).expect("metrics");
-    let mtext = metrics.text();
-    let deaths: u64 = mtext
-        .split("\"serve.workers.deaths\",")
-        .nth(1)
-        .and_then(|rest| {
-            rest.trim_start()
-                .split(|c: char| !c.is_ascii_digit())
-                .next()?
-                .parse()
-                .ok()
-        })
-        .expect("deaths counter present");
-    assert!(deaths >= 1, "the injected kill must register: {mtext}");
+    // The one-shot kill is the only death: nothing else declares a
+    // worker dead.
+    assert_eq!(counter(&client, "serve.workers.deaths"), 1);
+    assert_eq!(counter(&client, "serve.workers.shards_requeued"), 1);
+
+    server.shutdown(false);
+    server.wait().expect("clean drain");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A run may take as long as it takes: one 3600 s × 6-pair probing run
+/// lasts several times the pool's 100 ms metrics tick, and its worker
+/// is never declared dead while it computes.
+#[test]
+fn a_long_run_finishes_without_a_worker_death() {
+    let doc = CAMPAIGN_JSON
+        .replace("[1, 2, 3]", "[1]")
+        .replace("\"duration_s\": 2", "\"duration_s\": 3600")
+        .replace("\"max_pairs\": 2", "\"max_pairs\": 6");
+    let root = temp_root("long-run");
+    let config = config_for(&root);
+    let workers = config.workers as u64;
+    let server = Server::start(config).expect("server starts");
+    let client = server.client();
+
+    let started = Instant::now();
+    let id = submit_doc(&client, &doc, 1);
+    wait_done(&client, &id);
     assert!(
-        mtext.contains("\"serve.workers.shards_requeued\""),
-        "{mtext}"
+        started.elapsed() > Duration::from_millis(300),
+        "the run must outlast several 100 ms ticks: {:?}",
+        started.elapsed()
     );
+    assert_eq!(counter(&client, "serve.workers.deaths"), 0);
+    assert_eq!(counter(&client, "serve.workers.spawned"), workers);
+    assert_eq!(counter(&client, "serve.queue.completed"), 1);
 
     server.shutdown(false);
     server.wait().expect("clean drain");
