@@ -200,17 +200,6 @@ fn parse_args() -> Result<ArgsOutcome, String> {
     })))
 }
 
-fn write_trace(path: &PathBuf, report: &span::SpanReport) -> Result<(), String> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
-        }
-    }
-    let mut buf = Vec::new();
-    span::write_chrome_trace(&report.events, &mut buf).map_err(|e| e.to_string())?;
-    std::fs::write(path, buf).map_err(|e| e.to_string())
-}
-
 fn print_top_spans(report: &span::SpanReport) {
     let profile = report.profile(8);
     if profile.spans.is_empty() {
@@ -253,15 +242,7 @@ fn main() -> ExitCode {
             return exit_for(&e, false);
         }
     };
-    let runs: Vec<_> = spec
-        .expand()
-        .into_iter()
-        .filter(|r| {
-            args.filter
-                .as_deref()
-                .is_none_or(|f| r.run_name.contains(f))
-        })
-        .collect();
+    let runs = spec.expand_filtered(args.filter.as_deref());
     if runs.is_empty() {
         eprintln!(
             "campaign {:?}: no runs match{}",
@@ -337,7 +318,7 @@ fn main() -> ExitCode {
     );
     if let Some(trace_path) = &args.trace {
         let report = span::disable();
-        if let Err(e) = write_trace(trace_path, &report) {
+        if let Err(e) = electrifi_bench::write_trace_file(trace_path, &report) {
             eprintln!(
                 "campaign: could not write trace {}: {e}",
                 trace_path.display()

@@ -175,8 +175,12 @@ impl RunGuard {
 
 /// Write a span report's events as Chrome trace JSON at `path`, creating
 /// parent directories as needed.
-fn write_trace_file(path: &str, report: &span::SpanReport) -> Result<(), String> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
+pub fn write_trace_file(
+    path: impl AsRef<std::path::Path>,
+    report: &span::SpanReport,
+) -> Result<(), String> {
+    let path = path.as_ref();
+    if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).map_err(|e| e.to_string())?;
         }

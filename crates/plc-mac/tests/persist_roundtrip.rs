@@ -7,8 +7,9 @@
 //!   for [`PlcSim`], [`EventQueue`] and raw RNG streams, so a snapshot
 //!   of a snapshot can never drift;
 //! * **bit-identical resume** — a sim snapshotted mid-run, loaded into a
-//!   freshly built sim and run to the end produces exactly the digest of
-//!   the uninterrupted run (same RNG draws, same `f64` bit patterns);
+//!   freshly built sim and run to the end produces exactly the digest
+//!   and the structured event stream of the uninterrupted run (same RNG
+//!   draws, same `f64` bit patterns, same events in the same order);
 //! * **malformed-input fuzz** — any single-byte flip or truncation of a
 //!   valid snapshot either fails with a typed [`StateError`] (never a
 //!   panic) or — for the one benign flip, a version downgrade in the
@@ -22,10 +23,15 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simnet::appliance::ApplianceKind;
 use simnet::event::EventQueue;
-use simnet::grid::Grid;
+use simnet::grid::{Grid, NodeId};
+use simnet::obs::{Obs, ObsEvent, ObsSink};
 use simnet::schedule::Schedule;
 use simnet::time::Time;
 use simnet::traffic::{TrafficPattern, TrafficSource};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+type Topology = (Grid, Vec<(StationId, NodeId)>);
 
 #[derive(Clone, Debug)]
 struct FlowSpec {
@@ -45,9 +51,11 @@ struct Scenario {
     run_ms: u64,
     /// Snapshot point, as a fraction of `run_ms` in (0, 1).
     cut_frac: f64,
+    /// Wiring for `n_stations` stations.
+    grid: fn(u16) -> Topology,
 }
 
-fn bus_grid(n: u16) -> (Grid, Vec<(StationId, simnet::grid::NodeId)>) {
+fn bus_grid(n: u16) -> Topology {
     let mut g = Grid::new();
     let mut junctions = Vec::new();
     let n_j = (n as usize).div_ceil(2).max(2);
@@ -69,8 +77,26 @@ fn bus_grid(n: u16) -> (Grid, Vec<(StationId, simnet::grid::NodeId)>) {
     (g, outlets)
 }
 
-fn build(scn: &Scenario) -> (PlcSim, Vec<usize>) {
-    let (g, outlets) = bus_grid(scn.n_stations);
+/// Two junctions 12 m apart, stations alternating between them.
+fn two_junction_grid(n: u16) -> Topology {
+    let mut g = Grid::new();
+    let j = [g.add_junction("j0"), g.add_junction("j1")];
+    g.connect(j[0], j[1], 12.0);
+    let mut outlets = Vec::new();
+    for i in 0..n {
+        let o = g.add_outlet(format!("s{i}"));
+        g.connect(j[i as usize % 2], o, 2.0 + i as f64);
+        outlets.push((i, o));
+    }
+    let oa = g.add_outlet("pc");
+    g.connect(j[0], oa, 2.0);
+    g.attach(oa, ApplianceKind::DesktopPc, Schedule::AlwaysOn);
+    (g, outlets)
+}
+
+/// The sim, its flow handles and a sink collecting every event.
+fn build(scn: &Scenario) -> (PlcSim, Vec<usize>, Rc<RefCell<VecSink>>) {
+    let (g, outlets) = (scn.grid)(scn.n_stations);
     let mut sim = PlcSim::new(scn.cfg.clone(), &g, &outlets);
     let mut handles = Vec::new();
     for fs in &scn.flows {
@@ -82,7 +108,9 @@ fn build(scn: &Scenario) -> (PlcSim, Vec<usize>) {
         .with_priority(fs.priority);
         handles.push(sim.add_flow(flow));
     }
-    (sim, handles)
+    let sink = Rc::new(RefCell::new(VecSink::default()));
+    sim.attach_obs(Obs::with_sink_handle(sink.clone()));
+    (sim, handles, sink)
 }
 
 fn mix(h: &mut u64, v: u64) {
@@ -138,6 +166,42 @@ fn digest(sim: &mut PlcSim, scn: &Scenario, handles: &[usize]) -> u64 {
         mix(&mut h, rec.sof.n_symbols);
     }
     h
+}
+
+/// Keeps every event, in emission order.
+#[derive(Default)]
+struct VecSink(Vec<ObsEvent>);
+
+impl ObsSink for VecSink {
+    fn record(&mut self, ev: &ObsEvent) {
+        self.0.push(ev.clone());
+    }
+}
+
+/// Run `scn` straight to its end, and again to its cut, through a
+/// snapshot into a freshly built sim and on to the end. Returns the
+/// straight and the resumed digest, and the straight event stream and
+/// the first leg's events followed by the resumed sim's.
+fn straight_and_resumed(scn: &Scenario) -> ([u64; 2], [Vec<ObsEvent>; 2]) {
+    let end = Time::from_millis(scn.run_ms);
+    let cut = Time::from_millis((scn.run_ms as f64 * scn.cut_frac) as u64);
+
+    let (mut straight, h1, straight_events) = build(scn);
+    straight.run_until(end);
+    let want = digest(&mut straight, scn, &h1);
+
+    let (mut first_leg, _h, events) = build(scn);
+    first_leg.run_until(cut);
+    let bytes = encode(&first_leg);
+    drop(first_leg);
+
+    let (mut resumed, h2, resumed_events) = build(scn);
+    load_into(&bytes, &mut resumed).expect("snapshot loads");
+    resumed.run_until(end);
+    let got = digest(&mut resumed, scn, &h2);
+    let mut events = events.take().0;
+    events.append(&mut resumed_events.take().0);
+    ([want, got], [straight_events.take().0, events])
 }
 
 fn encode(sim: &PlcSim) -> Vec<u8> {
@@ -210,6 +274,7 @@ fn decode_scenario(
         },
         run_ms,
         cut_frac,
+        grid: bus_grid,
     }
 }
 
@@ -228,16 +293,17 @@ proptest! {
         (run_ms, cut_frac) in (60u64..140, 0.15f64..0.85),
     ) {
         let scn = decode_scenario(n_stations, raw_flows, seed, sniffer, run_ms, cut_frac);
-        let (mut sim, _h) = build(&scn);
+        let (mut sim, _h, _) = build(&scn);
         sim.run_until(Time::from_millis((scn.run_ms as f64 * scn.cut_frac) as u64));
         let first = encode(&sim);
 
-        let (mut loaded, _h2) = build(&scn);
+        let (mut loaded, _h2, _) = build(&scn);
         load_into(&first, &mut loaded).expect("own snapshot loads");
         prop_assert_eq!(encode(&loaded), first);
     }
 
-    /// A resumed sim finishes with exactly the uninterrupted digest.
+    /// A resumed sim finishes with exactly the uninterrupted digest and
+    /// event stream.
     #[test]
     fn prop_resumed_sim_is_bit_identical(
         n_stations in 3u16..6,
@@ -249,22 +315,9 @@ proptest! {
         (run_ms, cut_frac) in (60u64..140, 0.15f64..0.85),
     ) {
         let scn = decode_scenario(n_stations, raw_flows, seed, sniffer, run_ms, cut_frac);
-        let end = Time::from_millis(scn.run_ms);
-        let cut = Time::from_millis((scn.run_ms as f64 * scn.cut_frac) as u64);
-
-        let (mut straight, h1) = build(&scn);
-        straight.run_until(end);
-        let want = digest(&mut straight, &scn, &h1);
-
-        let (mut first_leg, _h) = build(&scn);
-        first_leg.run_until(cut);
-        let bytes = encode(&first_leg);
-        drop(first_leg);
-
-        let (mut resumed, h2) = build(&scn);
-        load_into(&bytes, &mut resumed).expect("snapshot loads");
-        resumed.run_until(end);
-        prop_assert_eq!(digest(&mut resumed, &scn, &h2), want);
+        let ([want, got], [straight, resumed]) = straight_and_resumed(&scn);
+        prop_assert_eq!(got, want);
+        prop_assert!(resumed == straight, "the resumed event stream diverges");
     }
 }
 
@@ -280,13 +333,13 @@ proptest! {
         bit in 0u8..8,
     ) {
         let scn = tiny_scenario(seed);
-        let (mut sim, _h) = build(&scn);
+        let (mut sim, _h, _) = build(&scn);
         sim.run_until(Time::from_millis(40));
         let mut bytes = encode(&sim);
         let pos = (pos_raw % bytes.len() as u64) as usize;
         bytes[pos] ^= 1 << bit;
 
-        let (mut target, _h2) = build(&scn);
+        let (mut target, _h2, _) = build(&scn);
         if load_into(&bytes, &mut target).is_ok() {
             bytes[pos] ^= 1 << bit; // restore: only benign header flips land here
             prop_assert_eq!(encode(&target), bytes);
@@ -300,12 +353,12 @@ proptest! {
         len_raw in any::<u64>(),
     ) {
         let scn = tiny_scenario(seed);
-        let (mut sim, _h) = build(&scn);
+        let (mut sim, _h, _) = build(&scn);
         sim.run_until(Time::from_millis(40));
         let bytes = encode(&sim);
         let keep = (len_raw % bytes.len() as u64) as usize;
 
-        let (mut target, _h2) = build(&scn);
+        let (mut target, _h2, _) = build(&scn);
         prop_assert!(load_into(&bytes[..keep], &mut target).is_err());
     }
 
@@ -400,5 +453,44 @@ fn tiny_scenario(seed: u64) -> Scenario {
         },
         run_ms: 40,
         cut_frac: 0.5,
+        grid: bus_grid,
     }
+}
+
+/// A 6-station ring of 200 pkt/s CBR flows on two junctions, cut at
+/// 2 s of 4 s: contended enough that the resumed window holds
+/// collisions, so the event check compares a real stream.
+#[test]
+fn resumed_ring_emits_the_uninterrupted_event_stream() {
+    let flows = (0..6)
+        .map(|i| FlowSpec {
+            src: i,
+            dst: Some((i + 1) % 6),
+            pattern: TrafficPattern::Cbr {
+                rate_bps: 200.0 * 1300.0 * 8.0,
+                pkt_bytes: 1300,
+            },
+            start_ms: i as u64,
+            priority: Priority::Ca1,
+        })
+        .collect();
+    let scn = Scenario {
+        n_stations: 6,
+        flows,
+        cfg: SimConfig {
+            seed: 0xEF1,
+            ..SimConfig::default()
+        },
+        run_ms: 4000,
+        cut_frac: 0.5,
+        grid: two_junction_grid,
+    };
+    let ([want, got], [straight, resumed]) = straight_and_resumed(&scn);
+    assert_eq!(got, want);
+    assert!(resumed == straight, "the resumed event stream diverges");
+    let collisions = resumed
+        .iter()
+        .filter(|e| e.t > Time::from_secs(2) && e.kind == "collision")
+        .count();
+    assert!(collisions > 0, "no collision after the cut");
 }

@@ -12,13 +12,14 @@
 //!   configurable interval, **atomically** (tmp sibling + rename, the
 //!   same pattern as `SnapshotWriter::write_to_file`) so a watcher never
 //!   reads a torn JSON document;
-//! * each completion is appended to the follow file as one JSON line —
-//!   the exact feed a future control plane will serve to subscribers.
+//! * each completion is appended to the follow file as one JSON line, a
+//!   local tail for CLI runs (`serve` streams its own per-job `/events`).
 //!
 //! Nothing here feeds back into the runs: wall-clock data lives only in
 //! the progress/follow files, never in [`RunRecord`]s or the summary, so
 //! a campaign with telemetry enabled produces byte-identical
-//! `summary.json` and per-run manifests (enforced by integration tests).
+//! `summary.json` and per-run manifests (a row of the determinism
+//! matrix, `serve/tests/invariance.rs`).
 
 use crate::campaign::{RunRecord, RunSpec};
 use crate::error::ScenarioError;

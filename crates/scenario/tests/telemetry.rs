@@ -1,112 +1,36 @@
 //! Live-telemetry acceptance: the `progress.json` heartbeat ends
 //! consistent (`runs_done == runs_total`, `finished`), the follow stream
 //! carries one parseable line per run, accounting stays consistent
-//! across a kill + resume, and — the PR-1 invariant — telemetry and span
-//! tracing are **bit-inert**: artifacts are byte-identical with them on
-//! or off.
+//! across a kill + resume, and telemetry and span tracing are
+//! **bit-inert**: artifacts are byte-identical with them on or off (a
+//! row of the determinism matrix, see `matrix/mod.rs`).
 
-use electrifi_scenario::checkpoint::{
-    run_campaign_monitored_opts, CampaignOutcome, CheckpointOptions, CheckpointStats,
-};
-use electrifi_scenario::telemetry::{ProgressSnapshot, RunCompletion, TelemetryOptions};
-use electrifi_scenario::{run_campaign, write_artifacts, CampaignSpec, ExecOptions, ScenarioError};
-use simnet::obs::span::{self, SpanConfig};
+mod matrix;
+
+use electrifi_scenario::checkpoint::{CampaignOutcome, CheckpointOptions};
+use electrifi_scenario::telemetry::{ProgressSnapshot, RunCompletion};
+use matrix::{assert_reproduces, monitored, scratch_dir, spec, telemetry_in};
 use std::fs;
-use std::path::{Path, PathBuf};
-
-/// The checkpointing campaign driver over the whole work list.
-fn run_monitored(
-    spec: &CampaignSpec,
-    workers: usize,
-    dir: &Path,
-    ckpt: &CheckpointOptions,
-    telemetry: &TelemetryOptions,
-) -> Result<(CampaignOutcome, CheckpointStats), ScenarioError> {
-    run_campaign_monitored_opts(
-        spec,
-        workers,
-        None,
-        dir,
-        ckpt,
-        telemetry,
-        &ExecOptions::default(),
-    )
-}
-
-const CAMPAIGN: &str = r#"{
-    "name": "telem",
-    "scenarios": [
-        {"name": "gen-a", "grid": {"generator": {
-            "floors": 1, "boards_per_floor": 1,
-            "offices_per_board": 3, "stations_per_board": 2}}},
-        {"name": "gen-b", "grid": {"generator": {
-            "floors": 1, "boards_per_floor": 2,
-            "offices_per_board": 2, "stations_per_board": 2}}}
-    ],
-    "seeds": [1, 2],
-    "workloads": [
-        {"name": "w", "duration_s": 2.0, "sample_ms": 500, "max_pairs": 2}
-    ],
-    "experiments": ["probing"]
-}"#;
-
-fn spec() -> CampaignSpec {
-    CampaignSpec::from_json_str(CAMPAIGN, Path::new(".")).expect("valid campaign")
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("efi-telem-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Sorted (file name → contents) map of the JSON artifacts in a dir,
-/// excluding the telemetry side-channel files themselves.
-fn artifacts(dir: &Path) -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = fs::read_dir(dir)
-        .expect("read dir")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .map(|p| {
-            (
-                p.file_name().unwrap().to_string_lossy().into_owned(),
-                fs::read_to_string(&p).expect("read artifact"),
-            )
-        })
-        .filter(|(name, _)| name != "progress.json")
-        .collect();
-    out.sort();
-    out
-}
+use std::path::Path;
 
 fn read_progress(path: &Path) -> ProgressSnapshot {
     let text = fs::read_to_string(path).expect("read progress.json");
     serde_json::from_str(&text).expect("progress.json parses as ProgressSnapshot")
 }
 
-fn telemetry_opts(dir: &Path) -> TelemetryOptions {
-    TelemetryOptions {
-        progress: Some(dir.join("progress.json")),
-        follow: Some(dir.join("follow.jsonl")),
-    }
-}
-
 #[test]
 fn progress_heartbeat_ends_consistent_and_follow_has_one_line_per_run() {
-    let spec = spec();
-    let total = spec.expand().len();
+    let total = spec().expand().len();
     assert_eq!(total, 4);
     let dir = scratch_dir("beat");
-    let opts = telemetry_opts(&dir);
+    let opts = telemetry_in(&dir);
 
-    let (outcome, _) =
-        run_monitored(&spec, 2, &dir, &CheckpointOptions::default(), &opts).expect("campaign");
+    let (outcome, _) = monitored(&dir, 2, CheckpointOptions::default(), &opts);
     assert!(matches!(outcome, CampaignOutcome::Complete(_)));
 
     // The final heartbeat is consistent and marked finished.
     let p = read_progress(&dir.join("progress.json"));
-    assert_eq!(p.campaign, "telem");
+    assert_eq!(p.campaign, "matrix");
     assert_eq!(p.runs_total, total as u64);
     assert_eq!(p.runs_done, total as u64);
     assert_eq!(p.runs_failed, 0);
@@ -152,57 +76,26 @@ fn progress_heartbeat_ends_consistent_and_follow_has_one_line_per_run() {
 
 #[test]
 fn telemetry_and_tracing_are_bit_inert() {
-    let spec = spec();
-
-    // Reference: plain runner, no telemetry, no spans.
     let ref_dir = scratch_dir("inert-ref");
-    let reference = run_campaign(&spec, 2, None).expect("reference run");
-    write_artifacts(&reference, &ref_dir).expect("write reference");
-    let want = artifacts(&ref_dir);
-
-    // Same campaign with the full observability surface on: progress +
-    // follow telemetry and trace-mode spans across the worker pool.
     let dir = scratch_dir("inert-obs");
-    let opts = telemetry_opts(&dir);
-    let ((outcome, _), report) = span::scoped(SpanConfig::traced(1), || {
-        run_monitored(&spec, 2, &dir, &CheckpointOptions::default(), &opts)
-            .expect("observed campaign")
-    });
-    let summary = match outcome {
-        CampaignOutcome::Complete(s) => *s,
-        CampaignOutcome::Checkpointed { .. } => panic!("expected completion"),
-    };
-    write_artifacts(&summary, &dir).expect("write observed artifacts");
-    assert_eq!(
-        artifacts(&dir),
-        want,
-        "telemetry + tracing must not change a single artifact byte"
-    );
-
-    // The spans actually fired (per-run spans fold in from the workers).
-    assert!(report.get("campaign.run_execute").is_some());
-    assert!(report.get("campaign.run_setup").is_some());
-    assert_eq!(report.get("campaign.run_execute").map(|s| s.count), Some(4));
-    assert!(!report.events.is_empty(), "trace mode records events");
-
+    let want = matrix::reference(&ref_dir);
+    assert_reproduces("observed", &matrix::observed(&dir), &want);
     let _ = fs::remove_dir_all(&ref_dir);
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn kill_and_resume_keeps_progress_accounting_consistent() {
-    let spec = spec();
-    let total = spec.expand().len();
+    let total = spec().expand().len();
     let dir = scratch_dir("resume");
-    let opts = telemetry_opts(&dir);
+    let opts = telemetry_in(&dir);
 
     // Phase 1: stop (with a checkpoint) after one run — the "kill".
     let ckpt = CheckpointOptions {
-        every_sim_secs: None,
-        resume_from: None,
         stop_after: Some(1),
+        ..Default::default()
     };
-    let (outcome, _) = run_monitored(&spec, 1, &dir, &ckpt, &opts).expect("phase 1");
+    let (outcome, _) = monitored(&dir, 1, ckpt, &opts);
     assert!(matches!(
         outcome,
         CampaignOutcome::Checkpointed { completed: 1, .. }
@@ -216,11 +109,10 @@ fn kill_and_resume_keeps_progress_accounting_consistent() {
     // Phase 2: resume; the progress file starts over, seeded with the
     // resumed count, and must end fully accounted.
     let ckpt = CheckpointOptions {
-        every_sim_secs: None,
         resume_from: Some(dir.clone()),
-        stop_after: None,
+        ..Default::default()
     };
-    let (outcome, stats) = run_monitored(&spec, 2, &dir, &ckpt, &opts).expect("phase 2");
+    let (outcome, stats) = monitored(&dir, 2, ckpt, &opts);
     assert!(matches!(outcome, CampaignOutcome::Complete(_)));
     assert_eq!(stats.resumed_runs, 1);
     let p = read_progress(&dir.join("progress.json"));

@@ -1,12 +1,17 @@
-//! End-to-end tests over a real unix socket: submit → execute → fetch,
-//! the byte-identity contract against the CLI path, worker-death
-//! recovery, a run far longer than any polling interval, and the error
-//! taxonomy (including a document nested past the JSON parser's depth
-//! limit).
+//! End-to-end tests over a real unix socket: the byte-identity contract
+//! against the CLI path, worker-death recovery (both rows of the
+//! determinism matrix, see `invariance.rs`), a run far longer than any
+//! polling interval, back-to-back submissions, and the error taxonomy
+//! (including a document nested past the JSON parser's depth limit).
 
-use electrifi_scenario::campaign::{run_campaign, write_artifacts, CampaignSpec};
+#[path = "../../scenario/tests/matrix/mod.rs"]
+mod matrix;
+
+mod common;
+
+use common::{counter, submit_doc, temp_root, wait_done};
 use electrifi_serve::server::{Bind, ServeConfig, Server};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// A 3-run campaign (1 generator scenario × 3 seeds × 1 workload) small
@@ -14,38 +19,13 @@ use std::time::{Duration, Instant};
 /// spread across workers.
 const CAMPAIGN_JSON: &str = r#"{
   "name": "e2e",
-  "scenarios": [
-    {
-      "name": "gen",
-      "grid": {
-        "generator": {
-          "floors": 1,
-          "boards_per_floor": 1,
-          "offices_per_board": 3,
-          "stations_per_board": 2
-        }
-      }
-    }
-  ],
+  "scenarios": [{"name": "gen", "grid": {"generator": {
+    "floors": 1, "boards_per_floor": 1, "offices_per_board": 3, "stations_per_board": 2}}}],
   "seeds": [1, 2, 3],
-  "workloads": [
-    {
-      "name": "tiny",
-      "start_hour": 10,
-      "duration_s": 2,
-      "sample_ms": 500,
-      "max_pairs": 2
-    }
-  ],
+  "workloads": [{"name": "tiny", "start_hour": 10, "duration_s": 2,
+                 "sample_ms": 500, "max_pairs": 2}],
   "experiments": ["probing"]
 }"#;
-
-fn temp_root(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("efi-serve-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp root");
-    dir
-}
 
 fn config_for(root: &Path) -> ServeConfig {
     let mut c = ServeConfig::new(Bind::Unix(root.join("ctl.sock")), root.join("out"));
@@ -54,176 +34,27 @@ fn config_for(root: &Path) -> ServeConfig {
     c
 }
 
-/// Write the CLI path's artifacts for the same campaign document into
-/// `dir` and return the bytes of its `summary.json`.
-fn cli_artifacts(dir: &Path) -> Vec<u8> {
-    let spec = CampaignSpec::from_json_str(CAMPAIGN_JSON, Path::new(".")).expect("spec parses");
-    let summary = run_campaign(&spec, 1, None).expect("cli campaign runs");
-    write_artifacts(&summary, dir).expect("cli artifacts write");
-    std::fs::read(dir.join("summary.json")).expect("cli summary.json")
-}
-
-/// One counter of a `GET /metrics` snapshot.
-fn counter(client: &electrifi_serve::HttpClient, name: &str) -> u64 {
-    let metrics = client.request("GET", "/metrics", None).expect("metrics");
-    let mtext = metrics.text();
-    mtext
-        .split(&format!("\"{name}\","))
-        .nth(1)
-        .and_then(|rest| {
-            rest.trim_start()
-                .split(|c: char| !c.is_ascii_digit())
-                .next()?
-                .parse()
-                .ok()
-        })
-        .unwrap_or_else(|| panic!("counter {name} missing: {mtext}"))
-}
-
 fn submit(client: &electrifi_serve::HttpClient) -> String {
     submit_doc(client, CAMPAIGN_JSON, 3)
-}
-
-fn submit_doc(client: &electrifi_serve::HttpClient, doc: &str, runs: usize) -> String {
-    let resp = client
-        .request("POST", "/campaigns", Some(doc.as_bytes()))
-        .expect("submit");
-    assert_eq!(resp.status, 202, "{}", resp.text());
-    let text = resp.text();
-    // The admission doc leads with `{"id": "cN", ...}`.
-    let id = text
-        .split("\"id\":")
-        .nth(1)
-        .and_then(|rest| rest.split('"').nth(1))
-        .expect("admission doc carries an id")
-        .to_string();
-    assert!(text.contains("\"status\":\"queued\""), "{text}");
-    assert!(text.contains(&format!("\"total_runs\":{runs}")), "{text}");
-    id
-}
-
-fn wait_done(client: &electrifi_serve::HttpClient, id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let resp = client
-            .request("GET", &format!("/campaigns/{id}"), None)
-            .expect("status");
-        assert_eq!(resp.status, 200);
-        let text = resp.text();
-        if text.contains("\"status\":\"done\"") {
-            return text;
-        }
-        assert!(
-            !text.contains("\"status\":\"failed\"") && !text.contains("\"status\":\"cancelled\""),
-            "campaign ended badly: {text}"
-        );
-        assert!(Instant::now() < deadline, "timed out; last status {text}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
 }
 
 #[test]
 fn served_summary_is_byte_identical_to_cli() {
     let root = temp_root("identity");
-    let server = Server::start(config_for(&root)).expect("server starts");
-    let client = server.client();
-
-    let id = submit(&client);
-    let status = wait_done(&client, &id);
-    assert!(status.contains("\"completed_runs\":3"), "{status}");
-
-    // THE contract: served bytes == what `campaign` would have written.
-    let results = client
-        .request("GET", &format!("/campaigns/{id}/results"), None)
-        .expect("results");
-    assert_eq!(results.status, 200);
-    let cli_dir = root.join("cli");
-    assert_eq!(
-        results.body,
-        cli_artifacts(&cli_dir),
-        "served summary.json must be byte-identical to the CLI's"
-    );
-    // A repeated fetch re-reads the same file: still the same bytes.
-    let again = client
-        .request("GET", &format!("/campaigns/{id}/results"), None)
-        .expect("results again");
-    assert_eq!(again.body, results.body);
-
-    // Per-run manifest fetch: the very bytes `write_artifacts` writes
-    // next to the CLI's summary.
-    let manifest = client
-        .request(
-            "GET",
-            &format!("/campaigns/{id}/results?manifest=gen-s1-tiny"),
-            None,
-        )
-        .expect("manifest");
-    assert_eq!(manifest.status, 200, "{}", manifest.text());
-    let cli_manifest =
-        std::fs::read(cli_dir.join("gen-s1-tiny.manifest.json")).expect("cli manifest");
-    assert_eq!(
-        manifest.body, cli_manifest,
-        "served manifest must be byte-identical to the CLI's"
-    );
-
-    // The event stream replays the retained ring and ends at close.
-    let mut lines = Vec::new();
-    let status_code = client
-        .stream_lines(&format!("/campaigns/{id}/events"), |line| {
-            lines.push(line.to_string());
-            true
-        })
-        .expect("events stream");
-    assert_eq!(status_code, 200);
-    assert!(
-        lines.iter().any(|l| l.contains("\"status\":\"done\"")),
-        "stream must end with the done status: {lines:?}"
-    );
-    assert!(lines.iter().any(|l| l.contains("\"event\":\"run_done\"")));
-
-    // Metrics reflect the completed job in the standard snapshot shape.
-    let metrics = client.request("GET", "/metrics", None).expect("metrics");
-    let mtext = metrics.text();
-    assert!(mtext.contains("\"serve.queue.completed\""), "{mtext}");
-    assert!(mtext.contains("\"serve.workers.runs_executed\""), "{mtext}");
-
-    server.shutdown(false);
-    server.wait().expect("clean drain");
-    // The supervisor's final write leaves metrics on disk for tooling.
-    assert!(root.join("out").join("server.metrics.json").exists());
+    let want = matrix::reference(&root.join("cli"));
+    let got = common::served(&root, None);
+    matrix::assert_reproduces("served", &got, &want);
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The worker that picks up a middle run dies mid-shard; the shard is
+/// re-admitted and resumed from its checkpoint by a replacement.
 #[test]
 fn killed_worker_recovers_with_identical_bytes() {
     let root = temp_root("kill");
-    let mut config = config_for(&root);
-    // The worker that picks up the middle run dies mid-shard; the shard
-    // is re-admitted and resumed from its checkpoint by a replacement.
-    config.kill_run_marker = Some("gen-s2-tiny".to_string());
-    let server = Server::start(config).expect("server starts");
-    let client = server.client();
-
-    let id = submit(&client);
-    wait_done(&client, &id);
-
-    let results = client
-        .request("GET", &format!("/campaigns/{id}/results"), None)
-        .expect("results");
-    assert_eq!(results.status, 200);
-    assert_eq!(
-        results.body,
-        cli_artifacts(&root.join("cli")),
-        "summary must be byte-identical even after a worker died mid-campaign"
-    );
-
-    // The one-shot kill is the only death: nothing else declares a
-    // worker dead.
-    assert_eq!(counter(&client, "serve.workers.deaths"), 1);
-    assert_eq!(counter(&client, "serve.workers.shards_requeued"), 1);
-
-    server.shutdown(false);
-    server.wait().expect("clean drain");
+    let want = matrix::reference(&root.join("cli"));
+    let got = common::served(&root, Some("gen-a-s2-w"));
+    matrix::assert_reproduces("killed worker", &got, &want);
     let _ = std::fs::remove_dir_all(&root);
 }
 

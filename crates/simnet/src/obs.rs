@@ -33,7 +33,6 @@
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::io;
 use std::rc::Rc;
@@ -471,70 +470,6 @@ pub trait ObsSink {
     }
 }
 
-/// A sink that discards everything. An [`Obs`] with no sink at all skips
-/// event construction entirely; this type exists for call sites that
-/// require *some* sink value.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl ObsSink for NullSink {
-    fn record(&mut self, _ev: &ObsEvent) {}
-}
-
-/// A bounded ring buffer keeping the most recent events.
-#[derive(Debug, Clone, Default)]
-pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<ObsEvent>,
-    /// Events discarded because the ring was full.
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Ring holding at most `cap` events.
-    pub fn new(cap: usize) -> Self {
-        RingSink {
-            cap,
-            buf: VecDeque::with_capacity(cap.min(1024)),
-            dropped: 0,
-        }
-    }
-
-    /// The buffered events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &ObsEvent> {
-        self.buf.iter()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl ObsSink for RingSink {
-    fn record(&mut self, ev: &ObsEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev.clone());
-    }
-}
-
 /// A sink that writes one JSON object per line to any [`io::Write`].
 #[derive(Debug)]
 pub struct JsonlSink<W: io::Write> {
@@ -669,12 +604,6 @@ impl Obs {
         Self::default()
     }
 
-    /// The ambient default: metrics land in a throwaway registry and
-    /// events are skipped.
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
     /// Handle with an owned event sink.
     pub fn with_sink<S: ObsSink + 'static>(sink: S) -> Self {
         Obs {
@@ -684,7 +613,7 @@ impl Obs {
     }
 
     /// Handle sharing an existing sink, letting the caller keep a typed
-    /// reference (e.g. to read a [`RingSink`] back after the run).
+    /// reference (e.g. to read collected events back after the run).
     pub fn with_sink_handle<S: ObsSink + 'static>(sink: Rc<RefCell<S>>) -> Self {
         Obs {
             registry: Registry::new(),
@@ -734,7 +663,7 @@ impl Obs {
 }
 
 thread_local! {
-    static CURRENT: RefCell<Obs> = RefCell::new(Obs::disabled());
+    static CURRENT: RefCell<Obs> = RefCell::new(Obs::new());
 }
 
 /// The ambient observability handle components pick up at construction.
@@ -872,26 +801,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_bounds_and_counts_drops() {
-        let mut ring = RingSink::new(2);
-        let ev = |k: &str| ObsEvent {
-            t: Time(0),
-            component: "test".into(),
-            kind: k.into(),
-            fields: Vec::new(),
-        };
-        ring.record(&ev("a"));
-        ring.record(&ev("b"));
-        ring.record(&ev("c"));
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.dropped(), 1);
-        let kinds: Vec<&str> = ring.events().map(|e| e.kind.as_str()).collect();
-        assert_eq!(kinds, vec!["b", "c"]);
-    }
-
-    #[test]
     fn disabled_obs_never_builds_fields() {
-        let obs = Obs::disabled();
+        let obs = Obs::new();
         let mut called = false;
         obs.emit(Time(5), "c", "k", || {
             called = true;
@@ -1007,7 +918,7 @@ mod tests {
         let ok = Obs::with_sink(JsonlSink::new(Vec::new()));
         ok.emit(Time(1), "c", "k", Vec::new);
         assert_eq!(ok.flush(), 0);
-        assert_eq!(Obs::disabled().flush(), 0);
+        assert_eq!(Obs::new().flush(), 0);
     }
 
     #[test]

@@ -3,20 +3,10 @@
 use proptest::prelude::*;
 use simnet::grid::Grid;
 use simnet::noise::ValueNoise;
-use simnet::obs::{MetricsSnapshot, ObsEvent, ObsSink, Registry, RingSink};
+use simnet::obs::{MetricsSnapshot, Registry};
 use simnet::stats::{linear_fit, Ecdf, RunningStats};
 use simnet::time::{Duration, Time};
 use simnet::{EventQueue, RngPool};
-
-/// A numbered event for exercising sinks.
-fn numbered_event(i: usize) -> ObsEvent {
-    ObsEvent {
-        t: Time::from_micros(i as u64),
-        component: "test".to_string(),
-        kind: format!("e{i}"),
-        fields: Vec::new(),
-    }
-}
 
 /// Replay a worker's instrument operations into a fresh registry and
 /// snapshot it — the exact shape `sweep::par_map_workers` folds back
@@ -202,25 +192,6 @@ proptest! {
         prop_assert!(s < l);
         let shifted = t + Duration::from_millis(10); // half mains cycle
         prop_assert_eq!(s, shifted.tonemap_slot(l));
-    }
-
-    /// The ring sink accounts for every event: `len + dropped == n` for
-    /// any capacity (including zero), and what it keeps are exactly the
-    /// newest `len` events in arrival order.
-    #[test]
-    fn ring_sink_drop_accounting(cap in 0usize..24, n in 0usize..120) {
-        let mut sink = RingSink::new(cap);
-        for i in 0..n {
-            sink.record(&numbered_event(i));
-        }
-        prop_assert_eq!(sink.len(), n.min(cap));
-        prop_assert_eq!(sink.is_empty(), n.min(cap) == 0);
-        prop_assert_eq!(sink.dropped(), n.saturating_sub(cap) as u64);
-        prop_assert_eq!(sink.len() as u64 + sink.dropped(), n as u64);
-        let first_kept = n - sink.len();
-        for (j, ev) in sink.events().enumerate() {
-            prop_assert_eq!(ev.kind.clone(), format!("e{}", first_kept + j));
-        }
     }
 
     /// `Registry::absorb` is order-insensitive for counters and

@@ -89,10 +89,6 @@ assert m["profile"] is not None and m["profile"]["spans"], \
     "traced run must carry a profile in its manifest"
 PY
 
-echo "== replay smoke (snapshot -> resume -> event-stream diff) =="
-cargo build --release -q -p electrifi-bench --bin replay
-./target/release/replay selftest --out out/replay-smoke
-
 echo "== serve smoke (control plane: submit -> poll -> fetch == CLI bytes) =="
 cargo build --release -q -p electrifi-bench --bin serve --bin servectl
 SERVE_SOCK="out/serve-smoke/ctl.sock"
