@@ -116,10 +116,9 @@ pub fn ablation(env: &PaperEnv, scale: Scale) {
 
     println!("Ablation 2 — capture effect (Fig. 23 sensitive pair):");
     let with_capture = retrans::sensitivity_run(env, (6, 11), (1, 0), false, scale);
-    // Re-run with capture disabled via a custom config is exposed through
-    // the SimConfig; sensitivity_run uses the default (capture on). For
-    // the ablation we compare against burst probing, which neutralizes
-    // capture the way the paper's fix does.
+    // The capture effect is always on in the MAC. For the ablation we
+    // compare against burst probing, which neutralizes capture the way
+    // the paper's fix does.
     let with_bursts = retrans::sensitivity_run(env, (6, 11), (1, 0), true, scale);
     println!(
         "  single probes + capture : BLE retention {:.2}",

@@ -6,15 +6,18 @@
 //! bit-identical outputs with observability on and off, and two
 //! same-seed runs must produce byte-identical metrics snapshots.
 
-use electrifi::experiments::{capacity, Scale, PAPER_SEED};
+use electrifi::experiments::{capacity, temporal, Scale, PAPER_SEED};
 use electrifi::PaperEnv;
 use simnet::obs::{self, MetricsSnapshot, Obs, ObsEvent, ObsSink};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-/// Keeps every event, in emission order. Nothing reads them back:
-/// fig16's probe sims emit no structured events, so this arm checks
-/// that an attached sink changes nothing, not what it records.
+/// Keeps every event, in emission order. fig16's probe sims emit no
+/// structured events, so its arm checks that an attached sink changes
+/// nothing; fig09's MAC runs emit `plc.mac` events, so its arm also
+/// reads back what the sink recorded.
 #[derive(Default)]
-struct VecSink(#[allow(dead_code)] Vec<ObsEvent>);
+struct VecSink(Vec<ObsEvent>);
 
 impl ObsSink for VecSink {
     fn record(&mut self, ev: &ObsEvent) {
@@ -72,4 +75,31 @@ fn sink_on_and_off_produce_identical_ble_trajectories() {
     // The run did real work and the registry saw it.
     assert!(snap_on.counter("sim.events_fired") > 0);
     assert!(snap_on.counter("core.probe.resets") > 0);
+}
+
+/// Run Fig. 9 (a saturated `PlcSim` pair per link, on the calling
+/// thread) under `obs` and return its serialized result.
+fn fig9_run(obs: Obs) -> String {
+    obs::with_default(obs, || {
+        let env = PaperEnv::new(PAPER_SEED);
+        let r = temporal::fig9(&env, Scale::Paper);
+        serde_json::to_string(&r).expect("serialize")
+    })
+}
+
+#[test]
+fn recording_mac_events_leaves_fig9_unchanged() {
+    let sink = Rc::new(RefCell::new(VecSink::default()));
+    let with_sink = fig9_run(Obs::with_sink_handle(sink.clone()));
+    let without = fig9_run(Obs::new());
+    assert_eq!(
+        with_sink, without,
+        "recording MAC events changed the Fig. 9 output"
+    );
+    let events = &sink.borrow().0;
+    assert!(
+        events.iter().any(|ev| ev.component == "plc.mac"),
+        "the sink recorded no plc.mac event ({} events in total)",
+        events.len()
+    );
 }

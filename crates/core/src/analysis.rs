@@ -1,21 +1,7 @@
-//! Link classification and the three-timescale decomposition of §6.
-//!
-//! The paper models the per-slot channel quality as (Eq. 2)
-//!
-//! ```text
-//! BLEs(t) = µs(t) + ν_{σs(t)}(t),   1 ≤ s ≤ L
-//! ```
-//!
-//! with `µs`, `σs` constant at the **cycle scale** and drifting at the
-//! **random scale**, while the slot index `s` captures the **invariance
-//! scale**. This module provides the empirical decomposition used to
-//! verify that structure on measured traces, plus the good/average/bad
-//! classification the probing policy needs (§7.3).
+//! Link classification: the good/average/bad classes the probing
+//! policy needs (§7.3).
 
 use serde::{Deserialize, Serialize};
-use simnet::stats::RunningStats;
-use simnet::time::Duration;
-use simnet::trace::Series;
 
 /// Link-quality classes with the paper's §7.3 thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,98 +27,9 @@ impl LinkClass {
     }
 }
 
-/// Empirical decomposition of a per-slot BLE trace into the three
-/// timescales.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimescaleDecomposition {
-    /// Invariance scale: long-run mean BLE per tone-map slot (µs).
-    pub slot_means: Vec<f64>,
-    /// Spread across slot means (how much the mains cycle matters).
-    pub invariance_spread: f64,
-    /// Cycle scale: std of the slot-averaged BLE within windows where µ
-    /// is treated as constant (σ of ν).
-    pub cycle_std: f64,
-    /// Random scale: std of the windowed means across windows (drift of
-    /// µ over minutes/hours).
-    pub random_std: f64,
-    /// Overall mean of the slot-averaged BLE.
-    pub mean: f64,
-}
-
-/// Decompose per-slot samples `(slot, BLEs)` in time order, with
-/// timestamps, into the three timescales. `window` is the cycle-scale
-/// window within which `µ` is assumed constant (minutes).
-pub fn decompose(
-    samples: &[(simnet::time::Time, usize, f64)],
-    n_slots: usize,
-    window: Duration,
-) -> Option<TimescaleDecomposition> {
-    if samples.len() < 2 * n_slots {
-        return None;
-    }
-    // Invariance: per-slot means.
-    let mut per_slot: Vec<RunningStats> = (0..n_slots).map(|_| RunningStats::new()).collect();
-    for &(_, s, v) in samples {
-        per_slot[s % n_slots].push(v);
-    }
-    let slot_means: Vec<f64> = per_slot.iter().map(|s| s.mean()).collect();
-    let mut spread_stats = RunningStats::new();
-    for &m in &slot_means {
-        spread_stats.push(m);
-    }
-    // Slot-average series (BLE̅ over consecutive groups is approximated by
-    // de-seasonalizing: subtract the slot mean, add the global mean).
-    let global_mean = {
-        let mut g = RunningStats::new();
-        for &(_, _, v) in samples {
-            g.push(v);
-        }
-        g.mean()
-    };
-    let mut deseason = Series::new("deseasonalized");
-    for &(t, s, v) in samples {
-        deseason.push(t, v - slot_means[s % n_slots] + global_mean);
-    }
-    // Cycle scale: std within windows; random scale: std of window means.
-    let windowed = deseason.window_average(window);
-    let mut within = RunningStats::new();
-    {
-        // Residuals against each window's own mean.
-        let mut idx = 0usize;
-        let pts = deseason.points();
-        for &(wt, wmean) in windowed.points() {
-            let wend = wt + window;
-            while idx < pts.len() && pts[idx].0 < wend {
-                if pts[idx].0 >= wt {
-                    within.push(pts[idx].1 - wmean);
-                }
-                idx += 1;
-            }
-        }
-    }
-    let mut across = RunningStats::new();
-    for &(_, m) in windowed.points() {
-        across.push(m);
-    }
-    Some(TimescaleDecomposition {
-        slot_means,
-        invariance_spread: spread_stats.std(),
-        cycle_std: within.std(),
-        random_std: across.std(),
-        mean: global_mean,
-    })
-}
-
-/// The paper's central §6/§8 finding, testable on any pair of series:
-/// link quality (mean) and variability (std) are negatively correlated.
-pub fn quality_variability_correlation(links: &[(f64, f64)]) -> Option<f64> {
-    simnet::stats::spearman(links)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::time::Time;
 
     #[test]
     fn classification_thresholds() {
@@ -140,94 +37,5 @@ mod tests {
         assert_eq!(LinkClass::of_ble(60.0), LinkClass::Average);
         assert_eq!(LinkClass::of_ble(80.0), LinkClass::Average);
         assert_eq!(LinkClass::of_ble(100.1), LinkClass::Good);
-    }
-
-    /// Synthesize Eq. 2 data and check the decomposition recovers the
-    /// injected structure.
-    fn synth(
-        slot_offsets: &[f64],
-        cycle_sigma: f64,
-        random_step: f64,
-        n: usize,
-    ) -> Vec<(Time, usize, f64)> {
-        let mut out = Vec::new();
-        let mut mu = 100.0;
-        for k in 0..n {
-            let t = Time::from_millis(50 * k as u64);
-            if k > 0 && k % 2400 == 0 {
-                mu += random_step; // a random-scale shift every 2 minutes
-            }
-            let slot = k % slot_offsets.len();
-            // Deterministic pseudo-noise for the cycle scale.
-            let noise = ((k as f64 * 0.7).sin() + (k as f64 * 1.3).cos()) / 2.0 * cycle_sigma;
-            out.push((t, slot, mu + slot_offsets[slot] + noise));
-        }
-        out
-    }
-
-    #[test]
-    fn decomposition_recovers_slot_structure() {
-        let offsets = [-10.0, -5.0, 0.0, 5.0, 10.0, 0.0];
-        let data = synth(&offsets, 0.5, 0.0, 6000);
-        let d = decompose(&data, 6, Duration::from_secs(30)).unwrap();
-        // Slot means reproduce the injected offsets (up to the global mean).
-        for (i, &off) in offsets.iter().enumerate() {
-            assert!(
-                (d.slot_means[i] - (100.0 + off)).abs() < 1.0,
-                "slot {i}: {}",
-                d.slot_means[i]
-            );
-        }
-        assert!(d.invariance_spread > 5.0);
-        assert!(d.cycle_std < 1.0, "cycle_std={}", d.cycle_std);
-        assert!(d.random_std < 1.0, "random_std={}", d.random_std);
-    }
-
-    #[test]
-    fn decomposition_separates_cycle_and_random() {
-        let offsets = [0.0; 6];
-        let quiet = decompose(
-            &synth(&offsets, 0.5, 0.0, 12000),
-            6,
-            Duration::from_secs(30),
-        )
-        .unwrap();
-        let noisy = decompose(
-            &synth(&offsets, 4.0, 0.0, 12000),
-            6,
-            Duration::from_secs(30),
-        )
-        .unwrap();
-        assert!(noisy.cycle_std > 3.0 * quiet.cycle_std);
-        let drifting = decompose(
-            &synth(&offsets, 0.5, 8.0, 12000),
-            6,
-            Duration::from_secs(30),
-        )
-        .unwrap();
-        assert!(
-            drifting.random_std > 3.0 * quiet.random_std,
-            "drifting={} quiet={}",
-            drifting.random_std,
-            quiet.random_std
-        );
-    }
-
-    #[test]
-    fn decomposition_needs_enough_samples() {
-        assert!(decompose(&[], 6, Duration::from_secs(30)).is_none());
-    }
-
-    #[test]
-    fn negative_quality_variability_correlation_detected() {
-        // Good links (high mean) with low std, bad links with high std.
-        let pts: Vec<(f64, f64)> = (1..30)
-            .map(|i| {
-                let mean = 10.0 + 5.0 * i as f64;
-                (mean, 200.0 / mean)
-            })
-            .collect();
-        let r = quality_variability_correlation(&pts).unwrap();
-        assert!(r < -0.9, "r={r}");
     }
 }

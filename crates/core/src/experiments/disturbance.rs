@@ -210,11 +210,6 @@ impl DisturbanceSim {
             pair: self.pair,
         }
     }
-
-    /// Samples taken so far.
-    pub fn samples(&self) -> usize {
-        self.series.t_s.len()
-    }
 }
 
 impl Persist for DisturbanceSim {

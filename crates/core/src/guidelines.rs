@@ -2,7 +2,6 @@
 //! typed policy data a hybrid implementation can consume directly.
 
 use hybrid1905::probing::ProbingPolicy;
-use plc_phy::estimation::PB_BITS;
 use serde::{Deserialize, Serialize};
 use simnet::time::Duration;
 
@@ -98,16 +97,12 @@ impl ProbePlan {
             bidirectional: true,
         }
     }
-
-    /// Is a probe size valid under the Table 3 size rule?
-    pub fn probe_size_valid(bytes: u32) -> bool {
-        bytes as u64 * 8 > PB_BITS
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plc_phy::estimation::PB_BITS;
 
     #[test]
     fn table3_has_all_seven_policies() {
@@ -130,20 +125,13 @@ mod tests {
     #[test]
     fn recommended_plan_follows_the_rules() {
         let good = ProbePlan::recommended(120.0, false);
-        assert!(ProbePlan::probe_size_valid(good.probe_bytes));
+        // Table 3 size rule: a probe must not fit in one PB.
+        assert!(good.probe_bytes as u64 * 8 > PB_BITS);
         assert_eq!(good.interval, Duration::from_secs(80));
         assert_eq!(good.burst_len, 1);
         assert!(good.bidirectional);
         let bad_contended = ProbePlan::recommended(30.0, true);
         assert_eq!(bad_contended.interval, Duration::from_secs(5));
         assert_eq!(bad_contended.burst_len, 20);
-    }
-
-    #[test]
-    fn probe_size_rule_matches_pb_boundary() {
-        assert!(!ProbePlan::probe_size_valid(200));
-        assert!(!ProbePlan::probe_size_valid(520));
-        assert!(ProbePlan::probe_size_valid(521));
-        assert!(ProbePlan::probe_size_valid(1300));
     }
 }

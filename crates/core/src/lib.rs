@@ -26,8 +26,7 @@
 //! * [`probesim`] — a channel-in-the-loop estimator driver: the minimal
 //!   machinery to measure BLE/PBerr on one link over arbitrary horizons
 //!   without a full MAC simulation.
-//! * [`analysis`] — link classification (good/average/bad, §7.3) and the
-//!   three-timescale decomposition of §6 (Eq. 2).
+//! * [`analysis`] — link classification (good/average/bad, §7.3).
 //! * [`guidelines`] — Table 3's link-metric estimation guidelines as
 //!   typed, testable policy data.
 //! * [`experiments`] — one runner per figure/table of the evaluation;

@@ -252,12 +252,6 @@ impl FaultEngine {
         FaultEngine::default()
     }
 
-    /// The next unconsumed edge at-or-after nothing in particular —
-    /// `None` once the timeline is exhausted.
-    pub fn next_edge(&self, faults: &CompiledFaults) -> Option<Time> {
-        faults.edges().get(self.cursor).copied()
-    }
-
     /// Consume every edge at or before `now`; returns how many fired.
     pub fn advance_to(&mut self, faults: &CompiledFaults, now: Time) -> usize {
         let edges = faults.edges();
@@ -378,9 +372,9 @@ mod tests {
         .unwrap();
         assert_eq!(cf.edges().len(), 4);
         let mut eng = FaultEngine::new();
-        assert_eq!(eng.next_edge(&cf), Some(Time::from_secs(1)));
+        assert_eq!(eng.fired(), 0);
         assert_eq!(eng.advance_to(&cf, Time::from_secs(2)), 2);
-        assert_eq!(eng.next_edge(&cf), Some(Time::from_secs(4)));
+        assert_eq!(cf.edges()[eng.fired()], Time::from_secs(4));
 
         // Checkpoint mid-timeline, resume into a fresh engine.
         let mut w = SectionWriter::new();
@@ -393,6 +387,5 @@ mod tests {
         assert_eq!(resumed, eng);
         assert_eq!(resumed.advance_to(&cf, Time::from_secs(10)), 2);
         assert_eq!(resumed.fired(), 4);
-        assert_eq!(resumed.next_edge(&cf), None);
     }
 }

@@ -81,14 +81,6 @@ impl LinkOverlay {
         }
         (noise, atten)
     }
-
-    /// True if any window is active at `t` (cheap pre-check).
-    pub fn is_active(&self, t: Time) -> bool {
-        let t_ns = t.as_nanos();
-        self.windows
-            .iter()
-            .any(|w| t_ns >= w.start_ns && t_ns < w.end_ns)
-    }
 }
 
 /// One WiFi jamming window.
@@ -194,8 +186,6 @@ mod tests {
         assert!((n - 4.0).abs() < 1e-9, "noise {n}");
         assert!((a - 1.0).abs() < 1e-9, "atten {a}");
         assert_eq!(ov.at(t(15.0)), (8.0, 2.0));
-        assert!(ov.is_active(t(15.0)));
-        assert!(!ov.is_active(t(25.0)));
     }
 
     #[test]

@@ -20,8 +20,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use simnet::rng::Distributions;
 use simnet::stats::RunningStats;
-use simnet::time::{Duration, Time};
-use simnet::trace::Series;
+use simnet::time::Time;
 
 /// How the splitter assigns packets to the two mediums.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,24 +63,6 @@ impl CombinedDelivery {
     /// e.g. the paper's 600 MB download completion (Fig. 20 right).
     pub fn completion_time(&self) -> Option<Time> {
         self.release_times.last().copied()
-    }
-
-    /// Application-level throughput series: released packets per `bin`,
-    /// converted to Mb/s for `pkt_bytes`-byte packets.
-    pub fn throughput_series(&self, pkt_bytes: u32, bin: Duration) -> Series {
-        let mut s = Series::new("hybrid throughput");
-        if self.release_times.is_empty() {
-            return s;
-        }
-        let mut counts: std::collections::BTreeMap<u64, u64> = Default::default();
-        for t in &self.release_times {
-            *counts.entry(t.as_nanos() / bin.as_nanos()).or_insert(0) += 1;
-        }
-        for (slot, n) in counts {
-            let mbps = n as f64 * pkt_bytes as f64 * 8.0 / bin.as_secs_f64() / 1e6;
-            s.push(Time(slot * bin.as_nanos()), mbps);
-        }
-        s
     }
 
     /// Jitter: standard deviation of inter-release gaps, in milliseconds
@@ -298,10 +279,6 @@ mod tests {
         );
         let mean = combined.mean_throughput_mbps(1250);
         assert!((mean - 10.0).abs() < 0.5, "mean={mean}");
-        let series = combined.throughput_series(1250, Duration::from_millis(100));
-        assert!(!series.is_empty());
-        let avg = series.stats().mean();
-        assert!((avg - 10.0).abs() < 1.0, "avg={avg}");
     }
 
     #[test]

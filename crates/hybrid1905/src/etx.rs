@@ -7,30 +7,13 @@
 //! loss rates sit around 10⁻⁴ for links of wildly different quality —
 //! "nothing can be conjectured for link quality from low loss rates".
 //!
-//! The honest alternative is the **unicast ETX (U-ETX)**: count the
-//! frames each unicast packet actually needed (retransmissions included).
-//! U-ETX correlates with BLE and almost linearly with PBerr (Fig. 22).
+//! The honest alternative, and the one metric this module computes, is
+//! the **unicast ETX (U-ETX)**: count the frames each unicast packet
+//! actually needed (retransmissions included). U-ETX correlates with BLE
+//! and almost linearly with PBerr (Fig. 22).
 
 use serde::{Deserialize, Serialize};
 use simnet::stats::RunningStats;
-
-/// Broadcast-probe ETX: `1 / (df · dr)` from the forward and reverse
-/// delivery ratios. Returns `None` when either ratio is zero.
-pub fn etx_from_delivery_ratios(df: f64, dr: f64) -> Option<f64> {
-    if df <= 0.0 || dr <= 0.0 {
-        return None;
-    }
-    Some(1.0 / (df.min(1.0) * dr.min(1.0)))
-}
-
-/// Delivery ratio from broadcast counters (received, lost).
-pub fn delivery_ratio(received: u64, lost: u64) -> f64 {
-    let total = received + lost;
-    if total == 0 {
-        return 0.0;
-    }
-    received as f64 / total as f64
-}
 
 /// U-ETX summary over the per-packet transmission counts of a unicast
 /// flow (paper §8.1: "U-ETX is measured by averaging the number of PLC
@@ -61,21 +44,6 @@ impl UEtx {
             std: stats.std(),
             packets: stats.count(),
         })
-    }
-
-    /// Expected U-ETX from a PB error rate, for a packet of `n_pbs`
-    /// physical blocks: a retransmission happens when at least one PB of
-    /// the packet fails, and each retransmission round retries only the
-    /// failed PBs. First-order model: `E[tx] ≈ Σ_k P(round k needed)`
-    /// = 1 + p_pkt + p_pkt·p + p_pkt·p² + … with
-    /// `p_pkt = 1 − (1−p)^n_pbs` (paper §8.1: "A retransmission occurs if
-    /// at least one of these PBs is received with errors").
-    pub fn expected_from_pberr(pberr: f64, n_pbs: u32) -> f64 {
-        let p = pberr.clamp(0.0, 0.999_999);
-        let p_pkt = 1.0 - (1.0 - p).powi(n_pbs as i32);
-        // After the first retransmission only failed PBs are retried, so
-        // subsequent rounds fail with probability ~p each.
-        1.0 + p_pkt / (1.0 - p)
     }
 }
 
@@ -134,60 +102,11 @@ mod tests {
     }
 
     #[test]
-    fn etx_formula() {
-        assert_eq!(etx_from_delivery_ratios(1.0, 1.0), Some(1.0));
-        assert_eq!(etx_from_delivery_ratios(0.5, 1.0), Some(2.0));
-        assert_eq!(etx_from_delivery_ratios(0.5, 0.5), Some(4.0));
-        assert_eq!(etx_from_delivery_ratios(0.0, 1.0), None);
-        // Ratios above 1 are clamped.
-        assert_eq!(etx_from_delivery_ratios(2.0, 1.0), Some(1.0));
-    }
-
-    #[test]
-    fn delivery_ratio_basics() {
-        assert_eq!(delivery_ratio(9, 1), 0.9);
-        assert_eq!(delivery_ratio(0, 0), 0.0);
-        assert_eq!(delivery_ratio(0, 10), 0.0);
-    }
-
-    #[test]
     fn uetx_from_counts() {
         let u = UEtx::from_tx_counts(&[1, 1, 2, 1, 3]).unwrap();
         assert!((u.mean - 1.6).abs() < 1e-12);
         assert!(u.std > 0.0);
         assert_eq!(u.packets, 5);
         assert!(UEtx::from_tx_counts(&[]).is_none());
-    }
-
-    #[test]
-    fn expected_uetx_grows_with_pberr() {
-        let clean = UEtx::expected_from_pberr(0.0, 3);
-        assert!((clean - 1.0).abs() < 1e-12);
-        let mut last = clean;
-        for p10 in 1..9 {
-            let p = p10 as f64 / 10.0;
-            let u = UEtx::expected_from_pberr(p, 3);
-            assert!(u > last, "non-monotone at p={p}");
-            last = u;
-        }
-    }
-
-    #[test]
-    fn expected_uetx_is_near_linear_in_small_pberr() {
-        // Fig. 22: U-ETX vs PBerr is almost linear. For small p,
-        // E[tx] ≈ 1 + n·p.
-        let n = 3;
-        for p in [0.01, 0.05, 0.1] {
-            let u = UEtx::expected_from_pberr(p, n);
-            let linear = 1.0 + n as f64 * p;
-            assert!((u - linear).abs() / linear < 0.1, "p={p}: {u} vs {linear}");
-        }
-    }
-
-    #[test]
-    fn more_pbs_more_retransmissions() {
-        let u1 = UEtx::expected_from_pberr(0.1, 1);
-        let u3 = UEtx::expected_from_pberr(0.1, 3);
-        assert!(u3 > u1);
     }
 }

@@ -90,11 +90,6 @@ pub struct PolicyEvaluation {
 }
 
 impl PolicyEvaluation {
-    /// Average probing rate in probes per link-second.
-    pub fn probe_rate(&self) -> f64 {
-        self.probes as f64 / self.total_link_seconds
-    }
-
     /// Overhead reduction versus another evaluation (e.g. the 5 s
     /// baseline): `1 − probes/base.probes`.
     pub fn overhead_reduction_vs(&self, base: &PolicyEvaluation) -> f64 {
@@ -247,11 +242,8 @@ mod tests {
             &[flat_series(100.0, 100)],
         );
         // ~1 probe per 5 link-seconds.
-        assert!(
-            (eval.probe_rate() - 0.2).abs() < 0.05,
-            "{}",
-            eval.probe_rate()
-        );
+        let rate = eval.probes as f64 / eval.total_link_seconds;
+        assert!((rate - 0.2).abs() < 0.05, "{rate}");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property-based tests for the hybrid abstraction layer.
 
 use hybrid1905::balancer::{combine_streams, SplitStrategy};
-use hybrid1905::etx::{delivery_ratio, etx_from_delivery_ratios, UEtx};
 use hybrid1905::probing::{evaluate_policy, ProbingPolicy};
 use proptest::prelude::*;
 use simnet::time::{Duration, Time};
@@ -58,36 +57,6 @@ proptest! {
             prop_assert!(r >= d);
         }
         prop_assert_eq!(out.undelivered, 0);
-    }
-
-    /// ETX formula: ≥ 1, symmetric in its arguments, monotone in loss.
-    #[test]
-    fn etx_properties(df in 0.01f64..1.0, dr in 0.01f64..1.0) {
-        let e = etx_from_delivery_ratios(df, dr).expect("positive ratios");
-        prop_assert!(e >= 1.0 - 1e-12);
-        prop_assert_eq!(e, etx_from_delivery_ratios(dr, df).unwrap());
-        let worse = etx_from_delivery_ratios(df * 0.9, dr).unwrap();
-        prop_assert!(worse >= e);
-    }
-
-    /// Delivery ratio is a probability and consistent with its counters.
-    #[test]
-    fn delivery_ratio_bounds(recv in 0u64..10_000, lost in 0u64..10_000) {
-        let r = delivery_ratio(recv, lost);
-        prop_assert!((0.0..=1.0).contains(&r));
-        if recv + lost > 0 {
-            prop_assert!((r * (recv + lost) as f64 - recv as f64).abs() < 1e-6);
-        }
-    }
-
-    /// Expected U-ETX from PBerr: ≥1, monotone in both PBerr and packet
-    /// size.
-    #[test]
-    fn expected_uetx_monotone(p in 0f64..0.9, n in 1u32..10) {
-        let u = UEtx::expected_from_pberr(p, n);
-        prop_assert!(u >= 1.0);
-        prop_assert!(UEtx::expected_from_pberr(p + 0.05, n) >= u);
-        prop_assert!(UEtx::expected_from_pberr(p, n + 1) >= u);
     }
 
     /// The probing evaluator conserves probes: intervals never produce

@@ -1,4 +1,4 @@
-//! PLC frames, start-of-frame delimiters and sniffer records.
+//! Start-of-frame delimiters and sniffer records.
 //!
 //! Every PLC frame is preceded by a frame-control symbol — the
 //! **start-of-frame (SoF) delimiter** — decodable by every station on the
@@ -7,9 +7,8 @@
 //! mode captures SoF delimiters of all received frames (Table 2: arrival
 //! timestamp `t` and `BLE` are "measured with: SoF delimiter").
 
-use crate::pb::QueuedPb;
 use serde::{Deserialize, Serialize};
-use simnet::time::{Duration, Time};
+use simnet::time::Time;
 
 /// The start-of-frame delimiter contents relevant to the measurements.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -28,25 +27,8 @@ pub struct SofDelimiter {
     pub n_symbols: u64,
 }
 
-/// A PLC frame in flight: delimiter plus the PBs it aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Frame {
-    /// The frame-control delimiter.
-    pub sof: SofDelimiter,
-    /// Flow the payload belongs to (simulation bookkeeping).
-    pub flow: usize,
-    /// Aggregated physical blocks.
-    pub pbs: Vec<QueuedPb>,
-    /// True for ROBO-modulated frames (sound, broadcast).
-    pub robo: bool,
-    /// Payload duration on the wire (excludes preamble).
-    pub duration: Duration,
-}
-
-/// One sniffer capture: a SoF delimiter with its arrival timestamp. This
-/// is exactly what the paper's measurement tooling records; retransmission
-/// detection is done *by the analyzer* with the <10 ms inter-arrival rule
-/// (paper §8.1), not by the capture.
+/// One sniffer capture: a SoF delimiter with its arrival timestamp, which
+/// is exactly what the paper's measurement tooling records.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SofRecord {
     /// Arrival (capture) time.
@@ -92,72 +74,5 @@ impl electrifi_state::PersistValue for SofRecord {
             t: r.get()?,
             sof: SofDelimiter::decode(r)?,
         })
-    }
-}
-
-/// Classify sniffer records into new transmissions and retransmissions
-/// using the paper's heuristic: a frame from the same source arriving
-/// within `threshold` of the previous one is a retransmission (§8.1:
-/// "if the frame arrives within an interval of less than 10 ms compared
-/// to the previous frame, then it is a retransmission").
-///
-/// Returns, per record, `true` when classified as a retransmission.
-pub fn classify_retransmissions(records: &[SofRecord], threshold: Duration) -> Vec<bool> {
-    let mut out = Vec::with_capacity(records.len());
-    let mut last_seen: std::collections::HashMap<(u16, u16), Time> = Default::default();
-    for r in records {
-        let key = (r.sof.src, r.sof.dst);
-        let retx = last_seen
-            .get(&key)
-            .is_some_and(|&prev| r.t.saturating_since(prev) < threshold);
-        out.push(retx);
-        last_seen.insert(key, r.t);
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rec(t_ms: u64, src: u16, dst: u16) -> SofRecord {
-        SofRecord {
-            t: Time::from_millis(t_ms),
-            sof: SofDelimiter {
-                src,
-                dst,
-                ble_mbps: 100.0,
-                tonemap_id: 1,
-                slot: 0,
-                n_symbols: 10,
-            },
-        }
-    }
-
-    #[test]
-    fn close_arrivals_are_retransmissions() {
-        let records = vec![rec(0, 1, 2), rec(5, 1, 2), rec(100, 1, 2)];
-        let flags = classify_retransmissions(&records, Duration::from_millis(10));
-        assert_eq!(flags, vec![false, true, false]);
-    }
-
-    #[test]
-    fn classification_is_per_link() {
-        // Interleaved links must not confuse each other: each link's gap
-        // is computed against its own previous frame.
-        let records = vec![rec(0, 1, 2), rec(5, 3, 4), rec(8, 1, 2), rec(9, 3, 4)];
-        let flags = classify_retransmissions(&records, Duration::from_millis(10));
-        assert_eq!(flags, vec![false, false, true, true]);
-        // With wide gaps, nothing is a retransmission.
-        let sparse = vec![rec(0, 1, 2), rec(5, 3, 4), rec(80, 1, 2), rec(95, 3, 4)];
-        let flags = classify_retransmissions(&sparse, Duration::from_millis(10));
-        assert_eq!(flags, vec![false, false, false, false]);
-    }
-
-    #[test]
-    fn exactly_at_threshold_is_new_transmission() {
-        let records = vec![rec(0, 1, 2), rec(10, 1, 2)];
-        let flags = classify_retransmissions(&records, Duration::from_millis(10));
-        assert_eq!(flags, vec![false, false]);
     }
 }

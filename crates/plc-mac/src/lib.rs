@@ -11,18 +11,15 @@
 //!   into 512-byte **physical blocks** (PBs), PBs are merged into PLC
 //!   frames, and a **selective acknowledgment** (SACK) retransmits only
 //!   the corrupted PBs.
-//! * [`frame`] — PLC frames and the **start-of-frame (SoF) delimiter**
-//!   carrying the BLE that the paper's capacity estimation reads.
-//! * [`cco`] — central-coordinator election and logical (encryption)
-//!   networks: the paper's two-network floor with statically pinned
-//!   CCos, plus HomePlug's dynamic election.
+//! * [`frame`] — the **start-of-frame (SoF) delimiter** carrying the BLE
+//!   that the paper's capacity estimation reads, and sniffer records.
 //! * [`sim`] — an event-driven contention-domain simulation: stations,
-//!   traffic flows, channel estimation, tone-map exchange, SACKs,
-//!   collisions with the capture effect, beacons, broadcast (ROBO) frames
-//!   and a sniffer.
-//! * [`mm`] — the management-message interface mirroring the Qualcomm
-//!   Atheros Open Powerline Toolkit tools the paper uses (`ampstat` for
-//!   PBerr, `int6krate` for average BLE, device reset, CCo pinning).
+//!   default-class traffic flows, channel estimation, tone-map exchange,
+//!   SACKs, collisions with the capture effect, beacons, broadcast (ROBO)
+//!   frames and a sniffer. Its `int6krate`, `ampstat`, `ble_slot` and
+//!   `reset_device` methods answer the Open Powerline Toolkit queries the
+//!   paper issues (§3.2); CCos are pinned statically, as in the paper's
+//!   testbed, so no election is modelled.
 //! * [`throughput`] — an analytic saturation-throughput model (BLE and
 //!   PBerr in, UDP goodput out) used by long-horizon experiments where
 //!   frame-level simulation would be wasteful.
@@ -30,10 +27,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cco;
 pub mod csma;
 pub mod frame;
-pub mod mm;
 pub mod pb;
 mod persist;
 pub mod reference;
@@ -43,6 +38,6 @@ pub mod throughput;
 pub mod timing;
 
 pub use csma::BackoffState;
-pub use frame::{Frame, SofDelimiter, SofRecord};
+pub use frame::{SofDelimiter, SofRecord};
 pub use sim::{Flow, PlcSim, SimConfig, StationId};
 pub use throughput::saturation_throughput_mbps;

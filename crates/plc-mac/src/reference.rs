@@ -2,7 +2,7 @@
 //!
 //! This module is a frozen copy of the MAC hot loop as it stood before
 //! the zero-allocation/idle-skip rewrite in `sim.rs`: per-step `Vec`
-//! allocations for the ready/contender/winner lists, per-frame tone-map
+//! allocations for the contender/winner lists, per-frame tone-map
 //! clones, a fresh failed-PB list per reception, per-PB reassembler
 //! probes, and a full flow scan on every idle step.
 //!
@@ -33,7 +33,7 @@
 use crate::csma::BackoffState;
 use crate::frame::{SofDelimiter, SofRecord};
 use crate::pb::{pbs_for_packet, QueuedPb, PB_WIRE_BITS};
-use crate::sim::{PlcSim, Priority};
+use crate::sim::{PlcSim, CAPTURE_DURATION_RATIO, CAPTURE_PBERR, CAPTURE_SINR_DB};
 use crate::timing;
 use plc_phy::carrier::SYMBOL_US;
 use plc_phy::tonemap::{ToneMap, TONEMAP_SLOTS};
@@ -60,23 +60,13 @@ impl PlcSim {
             return;
         }
         self.refill_queues_reference();
-        let ready: Vec<usize> = (0..self.stations.len())
+        let contenders: Vec<usize> = (0..self.stations.len())
             .filter(|&i| {
                 self.stations[i]
                     .flows
                     .iter()
                     .any(|&f| !self.flows[f].queue.is_empty())
             })
-            .collect();
-        let top_priority = ready
-            .iter()
-            .map(|&i| self.station_priority(i))
-            .max()
-            .unwrap_or(Priority::Ca1);
-        let contenders: Vec<usize> = ready
-            .iter()
-            .copied()
-            .filter(|&i| self.station_priority(i) == top_priority)
             .collect();
         if contenders.is_empty() {
             // Idle medium: advance to the next arrival (or end) — always
@@ -212,7 +202,7 @@ impl PlcSim {
         map: ToneMap,
         budget: Duration,
     ) -> Option<(usize, Vec<QueuedPb>, ToneMap, u64, Duration)> {
-        let bits_per_sym = map.info_bits_per_symbol() * self.cfg.frame_efficiency;
+        let bits_per_sym = map.info_bits_per_symbol() * timing::FRAME_EFFICIENCY;
         let max_syms = (budget.as_micros_f64() / SYMBOL_US).floor() as u64;
         if max_syms == 0 || bits_per_sym <= 0.0 {
             return None;
@@ -267,7 +257,7 @@ impl PlcSim {
             + timing::RIFS
             + timing::PREAMBLE
             + timing::CIFS
-            + self.cfg.exchange_extra;
+            + timing::EXCHANGE_EXTRA;
         if let Some(b) = self.stations[station].backoff.as_mut() {
             b.on_success(&mut self.rng);
         }
@@ -288,7 +278,7 @@ impl PlcSim {
         let pbs_len = pbs.len();
         let mut pberr = self.pberr_for(src, dst, slot, map);
         if degraded_to.is_some() {
-            pberr = pberr.max(self.cfg.capture_pberr);
+            pberr = pberr.max(CAPTURE_PBERR);
         }
         let now = self.now;
         let mut failed: Vec<QueuedPb> = Vec::new();
@@ -446,12 +436,11 @@ impl PlcSim {
                 }
             }
             let is_broadcast = self.flows[f].flow.is_broadcast();
-            let captured = !is_broadcast && self.cfg.capture_effect && {
+            let captured = !is_broadcast && {
                 let src = self.idx(self.flows[f].flow.src);
                 let dst = self.idx(self.flows[f].flow.dst);
-                let dominated =
-                    longest as f64 >= self.cfg.capture_duration_ratio * dur.as_nanos() as f64;
-                dominated && self.capture_sinr_reference(src, dst, w) > self.cfg.capture_sinr_db
+                let dominated = longest as f64 >= CAPTURE_DURATION_RATIO * dur.as_nanos() as f64;
+                dominated && self.capture_sinr_reference(src, dst, w) > CAPTURE_SINR_DB
             };
             if captured {
                 let src = self.idx(self.flows[f].flow.src);
@@ -486,7 +475,7 @@ impl PlcSim {
             + timing::RIFS
             + timing::PREAMBLE
             + timing::CIFS
-            + self.cfg.exchange_extra;
+            + timing::EXCHANGE_EXTRA;
     }
 
     /// Faithful copy of the pre-optimization capture scan: collects the

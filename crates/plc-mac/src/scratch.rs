@@ -2,7 +2,7 @@
 //! loop.
 //!
 //! Every `step()` of the contention-domain simulation used to allocate a
-//! handful of short-lived vectors (ready/contender/winner index lists,
+//! handful of short-lived vectors (contender/winner index lists,
 //! the drained PB list, a cloned tone map, the failed-PB list, …). A
 //! [`SimScratch`] owns one long-lived instance of each buffer; the step
 //! pipeline `mem::take`s the scratch at entry (so borrowing it mutably
@@ -57,8 +57,6 @@ pub(crate) struct SimScratch {
     /// `plc.mac.scratch_reuses` counter).
     pub warm: bool,
     /// Stations with at least one backlogged flow.
-    pub ready: Vec<usize>,
-    /// `ready` filtered to the winning PRS priority class.
     pub contenders: Vec<usize>,
     /// Contenders whose backoff hit the minimum slot count.
     pub winners: Vec<usize>,
@@ -90,7 +88,6 @@ impl SimScratch {
     /// callers (like `bench_mac`) that need a *provably* allocation-free
     /// window rather than an amortized one.
     pub fn reserve(&mut self, n_stations: usize, max_frame_pbs: usize, n_carriers: usize) {
-        self.ready.reserve(n_stations);
         self.contenders.reserve(n_stations);
         self.winners.reserve(n_stations);
         self.tx_pbs.reserve(max_frame_pbs);

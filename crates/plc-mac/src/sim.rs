@@ -3,10 +3,10 @@
 //! A [`PlcSim`] hosts a set of stations plugged into outlets of an
 //! electrical [`Grid`], the physical channels between every connected
 //! pair, traffic flows, and the full 1901 MAC: CSMA/CA with deferral
-//! counters, priority-resolution slots, frame aggregation against the
-//! current tone map, selective acknowledgments, tone-map
-//! estimation/exchange, beacons, ROBO broadcast, collisions with an
-//! optional capture effect, and a SoF sniffer.
+//! counters, priority-resolution slots (default-class traffic only),
+//! frame aggregation against the current tone map, selective
+//! acknowledgments, tone-map estimation/exchange, beacons, ROBO
+//! broadcast, collisions with the capture effect, and a SoF sniffer.
 //!
 //! Everything the paper measures at the MAC level comes out of this
 //! simulation: per-frame SoF captures (Fig. 9), saturation throughput
@@ -90,23 +90,15 @@ pub type StationId = u16;
 /// Destination marker for broadcast flows.
 pub const BROADCAST: StationId = StationId::MAX;
 
-/// 1901 channel-access priority classes, resolved in the PRS0/PRS1 slots
-/// that precede every contention period: when any station signals a
-/// higher class, lower-class stations sit the contention out. Best-effort
-/// data uses CA1; latency-sensitive streams CA2/CA3.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
-pub enum Priority {
-    /// Background.
-    Ca0,
-    /// Best effort (default for data).
-    Ca1,
-    /// Video/voice.
-    Ca2,
-    /// Network-critical.
-    Ca3,
-}
+/// Collision capture effect (paper §8.2): during a collision a frame is
+/// still (partially) decoded when its signal-to-interference ratio at
+/// the receiver exceeds this many dB…
+pub(crate) const CAPTURE_SINR_DB: f64 = 12.0;
+/// …and the interfering frame is at least this many times longer than
+/// the captured one (short probes inside long saturated frames).
+pub(crate) const CAPTURE_DURATION_RATIO: f64 = 2.0;
+/// PB error rate applied to a captured frame's blocks.
+pub(crate) const CAPTURE_PBERR: f64 = 0.75;
 
 /// Simulation configuration.
 #[derive(Debug, Clone)]
@@ -119,30 +111,12 @@ pub struct SimConfig {
     pub channel: PlcChannelParams,
     /// Channel-estimator configuration used by every receiver.
     pub estimator: EstimatorConfig,
-    /// Enable the collision capture effect (paper §8.2).
-    pub capture_effect: bool,
-    /// Minimum signal-to-interference ratio (dB) for a frame to be
-    /// (partially) decoded during a collision.
-    pub capture_sinr_db: f64,
-    /// The interfering frame must be at least this many times longer than
-    /// the captured frame (short probes inside long saturated frames).
-    pub capture_duration_ratio: f64,
-    /// PB error rate applied to a captured frame's blocks.
-    pub capture_pberr: f64,
     /// How often cached per-slot SNR spectra are refreshed.
     pub spectrum_refresh: Duration,
     /// Minimum gap between two estimator observations on one link
     /// direction (subsampling keeps long saturated runs cheap without
     /// changing convergence behaviour at probe rates).
     pub observe_min_gap: Duration,
-    /// Fraction of a frame's airtime carrying useful payload bits after
-    /// PB padding, partial last symbols and tone-map-slot truncation
-    /// (calibrated together with `exchange_extra` so saturation goodput
-    /// matches the paper's Fig. 15 fit, BLE = 1.7 T − 0.65).
-    pub frame_efficiency: f64,
-    /// Extra per-exchange dead time (management traffic, tone-map
-    /// exchange, aggregation slack).
-    pub exchange_extra: Duration,
     /// ABLATION: disable the 1901 deferral counter, making the backoff
     /// 802.11-style (stations escalate only on collisions, never on
     /// sensing the medium busy). Used to demonstrate the deferral
@@ -168,14 +142,8 @@ impl Default for SimConfig {
             technology: PlcTechnology::HpAv,
             channel: PlcChannelParams::default(),
             estimator: EstimatorConfig::default(),
-            capture_effect: true,
-            capture_sinr_db: 12.0,
-            capture_duration_ratio: 2.0,
-            capture_pberr: 0.75,
             spectrum_refresh: Duration::from_millis(200),
             observe_min_gap: Duration::from_millis(10),
-            frame_efficiency: 0.82,
-            exchange_extra: Duration::from_micros(150),
             disable_deferral: false,
             sniffer: false,
             queue_cap_pbs: 600,
@@ -193,19 +161,12 @@ pub struct Flow {
     pub dst: StationId,
     /// The traffic shape.
     pub source: TrafficSource,
-    /// Channel-access priority class.
-    pub priority: Priority,
 }
 
 impl Flow {
-    /// Unicast flow at the default CA1 (best-effort data) priority.
+    /// Unicast flow.
     pub fn unicast(src: StationId, dst: StationId, source: TrafficSource) -> Self {
-        Flow {
-            src,
-            dst,
-            source,
-            priority: Priority::Ca1,
-        }
+        Flow { src, dst, source }
     }
 
     /// Broadcast flow (ROBO-modulated, unacknowledged — paper §8.1).
@@ -214,14 +175,7 @@ impl Flow {
             src,
             dst: BROADCAST,
             source,
-            priority: Priority::Ca1,
         }
-    }
-
-    /// Set the channel-access priority.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
     }
 
     pub(crate) fn is_broadcast(&self) -> bool {
@@ -897,30 +851,21 @@ impl PlcSim {
         } else {
             scratch.warm = true;
         }
-        // ready/contenders/winners were per-step Vec allocations.
+        // The unoptimized stepper allocated three per-step Vecs here (its
+        // ready/contender/winner lists); the estimate keeps that count.
         self.metrics.allocs_saved.add(3);
-        // Stations with queued PBs contend; the PRS0/PRS1 slots resolve
-        // priority first, so only the highest signalled class proceeds to
-        // the backoff countdown.
-        scratch.ready.clear();
-        scratch.ready.extend((0..self.stations.len()).filter(|&i| {
-            self.stations[i]
-                .flows
-                .iter()
-                .any(|&f| !self.flows[f].queue.is_empty())
-        }));
-        let top_priority = scratch
-            .ready
-            .iter()
-            .map(|&i| self.station_priority(i))
-            .max()
-            .unwrap_or(Priority::Ca1);
+        // Stations with queued PBs contend. Every flow carries
+        // default-class (CA1) traffic, so the PRS0/PRS1 slots resolve no
+        // priority and only cost their airtime.
         scratch.contenders.clear();
-        for &i in &scratch.ready {
-            if self.station_priority(i) == top_priority {
-                scratch.contenders.push(i);
-            }
-        }
+        scratch
+            .contenders
+            .extend((0..self.stations.len()).filter(|&i| {
+                self.stations[i]
+                    .flows
+                    .iter()
+                    .any(|&f| !self.flows[f].queue.is_empty())
+            }));
         if scratch.contenders.is_empty() {
             // Idle medium: advance to the next arrival (or end). Any
             // beacon regions in between are empty and jumped over in one
@@ -1007,26 +952,14 @@ impl PlcSim {
         }
     }
 
-    /// The highest priority among a station's backlogged flows.
-    pub(crate) fn station_priority(&self, station: usize) -> Priority {
-        self.stations[station]
-            .flows
-            .iter()
-            .filter(|&&f| !self.flows[f].queue.is_empty())
-            .map(|&f| self.flows[f].flow.priority)
-            .max()
-            .unwrap_or(Priority::Ca1)
-    }
-
-    /// Pick the next flow of a station: round robin over the non-empty
-    /// queues of its current (highest) priority class.
+    /// Pick the next flow of a station: round robin over its non-empty
+    /// queues.
     pub(crate) fn pick_flow(&mut self, station: usize) -> Option<usize> {
-        let class = self.station_priority(station);
         let n = self.stations[station].flows.len();
         for k in 0..n {
             let at = (self.stations[station].rr + k) % n;
             let f = self.stations[station].flows[at];
-            if !self.flows[f].queue.is_empty() && self.flows[f].flow.priority == class {
+            if !self.flows[f].queue.is_empty() {
                 self.stations[station].rr = (at + 1) % n;
                 return Some(f);
             }
@@ -1102,7 +1035,7 @@ impl PlcSim {
     ) -> Option<(usize, f64, u64, Duration)> {
         // Effective payload rate of the frame body: PB padding, partial
         // last symbols and slot truncation shave off a calibrated factor.
-        let bits_per_sym = info_bits * self.cfg.frame_efficiency;
+        let bits_per_sym = info_bits * timing::FRAME_EFFICIENCY;
         let max_syms = (budget.as_micros_f64() / SYMBOL_US).floor() as u64;
         if max_syms == 0 || bits_per_sym <= 0.0 {
             return None;
@@ -1184,7 +1117,7 @@ impl PlcSim {
             + timing::RIFS
             + timing::PREAMBLE
             + timing::CIFS
-            + self.cfg.exchange_extra;
+            + timing::EXCHANGE_EXTRA;
         if let Some(b) = self.stations[station].backoff.as_mut() {
             b.on_success(&mut self.rng);
         }
@@ -1206,7 +1139,7 @@ impl PlcSim {
         let pbs_len = pbs.len();
         let mut pberr = self.pberr_for(src, dst, slot, map);
         if degraded_to.is_some() {
-            pberr = pberr.max(self.cfg.capture_pberr);
+            pberr = pberr.max(CAPTURE_PBERR);
         }
         // Draw errors, SACK, selective retransmission.
         let now = self.now;
@@ -1475,14 +1408,13 @@ impl PlcSim {
             }
             self.metrics.allocs_saved.inc();
             let is_broadcast = self.flows[f].flow.is_broadcast();
-            let captured = !is_broadcast && self.cfg.capture_effect && {
+            let captured = !is_broadcast && {
                 let src = self.idx(self.flows[f].flow.src);
                 let dst = self.idx(self.flows[f].flow.dst);
                 // Interferer must dwarf this frame in duration, and the
                 // signal must dominate the interference at the receiver.
-                let dominated =
-                    longest as f64 >= self.cfg.capture_duration_ratio * b.dur.as_nanos() as f64;
-                dominated && self.capture_sinr(src, dst, w) > self.cfg.capture_sinr_db
+                let dominated = longest as f64 >= CAPTURE_DURATION_RATIO * b.dur.as_nanos() as f64;
+                dominated && self.capture_sinr(src, dst, w) > CAPTURE_SINR_DB
             };
             if captured {
                 let src = self.idx(self.flows[f].flow.src);
@@ -1529,7 +1461,7 @@ impl PlcSim {
             + timing::RIFS
             + timing::PREAMBLE
             + timing::CIFS
-            + self.cfg.exchange_extra;
+            + timing::EXCHANGE_EXTRA;
     }
 
     /// Signal-to-interference ratio (dB) at the receiver `dst` of the link
@@ -2013,43 +1945,6 @@ mod tests {
         assert_eq!(out, Time::from_millis(40) + timing::BEACON_REGION);
         let clean = Time::from_millis(40) + Duration::from_millis(10);
         assert_eq!(PlcSim::skip_beacon_region(clean), clean);
-    }
-
-    #[test]
-    fn higher_priority_class_dominates_contention() {
-        // A CA2 stream against a CA1 saturated flow: priority resolution
-        // gives the CA2 stream near-exclusive access while it has frames.
-        let mut s = sim(SimConfig::default());
-        let hi = s.add_flow(
-            Flow::unicast(
-                0,
-                2,
-                TrafficSource::new(
-                    TrafficPattern::Cbr {
-                        rate_bps: 10_000_000.0, // 10 Mb/s HD stream
-                        pkt_bytes: 1500,
-                    },
-                    Time::ZERO,
-                ),
-            )
-            .with_priority(Priority::Ca2),
-        );
-        let lo = s.add_flow(Flow::unicast(1, 3, TrafficSource::iperf_saturated()));
-        s.run_until(Time::from_secs(3));
-        let hi_rate = s.take_delivered(hi).len() as f64 * 1500.0 * 8.0 / 3.0 / 1e6;
-        let lo_rate = s.take_delivered(lo).len() as f64 * 1500.0 * 8.0 / 3.0 / 1e6;
-        // The CA2 stream holds its rate despite the saturated CA1
-        // competitor (whose long frames it must still wait out between
-        // wins); the CA1 flow picks up the leftovers.
-        assert!((hi_rate - 10.0).abs() < 2.0, "hi_rate={hi_rate}");
-        assert!(lo_rate > 1.0, "lo_rate={lo_rate}");
-    }
-
-    #[test]
-    fn priority_ordering_is_total() {
-        assert!(Priority::Ca3 > Priority::Ca2);
-        assert!(Priority::Ca2 > Priority::Ca1);
-        assert!(Priority::Ca1 > Priority::Ca0);
     }
 
     #[test]

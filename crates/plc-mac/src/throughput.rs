@@ -19,68 +19,32 @@
 
 use crate::csma::CW_TABLE;
 use crate::timing;
-use serde::{Deserialize, Serialize};
 
-/// Efficiency knobs of the analytic model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MacModel {
-    /// Fraction of a frame's airtime that carries useful payload bits
-    /// after PB headers, frame padding and slot-boundary truncation.
-    pub frame_efficiency: f64,
-    /// Extra per-exchange dead time beyond the standard IFSs (management
-    /// traffic, tone-map exchanges, aggregation-timer slack), µs.
-    pub extra_overhead_us: f64,
-    /// Collision-induced efficiency per additional contender.
-    pub contention_factor: f64,
-}
-
-impl Default for MacModel {
-    fn default() -> Self {
-        MacModel {
-            frame_efficiency: 0.82,
-            extra_overhead_us: 150.0,
-            contention_factor: 0.94,
-        }
-    }
-}
+/// Collision-induced efficiency per additional contender.
+const CONTENTION_FACTOR: f64 = 0.94;
 
 /// Expected saturation UDP goodput (Mb/s) of a link whose current average
 /// BLE is `ble_mbps` and PB error rate is `pberr`, with `n_contenders`
 /// saturated stations sharing the medium (including this one).
 pub fn saturation_throughput_mbps(ble_mbps: f64, pberr: f64, n_contenders: usize) -> f64 {
-    saturation_throughput_with(MacModel::default(), ble_mbps, pberr, n_contenders)
-}
-
-/// [`saturation_throughput_mbps`] with explicit model constants.
-pub fn saturation_throughput_with(
-    model: MacModel,
-    ble_mbps: f64,
-    pberr: f64,
-    n_contenders: usize,
-) -> f64 {
     if ble_mbps <= 0.0 {
         return 0.0;
     }
     let frame_us = timing::MAX_FRAME.as_micros_f64();
     // Mean stage-0 backoff: (CW0 − 1)/2 slots.
     let backoff_us = (CW_TABLE[0] as f64 - 1.0) / 2.0 * timing::SLOT.as_micros_f64();
-    let overhead_us =
-        timing::frame_exchange_overhead().as_micros_f64() + backoff_us + model.extra_overhead_us;
+    let overhead_us = timing::frame_exchange_overhead().as_micros_f64()
+        + backoff_us
+        + timing::EXCHANGE_EXTRA.as_micros_f64();
     let cycle_us = frame_us + overhead_us;
-    let payload_mbps = ble_mbps * (frame_us / cycle_us) * model.frame_efficiency;
+    let payload_mbps = ble_mbps * (frame_us / cycle_us) * timing::FRAME_EFFICIENCY;
     // Errored PBs are retransmitted: goodput scales by (1 − pberr).
     let after_errors = payload_mbps * (1.0 - pberr.clamp(0.0, 1.0));
     // Beacon region steals a fixed share of the medium.
     let after_beacons = after_errors * timing::csma_region_fraction();
     // Contention: share the medium and pay a small collision tax.
     let n = n_contenders.max(1) as f64;
-    after_beacons / n * model.contention_factor.powf(n - 1.0)
-}
-
-/// Invert the paper's Fig. 15 relation: estimate the available UDP
-/// throughput from a BLE reading alone (single saturated flow).
-pub fn throughput_from_ble_fig15(ble_mbps: f64) -> f64 {
-    ((ble_mbps + 0.65) / 1.7).max(0.0)
+    after_beacons / n * CONTENTION_FACTOR.powf(n - 1.0)
 }
 
 #[cfg(test)]
@@ -130,14 +94,6 @@ mod tests {
         let four = saturation_throughput_mbps(100.0, 0.02, 4);
         assert!(two < alone * 0.55 && two > alone * 0.40, "two={two}");
         assert!(four < two, "four={four} two={two}");
-    }
-
-    #[test]
-    fn fig15_inverse_roundtrips() {
-        let ble = 100.0;
-        let t = throughput_from_ble_fig15(ble);
-        assert!((1.7 * t - 0.65 - ble).abs() < 1e-9);
-        assert_eq!(throughput_from_ble_fig15(-10.0), 0.0);
     }
 
     #[test]

@@ -32,6 +32,17 @@ pub const MAX_FRAME: Duration = Duration::from_nanos(2_501_120);
 /// associated management region: the medium is unavailable to CSMA data.
 pub const BEACON_REGION: Duration = Duration::from_micros(3_200);
 
+/// Fraction of a frame's airtime carrying useful payload bits after PB
+/// padding, partial last symbols and tone-map-slot truncation. Calibrated
+/// together with [`EXCHANGE_EXTRA`] so saturation goodput matches the
+/// paper's Fig. 15 fit, BLE = 1.7 T − 0.65; the event simulation and the
+/// analytic model in `throughput` both read it.
+pub(crate) const FRAME_EFFICIENCY: f64 = 0.82;
+
+/// Extra per-exchange dead time beyond the standard IFSs (management
+/// traffic, tone-map exchange, aggregation slack).
+pub(crate) const EXCHANGE_EXTRA: Duration = Duration::from_micros(150);
+
 /// The fixed overhead of one successful frame exchange, excluding backoff
 /// slots and the frame payload itself:
 /// PRS0 + PRS1 + preamble + RIFS + SACK + CIFS.

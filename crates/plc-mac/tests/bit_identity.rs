@@ -7,13 +7,13 @@
 //!
 //! The golden tests pin the figure-shaped workloads (Fig. 9 sniffer
 //! captures, Fig. 16 / Table 3 saturated meshes, Fig. 21 broadcast,
-//! Fig. 22 retransmission counts, priority and ablation variants); the
+//! Fig. 22 retransmission counts, finite-source and ablation variants); the
 //! proptest sweeps topology size, traffic mix, seed, queue capacity and
 //! ablation flags. Everything funnels into one FNV-style digest over the
 //! raw bits of every observable, so any divergence — a reordered RNG
 //! draw, an off-by-one symbol count, a drifted estimate — flips the hash.
 
-use plc_mac::sim::{Flow, PlcSim, Priority, SimConfig, StationId};
+use plc_mac::sim::{Flow, PlcSim, SimConfig, StationId};
 use proptest::prelude::*;
 use simnet::appliance::ApplianceKind;
 use simnet::grid::Grid;
@@ -30,7 +30,6 @@ struct FlowSpec {
     dst: Option<StationId>,
     pattern: TrafficPattern,
     start_ms: u64,
-    priority: Priority,
 }
 
 #[derive(Clone, Debug)]
@@ -78,8 +77,7 @@ fn build(scn: &Scenario) -> (PlcSim, Vec<usize>) {
         let flow = match fs.dst {
             Some(d) => Flow::unicast(fs.src, d, source),
             None => Flow::broadcast(fs.src, source),
-        }
-        .with_priority(fs.priority);
+        };
         handles.push(sim.add_flow(flow));
     }
     (sim, handles)
@@ -209,7 +207,6 @@ fn golden_fig9_sniffed_saturated_pair() {
             dst: Some(2),
             pattern: saturated(),
             start_ms: 0,
-            priority: Priority::Ca1,
         }],
         cfg: SimConfig {
             sniffer: true,
@@ -229,7 +226,6 @@ fn golden_fig16_saturated_mesh() {
             dst: Some((i + 1) % 10),
             pattern: saturated(),
             start_ms: 0,
-            priority: Priority::Ca1,
         })
         .collect();
     assert_bit_identical(Scenario {
@@ -252,7 +248,6 @@ fn golden_fig22_probes_with_background() {
                 dst: Some(4),
                 pattern: probe(),
                 start_ms: 0,
-                priority: Priority::Ca1,
             },
             FlowSpec {
                 src: 1,
@@ -263,7 +258,6 @@ fn golden_fig22_probes_with_background() {
                     burst_len: 8,
                 },
                 start_ms: 20,
-                priority: Priority::Ca1,
             },
         ],
         cfg: SimConfig::default(),
@@ -285,18 +279,17 @@ fn golden_fig21_broadcast_probes() {
                 pkt_bytes: 1500,
             },
             start_ms: 0,
-            priority: Priority::Ca1,
         }],
         cfg: SimConfig::default(),
         run_ms: 2_000,
     });
 }
 
-/// File transfer (finite source) + CA2 priority probe: exercises
-/// priority resolution, the source-exhaustion path of the arrival cache,
-/// and flow completion.
+/// File transfer (finite source) + a probe from another station:
+/// exercises the source-exhaustion path of the arrival cache and flow
+/// completion.
 #[test]
-fn golden_file_transfer_with_priority_probe() {
+fn golden_file_transfer_with_probe() {
     assert_bit_identical(Scenario {
         n_stations: 4,
         flows: vec![
@@ -308,14 +301,12 @@ fn golden_file_transfer_with_priority_probe() {
                     pkt_bytes: 1500,
                 },
                 start_ms: 0,
-                priority: Priority::Ca1,
             },
             FlowSpec {
                 src: 1,
                 dst: Some(2),
                 pattern: probe(),
                 start_ms: 5,
-                priority: Priority::Ca2,
             },
         ],
         cfg: SimConfig::default(),
@@ -336,7 +327,6 @@ fn golden_tiny_queue_cap() {
                 dst: Some(2),
                 pattern: saturated(),
                 start_ms: 0,
-                priority: Priority::Ca1,
             }],
             cfg: SimConfig {
                 queue_cap_pbs: 1,
@@ -358,7 +348,6 @@ fn golden_deferral_ablation_collisions() {
             dst: Some((i + 2) % 4),
             pattern: saturated(),
             start_ms: 0,
-            priority: Priority::Ca1,
         })
         .collect();
     assert_bit_identical(Scenario {
@@ -376,11 +365,11 @@ fn golden_deferral_ablation_collisions() {
 // ----- Property-based sweep -----
 
 /// Raw per-flow draw: ((src, dst), (pattern kind, pattern parameter),
-/// (is-broadcast, is-CA2), start ms). Decoded by [`decode_flow`].
-type RawFlow = ((u16, u16), (u8, u64), (bool, bool), u64);
+/// is-broadcast, start ms). Decoded by [`decode_flow`].
+type RawFlow = ((u16, u16), (u8, u64), bool, u64);
 
 fn decode_flow(n_stations: u16, raw: RawFlow) -> FlowSpec {
-    let ((src_raw, dst_raw), (kind, param), (bcast, ca2), start_ms) = raw;
+    let ((src_raw, dst_raw), (kind, param), bcast, start_ms) = raw;
     let src = src_raw % n_stations;
     let dst_candidate = dst_raw % n_stations;
     let dst = if bcast {
@@ -411,7 +400,6 @@ fn decode_flow(n_stations: u16, raw: RawFlow) -> FlowSpec {
         dst,
         pattern,
         start_ms,
-        priority: if ca2 { Priority::Ca2 } else { Priority::Ca1 },
     }
 }
 
@@ -450,7 +438,7 @@ proptest! {
     fn prop_optimized_matches_reference(
         n_stations in 3u16..7,
         raw_flows in collection::vec(
-            ((0u16..6, 0u16..6), (0u8..4, any::<u64>()), (any::<bool>(), any::<bool>()), 0u64..50),
+            ((0u16..6, 0u16..6), (0u8..4, any::<u64>()), any::<bool>(), 0u64..50),
             1..4,
         ),
         (seed, sniffer, disable_deferral) in (any::<u64>(), any::<bool>(), any::<bool>()),
@@ -467,7 +455,7 @@ proptest! {
     fn prop_chunked_stepping_matches(
         n_stations in 3u16..7,
         raw_flows in collection::vec(
-            ((0u16..6, 0u16..6), (0u8..4, any::<u64>()), (any::<bool>(), any::<bool>()), 0u64..50),
+            ((0u16..6, 0u16..6), (0u8..4, any::<u64>()), any::<bool>(), 0u64..50),
             1..3,
         ),
         (seed, sniffer, disable_deferral) in (any::<u64>(), any::<bool>(), any::<bool>()),

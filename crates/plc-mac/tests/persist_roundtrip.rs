@@ -16,7 +16,7 @@
 //!   header — still decodes to a state that re-encodes identically.
 
 use electrifi_state::{PersistValue, SectionReader, SectionWriter, SnapshotReader, SnapshotWriter};
-use plc_mac::sim::{Flow, PlcSim, Priority, SimConfig, StationId};
+use plc_mac::sim::{Flow, PlcSim, SimConfig, StationId};
 use proptest::collection;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -40,7 +40,6 @@ struct FlowSpec {
     dst: Option<StationId>,
     pattern: TrafficPattern,
     start_ms: u64,
-    priority: Priority,
 }
 
 #[derive(Clone, Debug)]
@@ -104,8 +103,7 @@ fn build(scn: &Scenario) -> (PlcSim, Vec<usize>, Rc<RefCell<VecSink>>) {
         let flow = match fs.dst {
             Some(d) => Flow::unicast(fs.src, d, source),
             None => Flow::broadcast(fs.src, source),
-        }
-        .with_priority(fs.priority);
+        };
         handles.push(sim.add_flow(flow));
     }
     let sink = Rc::new(RefCell::new(VecSink::default()));
@@ -214,10 +212,10 @@ fn load_into(bytes: &[u8], sim: &mut PlcSim) -> Result<(), electrifi_state::Stat
     SnapshotReader::from_bytes(bytes)?.load("mac.sim", sim)
 }
 
-type RawFlow = ((u16, u16), (u8, u64), (bool, bool), u64);
+type RawFlow = ((u16, u16), (u8, u64), bool, u64);
 
 fn decode_flow(n_stations: u16, raw: RawFlow) -> FlowSpec {
-    let ((src_raw, dst_raw), (kind, param), (bcast, ca2), start_ms) = raw;
+    let ((src_raw, dst_raw), (kind, param), bcast, start_ms) = raw;
     let src = src_raw % n_stations;
     let dst_candidate = dst_raw % n_stations;
     let dst = if bcast {
@@ -248,7 +246,6 @@ fn decode_flow(n_stations: u16, raw: RawFlow) -> FlowSpec {
         dst,
         pattern,
         start_ms,
-        priority: if ca2 { Priority::Ca2 } else { Priority::Ca1 },
     }
 }
 
@@ -286,7 +283,7 @@ proptest! {
     fn prop_plcsim_reencode_is_byte_identical(
         n_stations in 3u16..6,
         raw_flows in collection::vec(
-            ((0u16..6, 0u16..6), (0u8..4, any::<u64>()), (any::<bool>(), any::<bool>()), 0u64..40),
+            ((0u16..6, 0u16..6), (0u8..4, any::<u64>()), any::<bool>(), 0u64..40),
             SCN_FLOWS,
         ),
         (seed, sniffer) in (any::<u64>(), any::<bool>()),
@@ -308,7 +305,7 @@ proptest! {
     fn prop_resumed_sim_is_bit_identical(
         n_stations in 3u16..6,
         raw_flows in collection::vec(
-            ((0u16..6, 0u16..6), (0u8..4, any::<u64>()), (any::<bool>(), any::<bool>()), 0u64..40),
+            ((0u16..6, 0u16..6), (0u8..4, any::<u64>()), any::<bool>(), 0u64..40),
             SCN_FLOWS,
         ),
         (seed, sniffer) in (any::<u64>(), any::<bool>()),
@@ -433,7 +430,6 @@ fn tiny_scenario(seed: u64) -> Scenario {
                 dst: Some(2),
                 pattern: TrafficPattern::Saturated { pkt_bytes: 1500 },
                 start_ms: 0,
-                priority: Priority::Ca1,
             },
             FlowSpec {
                 src: 1,
@@ -443,7 +439,6 @@ fn tiny_scenario(seed: u64) -> Scenario {
                     pkt_bytes: 1500,
                 },
                 start_ms: 3,
-                priority: Priority::Ca2,
             },
         ],
         cfg: SimConfig {
@@ -471,7 +466,6 @@ fn resumed_ring_emits_the_uninterrupted_event_stream() {
                 pkt_bytes: 1300,
             },
             start_ms: i as u64,
-            priority: Priority::Ca1,
         })
         .collect();
     let scn = Scenario {

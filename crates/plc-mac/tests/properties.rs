@@ -1,12 +1,11 @@
 //! Property-based tests for the IEEE 1901 MAC building blocks.
 
 use plc_mac::csma::{BackoffState, CW_TABLE, DC_TABLE};
-use plc_mac::frame::{classify_retransmissions, SofDelimiter, SofRecord};
 use plc_mac::pb::{pbs_for_packet, QueuedPb, Reassembler, PB_PAYLOAD_BYTES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simnet::time::{Duration, Time};
+use simnet::time::Time;
 
 proptest! {
     /// PB segmentation covers the payload exactly: count × 512 ≥ bytes,
@@ -66,39 +65,6 @@ proptest! {
             prop_assert!(s.stage() < CW_TABLE.len());
             prop_assert!(s.backoff_slots() < CW_TABLE[s.stage()]);
             prop_assert!(s.deferral_counter() <= DC_TABLE[s.stage()]);
-        }
-    }
-
-    /// The retransmission classifier never marks the first frame of a
-    /// link, and flags exactly the frames whose same-link gap is under
-    /// the threshold.
-    #[test]
-    fn retransmission_classifier_is_exact(
-        gaps in proptest::collection::vec(0u64..50, 1..100),
-        threshold_ms in 1u64..20,
-    ) {
-        let mut t = 0u64;
-        let records: Vec<SofRecord> = gaps
-            .iter()
-            .map(|&g| {
-                t += g;
-                SofRecord {
-                    t: Time::from_millis(t),
-                    sof: SofDelimiter {
-                        src: 1,
-                        dst: 2,
-                        ble_mbps: 50.0,
-                        tonemap_id: 0,
-                        slot: 0,
-                        n_symbols: 1,
-                    },
-                }
-            })
-            .collect();
-        let flags = classify_retransmissions(&records, Duration::from_millis(threshold_ms));
-        prop_assert!(!flags[0]);
-        for (i, &g) in gaps.iter().enumerate().skip(1) {
-            prop_assert_eq!(flags[i], g < threshold_ms, "index {}", i);
         }
     }
 

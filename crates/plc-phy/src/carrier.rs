@@ -30,11 +30,6 @@ pub enum PlcTechnology {
     /// HomePlug AV500 (wideband AV as in the Netgear XAVB5101 / QCA7400):
     /// 1.8–68 MHz. Validation devices in the paper.
     HpAv500,
-    /// HomePlug GreenPHY: the low-rate home-automation profile (paper
-    /// footnote 1). Same band and carriers as HPAV but restricted to the
-    /// ROBO modes — QPSK everywhere with repetition — topping out around
-    /// 10 Mb/s.
-    GreenPhy,
 }
 
 impl PlcTechnology {
@@ -46,17 +41,8 @@ impl PlcTechnology {
     /// Upper band edge in MHz.
     pub fn band_end_mhz(self) -> f64 {
         match self {
-            PlcTechnology::HpAv | PlcTechnology::GreenPhy => 30.0,
+            PlcTechnology::HpAv => 30.0,
             PlcTechnology::HpAv500 => 68.0,
-        }
-    }
-
-    /// The most aggressive per-carrier modulation this profile may load.
-    /// GreenPHY is restricted to the robust QPSK modes.
-    pub fn max_modulation(self) -> crate::modulation::Modulation {
-        match self {
-            PlcTechnology::HpAv | PlcTechnology::HpAv500 => crate::modulation::Modulation::Qam1024,
-            PlcTechnology::GreenPhy => crate::modulation::Modulation::Qpsk,
         }
     }
 
@@ -64,7 +50,7 @@ impl PlcTechnology {
     /// scales the same usable-carrier density over its wider band.
     pub fn carrier_count(self) -> usize {
         match self {
-            PlcTechnology::HpAv | PlcTechnology::GreenPhy => 917,
+            PlcTechnology::HpAv => 917,
             // (68 - 1.8) / (30 - 1.8) * 917 ≈ 2153 usable carriers.
             PlcTechnology::HpAv500 => 2153,
         }
@@ -174,18 +160,6 @@ mod tests {
         assert!(plan.freq_mhz(plan.len() - 1) < 68.0);
         // Same band start.
         assert!((plan.freq_mhz(0) - PlcTechnology::HpAv.carrier_plan().freq_mhz(0)).abs() < 0.2);
-    }
-
-    #[test]
-    fn greenphy_shares_the_hpav_band_but_not_its_rates() {
-        let gp = PlcTechnology::GreenPhy;
-        assert_eq!(gp.carrier_count(), PlcTechnology::HpAv.carrier_count());
-        assert_eq!(gp.band_end_mhz(), 30.0);
-        assert_eq!(gp.max_modulation(), crate::modulation::Modulation::Qpsk);
-        assert_eq!(
-            PlcTechnology::HpAv.max_modulation(),
-            crate::modulation::Modulation::Qam1024
-        );
     }
 
     #[test]

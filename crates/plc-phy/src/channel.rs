@@ -195,7 +195,6 @@ pub struct SnrSpectrum {
 
 impl SnrSpectrum {
     /// An empty spectrum buffer, for reuse with
-    /// [`PlcChannel::spectrum_into`] /
     /// [`PlcChannel::spectrum_at_phase_into`].
     pub fn empty() -> Self {
         SnrSpectrum { snr_db: Vec::new() }
@@ -593,12 +592,6 @@ impl PlcChannel {
     /// mains-synchronous noise evaluated at the *actual* phase of `t`.
     pub fn spectrum(&self, dir: LinkDir, t: Time) -> SnrSpectrum {
         self.spectrum_at_phase(dir, t, t.half_cycle_phase())
-    }
-
-    /// Like [`PlcChannel::spectrum`], but writing into a caller-owned
-    /// buffer (cleared first) so refresh loops reuse one allocation.
-    pub fn spectrum_into(&self, dir: LinkDir, t: Time, out: &mut SnrSpectrum) {
-        self.spectrum_at_phase_into(dir, t, t.half_cycle_phase(), out);
     }
 
     /// Per-carrier SNR for one direction at instant `t`, with the
@@ -1348,7 +1341,7 @@ mod tests {
         let mut buf = SnrSpectrum::empty();
         for step in 0..4u64 {
             let t = Time::from_secs(step * 600);
-            c.spectrum_into(LinkDir::AtoB, t, &mut buf);
+            c.spectrum_at_phase_into(LinkDir::AtoB, t, t.half_cycle_phase(), &mut buf);
             let fresh = c.spectrum(LinkDir::AtoB, t);
             assert_eq!(buf.snr_db, fresh.snr_db);
         }

@@ -11,8 +11,6 @@
 use crate::modulation::{FecRate, Modulation};
 use crate::tonemap::ToneMap;
 use crate::SnrSpectrum;
-use rand::Rng;
-use simnet::rng::Distributions;
 
 /// Mean pre-FEC symbol error rate over the carriers a tone map uses,
 /// weighted by the bits each carrier carries, including the effective SNR
@@ -68,15 +66,6 @@ pub fn pb_error_prob(map: &ToneMap, spectrum: &SnrSpectrum) -> f64 {
         FecRate::SixteenTwentyFirsts => SER_KNEE_1621,
     };
     1.0 / (1.0 + (knee / ser).powf(FEC_STEEPNESS))
-}
-
-/// Draw the per-PB error pattern of a frame carrying `n_pbs` physical
-/// blocks: which PBs arrive corrupted. Used by the MAC simulation to drive
-/// selective acknowledgments.
-pub fn draw_pb_errors<R: Rng + ?Sized>(rng: &mut R, n_pbs: usize, pberr: f64) -> Vec<bool> {
-    (0..n_pbs)
-        .map(|_| Distributions::bernoulli(rng, pberr))
-        .collect()
 }
 
 #[cfg(test)]
@@ -151,21 +140,5 @@ mod tests {
         };
         assert_eq!(map.bits_per_symbol(), 0);
         assert!(pb_error_prob(&map, &spec) > 0.9);
-    }
-
-    #[test]
-    fn draw_pb_errors_matches_probability() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let draws: usize = (0..2000)
-            .map(|_| {
-                draw_pb_errors(&mut rng, 3, 0.2)
-                    .iter()
-                    .filter(|e| **e)
-                    .count()
-            })
-            .sum();
-        let frac = draws as f64 / 6000.0;
-        assert!((frac - 0.2).abs() < 0.03, "frac={frac}");
     }
 }

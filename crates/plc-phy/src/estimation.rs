@@ -36,39 +36,8 @@ use simnet::time::{Duration, Time};
 /// Bits of one physical block (512 B payload + 8 B header).
 pub const PB_BITS: u64 = 520 * 8;
 
-/// The rate ceiling of a PLC profile: which modulations, code rate and
-/// repetition the tone maps may use. HPAV data frames run up to 1024-QAM
-/// at rate 16/21; GreenPHY is restricted to its high-speed ROBO mode
-/// (QPSK, rate 1/2, 2× repetition ≈ 10 Mb/s — paper footnote 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RateProfile {
-    /// Most aggressive per-carrier modulation.
-    pub max_modulation: Modulation,
-    /// FEC code rate of data tone maps.
-    pub fec: FecRate,
-    /// Repetition factor (1 = none).
-    pub repetition: u32,
-}
-
-impl RateProfile {
-    /// HomePlug AV / AV500 data profile.
-    pub fn hpav() -> Self {
-        RateProfile {
-            max_modulation: Modulation::Qam1024,
-            fec: FecRate::SixteenTwentyFirsts,
-            repetition: 1,
-        }
-    }
-
-    /// HomePlug GreenPHY (HS-ROBO).
-    pub fn greenphy() -> Self {
-        RateProfile {
-            max_modulation: Modulation::Qpsk,
-            fec: FecRate::Half,
-            repetition: 2,
-        }
-    }
-}
+/// FEC code rate of HomePlug AV / AV500 data tone maps.
+const DATA_FEC: FecRate = FecRate::SixteenTwentyFirsts;
 
 /// Configuration of the estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -94,8 +63,6 @@ pub struct EstimatorConfig {
     pub tracking_cap: f64,
     /// Enable the AV500-style "very low BLE after bursty errors" quirk.
     pub av500_quirk: bool,
-    /// Rate ceiling of the device profile (HPAV vs GreenPHY).
-    pub profile: RateProfile,
 }
 
 impl Default for EstimatorConfig {
@@ -110,7 +77,6 @@ impl Default for EstimatorConfig {
             confidence_halflife: 450.0,
             tracking_cap: 240.0,
             av500_quirk: false,
-            profile: RateProfile::hpav(),
         }
     }
 }
@@ -352,13 +318,12 @@ impl ChannelEstimator {
                 margin += 8.0;
             }
         }
-        let profile = self.cfg.profile;
         for s in 0..TONEMAP_SLOTS {
             // Rewrite the slot's map in place: `clear` + `extend` reuses
             // the carrier buffer (always `n_carriers` long), so a
             // regeneration is heap-free — this runs inside the MAC hot
             // loop every expiry/error trigger. Field order mirrors the
-            // original `from_snr` → clamp → repetition → cap pipeline so
+            // original `from_snr` → repetition → cap pipeline so
             // the resulting maps are bit-identical.
             let map = &mut self.tonemaps.slots[s];
             map.carriers.clear();
@@ -367,16 +332,10 @@ impl ChannelEstimator {
                     .iter()
                     .map(|&snr| Modulation::select(snr, margin)),
             );
-            map.fec = profile.fec;
+            map.fec = DATA_FEC;
             map.design_pberr = self.cfg.target_pberr;
             map.id = self.next_id;
-            // Clamp to the profile's ceiling (GreenPHY never leaves QPSK).
-            for m in &mut map.carriers {
-                if *m > profile.max_modulation {
-                    *m = profile.max_modulation;
-                }
-            }
-            map.repetition = profile.repetition;
+            map.repetition = 1;
             // Sub-PB pathology: if no observed frame ever carried more
             // than one PB, there is no benefit in loading more than one PB
             // per symbol — higher rates cannot shorten a one-symbol frame,
@@ -747,26 +706,6 @@ mod tests {
             aggressive > conservative,
             "aggressive={aggressive} conservative={conservative}"
         );
-    }
-
-    #[test]
-    fn greenphy_profile_caps_ble_at_hs_robo() {
-        let cfg = EstimatorConfig {
-            profile: RateProfile::greenphy(),
-            ..EstimatorConfig::default()
-        };
-        let mut e = ChannelEstimator::new(cfg, 917);
-        let mut rng = StdRng::seed_from_u64(4);
-        let spec = SnrSpectrum {
-            snr_db: vec![45.0; 917], // an excellent channel
-        };
-        for step in 0..600 {
-            e.observe(&mut rng, step % TONEMAP_SLOTS, &spec, 20, 8);
-        }
-        e.regenerate(Time::from_secs(40), false);
-        let ble = e.ble_avg();
-        // HS-ROBO: 917 carriers x 2 bits x 1/2 rate / 2 repetition.
-        assert!((8.0..11.0).contains(&ble), "greenphy ble={ble}");
     }
 
     #[test]

@@ -28,11 +28,6 @@ use serde::{Deserialize, Serialize};
 /// Number of tone-map slots over the half mains cycle in HomePlug AV.
 pub const TONEMAP_SLOTS: usize = 6;
 
-/// Tone maps expire after this many seconds without regeneration
-/// (IEEE 1901; paper §2.1 "either when they expire (after 30 s) or when
-/// the error rate exceeds a threshold").
-pub const TONEMAP_EXPIRY_S: u64 = 30;
-
 /// A bit-loading estimate in Mb/s (bits per µs).
 pub type Ble = f64;
 
@@ -129,14 +124,6 @@ impl ToneMap {
     /// The Bit Loading Estimate of IEEE 1901 Eq. (1), in Mb/s.
     pub fn ble(&self) -> Ble {
         self.info_bits_per_symbol() * (1.0 - self.design_pberr) / SYMBOL_US
-    }
-
-    /// Number of carriers switched off.
-    pub fn carriers_off(&self) -> usize {
-        self.carriers
-            .iter()
-            .filter(|m| **m == Modulation::Off)
-            .count()
     }
 
     /// OFDM symbols needed to carry `payload_bits` information bits.
@@ -279,7 +266,6 @@ mod tests {
                 Modulation::Qam1024
             ]
         );
-        assert_eq!(tm.carriers_off(), 1);
         assert_eq!(tm.id, 3);
     }
 

@@ -48,13 +48,6 @@ impl Scenario {
     pub fn from_json_str(json: &str) -> Result<Self, ScenarioError> {
         Self::load(ScenarioSpec::from_json_str(json)?)
     }
-
-    /// Parse and materialise a scenario from a file path or a
-    /// `builtin://` URI.
-    pub fn from_path(path: &str) -> Result<Self, ScenarioError> {
-        let spec = spec_from_path(path)?;
-        Self::load(spec)
-    }
 }
 
 /// Parse a scenario spec from a file path or a `builtin://` URI (the
@@ -317,14 +310,15 @@ mod tests {
 
     #[test]
     fn builtin_path_loads_the_paper_floor() {
-        let sc = Scenario::from_path("builtin://imc2015-floor").expect("builtin resolves");
+        let spec = spec_from_path("builtin://imc2015-floor").expect("builtin resolves");
+        let sc = Scenario::load(spec).expect("builtin loads");
         assert_eq!(sc.testbed.stations.len(), 19);
         assert_eq!(sc.testbed.seed, sc.spec.seed);
     }
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let err = Scenario::from_path("/no/such/scenario.json").unwrap_err();
+        let err = spec_from_path("/no/such/scenario.json").unwrap_err();
         assert!(matches!(err, ScenarioError::Io { .. }));
     }
 }

@@ -177,17 +177,6 @@ impl ApplianceKind {
     ];
 }
 
-/// Reflection coefficient magnitude for an appliance impedance `z` against
-/// the line's characteristic impedance `z0`: `|Γ| = |z − z0| / (z + z0)`.
-///
-/// A matched load (z = z0) reflects nothing; a near-short (heater) or
-/// near-open (idle charger) reflects strongly. Reflections feed the
-/// multipath model in `plc-phy`.
-pub fn reflection_coefficient(z: f64, z0: f64) -> f64 {
-    debug_assert!(z > 0.0 && z0 > 0.0);
-    ((z - z0) / (z + z0)).abs()
-}
-
 /// Characteristic impedance assumed for indoor mains cable (ohms).
 pub const CABLE_Z0_OHMS: f64 = 85.0;
 
@@ -206,32 +195,6 @@ mod tests {
             assert!((0.0..1.0).contains(&p.sync_phase), "{kind:?}");
             assert!(p.impulse_rate_hz >= 0.0, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn reflection_is_zero_when_matched() {
-        assert_eq!(reflection_coefficient(CABLE_Z0_OHMS, CABLE_Z0_OHMS), 0.0);
-    }
-
-    #[test]
-    fn reflection_grows_with_mismatch() {
-        let matched = reflection_coefficient(90.0, CABLE_Z0_OHMS);
-        let heater = reflection_coefficient(5.0, CABLE_Z0_OHMS);
-        let open = reflection_coefficient(1e5, CABLE_Z0_OHMS);
-        assert!(matched < 0.05);
-        assert!(heater > 0.8);
-        assert!(open > 0.99);
-        assert!(heater < 1.0 && open < 1.0);
-    }
-
-    #[test]
-    fn heater_reflects_more_on_than_off_affects_channel() {
-        let p = ApplianceKind::SpaceHeater.profile();
-        let on = reflection_coefficient(p.impedance_on_ohms, CABLE_Z0_OHMS);
-        let off = reflection_coefficient(p.impedance_off_ohms, CABLE_Z0_OHMS);
-        // Both reflect strongly but in opposite directions; the *change*
-        // between states is what shifts the channel at the random scale.
-        assert!(on > 0.8 && off > 0.9);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! delivered in FIFO order of scheduling, which keeps runs bit-for-bit
 //! reproducible regardless of payload contents.
 
-use crate::obs::Registry;
 use crate::time::Time;
 use electrifi_state::{Persist, PersistValue, SectionReader, SectionWriter, StateError};
 use serde::{Deserialize, Serialize};
@@ -109,24 +108,6 @@ impl<E> EventQueue<E> {
         self.stats
     }
 
-    /// Publish the queue's statistics into `registry` under
-    /// `<prefix>.scheduled` / `.fired` / `.high_water`, plus the shared
-    /// `sim.events_fired` counter that run manifests report. Counters are
-    /// advanced by the delta since the registry last saw this queue, so
-    /// periodic republishing is safe.
-    pub fn publish_stats(&self, registry: &Registry, prefix: &str) {
-        let s = self.stats;
-        for (suffix, value) in [("scheduled", s.scheduled), ("fired", s.fired)] {
-            let c = registry.counter(&format!("{prefix}.{suffix}"));
-            c.add(value.saturating_sub(c.get()));
-        }
-        registry
-            .gauge(&format!("{prefix}.high_water"))
-            .set_max(s.high_water as f64);
-        let fired = registry.counter("sim.events_fired");
-        fired.add(s.fired.saturating_sub(fired.get()));
-    }
-
     /// The current simulation time: the firing time of the most recently
     /// popped event (or `Time::ZERO` before the first pop).
     pub fn now(&self) -> Time {
@@ -163,21 +144,6 @@ impl<E> EventQueue<E> {
                 event: e.event,
             }
         })
-    }
-
-    /// Remove and return the earliest event only if it fires at or before
-    /// `deadline`; otherwise leave the queue untouched.
-    pub fn pop_until(&mut self, deadline: Time) -> Option<ScheduledEvent<E>> {
-        if self.peek_time()? <= deadline {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
@@ -283,17 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_until_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::from_secs(1), "early");
-        q.schedule(Time::from_secs(5), "late");
-        assert_eq!(q.pop_until(Time::from_secs(2)).unwrap().event, "early");
-        assert!(q.pop_until(Time::from_secs(2)).is_none());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_until(Time::from_secs(5)).unwrap().event, "late");
-    }
-
-    #[test]
     fn interleaved_scheduling_stays_deterministic() {
         // Schedule from "two components" at interleaved times and check the
         // total order is reproducible.
@@ -335,15 +290,6 @@ mod tests {
         assert_eq!(s.scheduled, 4);
         assert_eq!(s.fired, 2);
         assert_eq!(s.high_water, 3);
-
-        let reg = crate::obs::Registry::new();
-        q.publish_stats(&reg, "simnet.queue");
-        // Republishing must not double-count.
-        q.publish_stats(&reg, "simnet.queue");
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("simnet.queue.scheduled"), 4);
-        assert_eq!(snap.counter("simnet.queue.fired"), 2);
-        assert_eq!(snap.counter("sim.events_fired"), 2);
     }
 
     #[test]

@@ -120,14 +120,6 @@ impl Floor {
             .map(|w| w.attenuation_db)
             .sum()
     }
-
-    /// Number of walls crossed on the straight line between two points.
-    pub fn walls_crossed(&self, a: Point, b: Point) -> usize {
-        self.walls
-            .iter()
-            .filter(|w| segments_intersect(a, b, w.a, w.b))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -182,11 +174,9 @@ mod tests {
         ));
         let a = Point::new(0.0, 20.0);
         let b = Point::new(15.0, 20.0);
-        assert_eq!(floor.walls_crossed(a, b), 2);
         assert!((floor.wall_attenuation_db(a, b) - 17.0).abs() < 1e-12);
         // A path that stays left of both walls crosses nothing.
         let c = Point::new(4.0, 5.0);
-        assert_eq!(floor.walls_crossed(a, c), 0);
         assert_eq!(floor.wall_attenuation_db(a, c), 0.0);
     }
 }

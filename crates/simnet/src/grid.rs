@@ -16,7 +16,6 @@
 
 use crate::appliance::{ApplianceKind, ApplianceProfile};
 use crate::schedule::Schedule;
-use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -65,16 +64,6 @@ impl AttachedAppliance {
     /// The appliance's electrical profile.
     pub fn profile(&self) -> ApplianceProfile {
         self.kind.profile()
-    }
-
-    /// Impedance presented to the line at instant `t`.
-    pub fn impedance_at(&self, t: Time) -> f64 {
-        let p = self.profile();
-        if self.schedule.is_on(t) {
-            p.impedance_on_ohms
-        } else {
-            p.impedance_off_ohms
-        }
     }
 }
 
@@ -311,11 +300,6 @@ impl Grid {
     /// Look up an appliance.
     pub fn appliance(&self, id: ApplianceId) -> &AttachedAppliance {
         &self.appliances[id.0]
-    }
-
-    /// Degree (number of cable segments) of a node.
-    pub fn degree(&self, id: NodeId) -> usize {
-        self.adj[id.0].len()
     }
 
     /// Shortest cable path between two nodes (Dijkstra). `None` when the
@@ -624,7 +608,6 @@ mod tests {
             Err(GridError::NonPositiveLength { .. })
         ));
         assert!(g.try_connect(a, b, 5.0).is_ok());
-        assert_eq!(g.degree(a), 1);
     }
 
     #[test]
@@ -681,10 +664,12 @@ mod tests {
         let o = g.add_outlet("o");
         let id = g.attach(o, ApplianceKind::SpaceHeater, Schedule::BuildingLights);
         let app = g.appliance(id);
-        // Weekday noon: on (low impedance). 3 am: off (near-open).
-        let noon = Time::from_hours(12);
-        let night = Time::from_hours(3);
-        assert!(app.impedance_at(noon) < 10.0);
-        assert!(app.impedance_at(night) > 1e4);
+        // Weekday noon: on, at its low on-impedance. 3 am: off, near-open.
+        let noon = crate::time::Time::from_hours(12);
+        let night = crate::time::Time::from_hours(3);
+        assert!(app.schedule.is_on(noon));
+        assert!(!app.schedule.is_on(night));
+        assert!(app.profile().impedance_on_ohms < 10.0);
+        assert!(app.profile().impedance_off_ohms > 1e4);
     }
 }

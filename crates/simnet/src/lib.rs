@@ -7,8 +7,8 @@
 //!   helpers (the PLC PHY is locked to the AC line cycle).
 //! * [`event`] — a deterministic discrete-event queue.
 //! * [`rng`] — reproducible, independently-seeded random-number streams and
-//!   the distributions the channel models need (normal, lognormal,
-//!   exponential, Rayleigh), implemented locally so the only external
+//!   the distributions the channel models need (normal, exponential,
+//!   Bernoulli), implemented locally so the only external
 //!   randomness dependency is the `rand` core.
 //! * [`grid`] — the electrical network: distribution boards, cables,
 //!   outlets, junctions, and the appliances plugged into them. PLC signals

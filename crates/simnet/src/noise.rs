@@ -33,7 +33,7 @@ fn smooth(x: f64) -> f64 {
 ///
 /// `eval(x)` is deterministic, continuous, has zero mean, and decorrelates
 /// over roughly one lattice unit. Scale `x` by your desired correlation
-/// time before calling, or use [`ValueNoise::eval_t`] with a period.
+/// time before calling.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ValueNoise {
     seed: u64,
@@ -53,13 +53,6 @@ impl ValueNoise {
         let a = lattice_value(self.seed, k);
         let b = lattice_value(self.seed, k + 1);
         a + (b - a) * smooth(frac)
-    }
-
-    /// Evaluate at time `t_s` seconds with correlation time `corr_s`
-    /// seconds.
-    pub fn eval_t(&self, t_s: f64, corr_s: f64) -> f64 {
-        debug_assert!(corr_s > 0.0);
-        self.eval(t_s / corr_s)
     }
 
     /// Sum of `octaves` noise layers with halving correlation times and

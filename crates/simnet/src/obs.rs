@@ -78,13 +78,6 @@ impl Gauge {
         self.0.set(v);
     }
 
-    /// Set the gauge if `v` exceeds the current value (high-water marks).
-    pub fn set_max(&self, v: f64) {
-        if v > self.0.get() {
-            self.0.set(v);
-        }
-    }
-
     /// Current value.
     pub fn get(&self) -> f64 {
         self.0.get()

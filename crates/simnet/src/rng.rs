@@ -11,7 +11,7 @@
 //!    grows.
 //!
 //! Only `rand`'s core traits are used; the distributions the channel models
-//! need (normal, lognormal, exponential, Rayleigh, Poisson) are implemented
+//! need (normal, exponential, Bernoulli) are implemented
 //! here from uniform draws, so no extra dependency is required.
 
 use electrifi_state::{Persist, PersistValue, SectionReader, SectionWriter, StateError};
@@ -50,22 +50,9 @@ impl RngPool {
         }
     }
 
-    /// The master seed this pool was built from.
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
     /// Derive a stream for a string label (e.g. `"link:3-8:noise"`).
     pub fn stream(&self, label: &str) -> StdRng {
         StdRng::seed_from_u64(splitmix(self.master ^ fnv1a(label.as_bytes())))
-    }
-
-    /// Derive a stream for a label plus numeric discriminants, avoiding
-    /// string formatting in hot paths.
-    pub fn stream_n(&self, label: &str, a: u64, b: u64) -> StdRng {
-        let mixed = splitmix(self.master ^ fnv1a(label.as_bytes()))
-            ^ splitmix(a.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(b));
-        StdRng::seed_from_u64(splitmix(mixed))
     }
 }
 
@@ -98,11 +85,6 @@ impl Distributions {
         mean + std * Self::std_normal(rng)
     }
 
-    /// Lognormal: `exp(N(mu, sigma))`.
-    pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-        Self::normal(rng, mu, sigma).exp()
-    }
-
     /// Exponential with rate `lambda` (mean `1/lambda`).
     pub fn exponential<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> f64 {
         debug_assert!(lambda > 0.0);
@@ -115,51 +97,9 @@ impl Distributions {
         -u.ln() / lambda
     }
 
-    /// Poisson-distributed count with the given mean (Knuth's method for
-    /// small means, normal approximation above 30).
-    pub fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
-        debug_assert!(mean >= 0.0);
-        if mean <= 0.0 {
-            return 0;
-        }
-        if mean > 30.0 {
-            return Self::normal(rng, mean, mean.sqrt()).round().max(0.0) as u64;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= Self::uniform(rng);
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Bernoulli trial with success probability `p` (clamped to `[0,1]`).
     pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
         Self::uniform(rng) < p.clamp(0.0, 1.0)
-    }
-
-    /// Pick an index in `0..weights.len()` with probability proportional to
-    /// the weights. All-zero or empty weights return `None`.
-    pub fn weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
-        if total <= 0.0 {
-            return None;
-        }
-        let mut x = Self::uniform(rng) * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if w.is_finite() && w > 0.0 {
-                if x < w {
-                    return Some(i);
-                }
-                x -= w;
-            }
-        }
-        // Floating-point slack: return the last positive-weight index.
-        weights.iter().rposition(|w| w.is_finite() && *w > 0.0)
     }
 }
 
@@ -280,17 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_n_discriminates() {
-        let pool = RngPool::new(7);
-        let mut a = pool.stream_n("link", 1, 2);
-        let mut b = pool.stream_n("link", 2, 1);
-        assert_ne!(
-            Distributions::uniform(&mut a),
-            Distributions::uniform(&mut b)
-        );
-    }
-
-    #[test]
     fn normal_moments() {
         let pool = RngPool::new(1);
         let mut r = pool.stream("normal");
@@ -314,46 +243,6 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         assert!((mean - 2.0).abs() < 0.1, "mean={mean}");
-    }
-
-    #[test]
-    fn poisson_mean_small_and_large() {
-        let pool = RngPool::new(3);
-        let mut r = pool.stream("poisson");
-        for target in [0.5, 4.0, 80.0] {
-            let n = 10_000;
-            let mean = (0..n)
-                .map(|_| Distributions::poisson(&mut r, target) as f64)
-                .sum::<f64>()
-                / n as f64;
-            assert!(
-                (mean - target).abs() < 0.15 * target.max(1.0),
-                "target={target} mean={mean}"
-            );
-        }
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let pool = RngPool::new(4);
-        let mut r = pool.stream("w");
-        let weights = [1.0, 0.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[Distributions::weighted_index(&mut r, &weights).unwrap()] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio={ratio}");
-    }
-
-    #[test]
-    fn weighted_index_degenerate() {
-        let pool = RngPool::new(5);
-        let mut r = pool.stream("w");
-        assert_eq!(Distributions::weighted_index(&mut r, &[]), None);
-        assert_eq!(Distributions::weighted_index(&mut r, &[0.0, 0.0]), None);
-        assert_eq!(Distributions::weighted_index(&mut r, &[0.0, 2.0]), Some(1));
     }
 
     #[test]

@@ -211,39 +211,6 @@ impl Schedule {
             }
         }
     }
-
-    /// Fraction of a long window around `t` (one hour) this schedule is
-    /// expected to be on — a smooth "load level" for analytic models.
-    pub fn duty_at(&self, t: Time) -> f64 {
-        match *self {
-            Schedule::AlwaysOn => 1.0,
-            Schedule::BuildingLights => {
-                if self.is_on(t) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Schedule::OfficeHours { .. } => {
-                if t.is_weekend() {
-                    0.05
-                } else {
-                    let h = t.hour_of_day();
-                    if (9.0..18.0).contains(&h) {
-                        1.0
-                    } else if (7.0..9.0).contains(&h) {
-                        (h - 7.0) / 2.0
-                    } else if (18.0..19.5).contains(&h) {
-                        (19.5 - h) / 1.5
-                    } else {
-                        0.0
-                    }
-                }
-            }
-            Schedule::DutyCycle { on_s, off_s, .. } => on_s as f64 / (on_s + off_s) as f64,
-            Schedule::Sporadic { p_active, .. } => p_active * working_activity(t),
-        }
-    }
 }
 
 /// Conservative "next boundary" filter for float-derived candidates.
@@ -300,7 +267,6 @@ mod tests {
     fn always_on_is_always_on() {
         assert!(Schedule::AlwaysOn.is_on(Time::ZERO));
         assert!(Schedule::AlwaysOn.is_on(at(6, 3.0)));
-        assert_eq!(Schedule::AlwaysOn.duty_at(Time::ZERO), 1.0);
     }
 
     #[test]
@@ -341,7 +307,6 @@ mod tests {
         }
         let frac = on as f64 / total as f64;
         assert!((frac - 0.25).abs() < 0.03, "frac={frac}");
-        assert!((s.duty_at(Time::ZERO) - 0.25).abs() < 1e-12);
     }
 
     #[test]

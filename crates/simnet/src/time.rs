@@ -102,13 +102,6 @@ impl Time {
         self.0 / 1_000_000
     }
 
-    /// Phase within the mains cycle, in `[0, 1)`. Phase 0 is the positive
-    /// zero crossing at t = 0; the simulation is mains-locked by
-    /// construction.
-    pub fn mains_phase(self) -> f64 {
-        (self.0 % MAINS_CYCLE.0) as f64 / MAINS_CYCLE.0 as f64
-    }
-
     /// Phase within the *half* mains cycle, in `[0, 1)`. Tone-map slots are
     /// laid out over this interval.
     pub fn half_cycle_phase(self) -> f64 {
@@ -343,11 +336,12 @@ mod tests {
 
     #[test]
     fn mains_phase_wraps() {
-        assert_eq!(Time::ZERO.mains_phase(), 0.0);
-        let quarter = Time::from_micros(5_000);
-        assert!((quarter.mains_phase() - 0.25).abs() < 1e-12);
-        let wrapped = Time::from_micros(25_000);
-        assert!((wrapped.mains_phase() - 0.25).abs() < 1e-12);
+        // Phase 0 is the zero crossing at t = 0; the half cycle is 10 ms.
+        assert_eq!(Time::ZERO.half_cycle_phase(), 0.0);
+        let quarter = Time::from_micros(2_500);
+        assert!((quarter.half_cycle_phase() - 0.25).abs() < 1e-12);
+        let wrapped = Time::from_micros(12_500);
+        assert!((wrapped.half_cycle_phase() - 0.25).abs() < 1e-12);
     }
 
     #[test]

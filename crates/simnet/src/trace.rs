@@ -73,11 +73,6 @@ impl Series {
         &self.points
     }
 
-    /// Values only.
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.points.iter().map(|p| p.1)
-    }
-
     /// Mean and standard deviation over the whole series.
     pub fn stats(&self) -> RunningStats {
         let mut s = RunningStats::new();
@@ -128,36 +123,6 @@ impl Series {
             .filter(|(_, s)| s.count() > 0)
             .map(|(h, s)| (h as u32, s))
             .collect()
-    }
-
-    /// Inter-arrival times between consecutive samples whose value differs
-    /// from the previous one by more than `epsilon` — used for the paper's
-    /// tone-map update inter-arrival metric α (Fig. 11).
-    pub fn change_interarrivals(&self, epsilon: f64) -> Vec<Duration> {
-        let mut out = Vec::new();
-        let mut last_change: Option<(Time, f64)> = None;
-        for &(t, v) in &self.points {
-            match last_change {
-                None => last_change = Some((t, v)),
-                Some((t0, v0)) => {
-                    if (v - v0).abs() > epsilon {
-                        out.push(t - t0);
-                        last_change = Some((t, v));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Serialize to CSV with a `time_s,value` header.
-    pub fn to_csv(&self) -> String {
-        let mut s = String::with_capacity(self.points.len() * 24 + 16);
-        s.push_str("time_s,value\n");
-        for &(t, v) in &self.points {
-            s.push_str(&format!("{:.6},{:.6}\n", t.as_secs_f64(), v));
-        }
-        s
     }
 }
 
@@ -234,18 +199,6 @@ mod tests {
         assert_eq!(all[0].1.count(), 2);
     }
 
-    #[test]
-    fn change_interarrivals_detects_updates() {
-        let mut s = Series::new("ble");
-        s.push(Time::from_secs(0), 50.0);
-        s.push(Time::from_secs(1), 50.0); // no change
-        s.push(Time::from_secs(2), 52.0); // change after 2 s
-        s.push(Time::from_secs(5), 52.0);
-        s.push(Time::from_secs(7), 49.0); // change after 5 s
-        let gaps = s.change_interarrivals(0.5);
-        assert_eq!(gaps, vec![Duration::from_secs(2), Duration::from_secs(5)]);
-    }
-
     // The out-of-order path debug_asserts, so its counting behaviour is
     // only observable in release builds (`cargo test --release`).
     #[cfg(not(debug_assertions))]
@@ -262,14 +215,5 @@ mod tests {
         });
         assert_eq!(dropped, 1);
         assert_eq!(obs.registry().snapshot().counter("simnet.trace.dropped"), 1);
-    }
-
-    #[test]
-    fn csv_roundtrip_shape() {
-        let mut s = Series::new("x");
-        s.push(Time::from_millis(1500), 2.5);
-        let csv = s.to_csv();
-        assert!(csv.starts_with("time_s,value\n"));
-        assert!(csv.contains("1.500000,2.500000"));
     }
 }

@@ -150,8 +150,8 @@ proptest! {
     fn rng_streams_distinct(seed in any::<u64>(), a in 0u64..1_000, b in 0u64..1_000) {
         prop_assume!(a != b);
         let pool = RngPool::new(seed);
-        let mut ra = pool.stream_n("s", a, 0);
-        let mut rb = pool.stream_n("s", b, 0);
+        let mut ra = pool.stream(&format!("s:{a}"));
+        let mut rb = pool.stream(&format!("s:{b}"));
         let xa = simnet::rng::Distributions::uniform(&mut ra);
         let xb = simnet::rng::Distributions::uniform(&mut rb);
         prop_assert_ne!(xa, xb);

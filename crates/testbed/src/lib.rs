@@ -54,20 +54,6 @@ pub enum PlcNetwork {
     Net(u16),
 }
 
-impl PlcNetwork {
-    /// The statically pinned central coordinator of this network, when
-    /// one exists (the paper pins CCos with the Open Powerline Toolkit,
-    /// §3.1). Generated networks have no static pin — use
-    /// [`Testbed::cco`] to resolve one from the membership.
-    pub fn pinned_cco(self) -> Option<StationId> {
-        match self {
-            PlcNetwork::A => Some(11),
-            PlcNetwork::B => Some(15),
-            PlcNetwork::Net(_) => None,
-        }
-    }
-}
-
 /// One testbed station.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Station {
@@ -315,20 +301,6 @@ impl Testbed {
             .unwrap_or_else(|| panic!("unknown station {id}"))
     }
 
-    /// The central coordinator of a logical network: its statically
-    /// pinned CCo when defined and present, otherwise the lowest station
-    /// id of the network's members (the 1901 tie-break, see
-    /// `plc_mac::cco::elect_cco`). `None` for an empty network.
-    pub fn cco(&self, network: PlcNetwork) -> Option<StationId> {
-        let members = self.network_members(network);
-        if let Some(pinned) = network.pinned_cco() {
-            if members.contains(&pinned) {
-                return Some(pinned);
-            }
-        }
-        members.first().copied()
-    }
-
     /// Stations of one logical PLC network, in id order.
     pub fn network_members(&self, network: PlcNetwork) -> Vec<StationId> {
         self.stations
@@ -376,12 +348,6 @@ impl Testbed {
             .filter(|s| s.network == network)
             .map(|s| (s.id, s.outlet))
             .collect()
-    }
-
-    /// Position bindings `(id, pos)` for all stations — the input
-    /// `wifi80211::sim::WifiSim::new` expects.
-    pub fn wifi_positions(&self) -> Vec<(StationId, Point)> {
-        self.stations.iter().map(|s| (s.id, s.pos)).collect()
     }
 
     /// Cable distance between two stations, metres.
@@ -469,12 +435,8 @@ mod tests {
         assert_eq!(t.stations.len(), 19);
         assert_eq!(t.network_members(PlcNetwork::A).len(), 12);
         assert_eq!(t.network_members(PlcNetwork::B).len(), 7);
-        assert_eq!(t.cco(PlcNetwork::A), Some(11));
-        assert_eq!(t.cco(PlcNetwork::B), Some(15));
-        assert_eq!(PlcNetwork::A.pinned_cco(), Some(11));
-        assert_eq!(PlcNetwork::Net(0).pinned_cco(), None);
         // Generated networks have no members on the paper floor.
-        assert_eq!(t.cco(PlcNetwork::Net(0)), None);
+        assert!(t.network_members(PlcNetwork::Net(0)).is_empty());
     }
 
     #[test]
@@ -597,6 +559,5 @@ mod tests {
         let t = tb();
         assert_eq!(t.plc_outlets(PlcNetwork::A).len(), 12);
         assert_eq!(t.plc_outlets(PlcNetwork::B).len(), 7);
-        assert_eq!(t.wifi_positions().len(), 19);
     }
 }

@@ -220,14 +220,6 @@ impl WifiSim {
         self.now
     }
 
-    /// Jump the clock forward to `t` (e.g. to start an experiment at a
-    /// specific time of day, since channel statistics are
-    /// activity-dependent). Panics when moving backwards.
-    pub fn warp_to(&mut self, t: Time) {
-        assert!(t >= self.now, "cannot warp backwards");
-        self.now = t;
-    }
-
     fn idx(&self, id: StationId) -> usize {
         *self
             .index
@@ -619,14 +611,17 @@ mod tests {
             &floor,
             &[(0, Point::new(0.0, 0.0)), (1, Point::new(14.0, 3.0))],
         );
+        // Start at weekday 10:00: the idle medium skips to the source's
+        // first packet.
+        let start = Time::from_hours(10);
         let f = s.add_flow(WifiFlow {
             src: 0,
             dst: 1,
-            source: TrafficSource::iperf_saturated(),
+            source: TrafficSource::new(
+                simnet::traffic::TrafficPattern::Saturated { pkt_bytes: 1500 },
+                start,
+            ),
         });
-        // Start at weekday 10:00 by offsetting the run window.
-        let start = Time::from_hours(10);
-        s.warp_to(start);
         s.run_until(start + Duration::from_secs(20));
         let delivered = s.take_delivered(f);
         let mut bins = vec![0.0f64; 200];

@@ -241,9 +241,22 @@ echo "== bench smoke gates (correctness invariants only) =="
 # spectrum hot path, and the bit-identity digests on every change. Each
 # bin gates its own report and exits 1 on a failure; timing ratios are
 # only gated by a full (un-smoked) run of the same bins.
-cargo build --release -q -p electrifi-bench --bin bench_mac --bin bench_channel
+cargo build --release -q -p electrifi-bench --bin bench_mac --bin bench_channel --bin bench_state
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_mac
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_channel
+# Snapshot identity: bench_state asserts that a loaded MAC snapshot
+# re-encodes to the same bytes (a panic exits nonzero); five save/load
+# repetitions are enough for the check.
+ELECTRIFI_BENCH_ITERS=5 ./target/release/bench_state > /dev/null
+
+echo "== examples (each runs to completion in release) =="
+# The examples are the only callers of some library paths (the mesh
+# router, the JSONL sink), so they run here, not just compile.
+cargo build --release -q -p electrifi --examples
+for ex in quickstart blind_spot hybrid_streaming probing_planner mesh_routing obs_jsonl; do
+    ./target/release/examples/"$ex" > /dev/null 2>&1 || { echo "example $ex failed"; exit 1; }
+done
+echo "examples OK"
 
 echo "== e2ebench pinned digests (paper-quick, seed 2015) =="
 # The end-to-end benchmark checks every runner's serialized output
