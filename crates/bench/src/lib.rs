@@ -2,11 +2,10 @@
 //!
 //! One reproduction binary, `paper <name>`, renders each figure or table
 //! of the paper's evaluation from a name table (`src/bin/paper/`); the
-//! bench bins (`bench_mac`, `bench_channel`, `bench_state`) time the hot
-//! paths, and `bench_mac` and `bench_channel` gate their own reports (see
-//! [`gate`]). This library holds what they share: the [`RunGuard`] run
-//! scaffolding and the plain-text tables that print the same rows the
-//! paper reports.
+//! bench bins (`bench_mac`, `bench_channel`) time the hot paths and gate
+//! their own reports (see [`gate`]). This library holds what they share:
+//! the [`RunGuard`] run scaffolding and the plain-text tables that print
+//! the same rows the paper reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

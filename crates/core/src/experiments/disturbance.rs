@@ -5,15 +5,11 @@
 //! The sampled mediums are **pure functions of time** — the PLC side is
 //! the instantaneous BLE of an ideal tone map over the (overlaid)
 //! spectrum, the WiFi side the expected saturation goodput under the
-//! (jammed) channel — so the series is bit-identical no matter how the
-//! sampling loop is sliced: straight through, or checkpointed and resumed
-//! mid-disturbance. The only mutable state is the fault-engine cursor,
-//! the gated estimator and the accumulating series, all of which
-//! implement [`Persist`].
+//! (jammed) channel. The only mutable state is the fault-engine cursor,
+//! the gated estimator and the accumulating series.
 
 use crate::env::PaperEnv;
 use electrifi_faults::{CompiledFaults, FaultEngine, OutageProfile, SeriesSet};
-use electrifi_state::{Persist, SectionReader, SectionWriter, StateError};
 use electrifi_testbed::{PlcNetwork, StationId, Testbed};
 use hybrid1905::GatedEstimator;
 use plc_phy::channel::{LinkDir, PlcChannel};
@@ -57,7 +53,7 @@ pub struct DisturbanceConfig {
 }
 
 /// Everything one disturbance run produces.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DisturbanceOutcome {
     /// The sampled series (parallel vectors, seconds since `start`).
     pub series: SeriesSet,
@@ -71,11 +67,10 @@ pub struct DisturbanceOutcome {
 
 /// One disturbed hybrid link being sampled. Construction wires the fault
 /// profiles into the channel models; [`DisturbanceSim::run_to_end`]
-/// drives the loop, and [`Persist`] covers the dynamic state so a
-/// checkpoint taken between any two samples resumes bit-identically.
+/// drives the loop.
 #[derive(Debug, Clone)]
 pub struct DisturbanceSim {
-    // Configuration — rebuilt from the scenario on resume, not persisted.
+    // Configuration.
     plc: PlcChannel,
     dir: LinkDir,
     wifi: WifiChannel,
@@ -85,7 +80,7 @@ pub struct DisturbanceSim {
     margin_db: f64,
     target_pberr: f64,
     pair: (StationId, StationId),
-    // Dynamic state — persisted.
+    // Dynamic state.
     engine: FaultEngine,
     estimator: GatedEstimator,
     series: SeriesSet,
@@ -161,7 +156,7 @@ impl DisturbanceSim {
 
     /// Take the sample due at the current instant, then advance the
     /// clock. Returns `false` once the measurement window is exhausted.
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         let end = self.cfg.start + self.cfg.duration;
         if self.now >= end {
             return false;
@@ -209,37 +204,6 @@ impl DisturbanceSim {
             probe_holds: self.estimator.holds(),
             pair: self.pair,
         }
-    }
-}
-
-impl Persist for DisturbanceSim {
-    fn save_state(&self, w: &mut SectionWriter) {
-        self.engine.save_state(w);
-        self.estimator.save_state(w);
-        w.put_u64(self.now.as_nanos());
-        w.put_u64(self.next_probe.as_nanos());
-        w.put_u64(self.edges_fired);
-        w.put_seq(&self.series.t_s);
-        w.put_seq(&self.series.plc);
-        w.put_seq(&self.series.wifi);
-        w.put_seq(&self.series.hybrid);
-        w.put_seq(&self.series.estimate);
-        w.put_seq(&self.series.delivered);
-    }
-
-    fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError> {
-        self.engine.load_state(r)?;
-        self.estimator.load_state(r)?;
-        self.now = Time(r.get_u64()?);
-        self.next_probe = Time(r.get_u64()?);
-        self.edges_fired = r.get_u64()?;
-        self.series.t_s = r.get_vec()?;
-        self.series.plc = r.get_vec()?;
-        self.series.wifi = r.get_vec()?;
-        self.series.hybrid = r.get_vec()?;
-        self.series.estimate = r.get_vec()?;
-        self.series.delivered = r.get_vec()?;
-        Ok(())
     }
 }
 
@@ -337,30 +301,5 @@ mod tests {
 
     fn out_of_window_prefix(t_s: &[f64], bound: f64) -> usize {
         t_s.iter().take_while(|&&t| t < bound).count()
-    }
-
-    #[test]
-    fn checkpoint_resume_mid_disturbance_is_bit_identical() {
-        let env = PaperEnv::new(PAPER_SEED);
-        let t0 = Time::from_hours(10);
-        let faults = track(t0);
-        let straight = DisturbanceSim::new(&env, &faults, cfg(t0)).run_to_end();
-        // Cut at several points, including mid-trip (sample 28 ~ t=14s).
-        for cut in [1usize, 11, 26, 28, 50] {
-            let mut sim = DisturbanceSim::new(&env, &faults, cfg(t0));
-            for _ in 0..cut {
-                assert!(sim.step());
-            }
-            let mut w = SectionWriter::new();
-            sim.save_state(&mut w);
-            let bytes = w.into_bytes();
-            // Fresh sim, as a resuming process would build from config.
-            let mut resumed = DisturbanceSim::new(&env, &faults, cfg(t0));
-            let mut r = SectionReader::new("disturbance", &bytes);
-            resumed.load_state(&mut r).unwrap();
-            r.finish().unwrap();
-            let out = resumed.run_to_end();
-            assert_eq!(out, straight, "cut at sample {cut}");
-        }
     }
 }

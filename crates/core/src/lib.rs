@@ -12,7 +12,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`simnet`] | discrete-event core, electrical grid, traffic, stats |
+//! | [`simnet`] | simulation time, RNG streams, electrical grid, traffic, stats |
 //! | [`plc_phy`] | HomePlug AV PHY: carriers, tone maps, BLE, channel, estimation |
 //! | [`plc_mac`] | IEEE 1901 MAC: PBs, SACK, CSMA/CA + deferral counters |
 //! | [`wifi80211`] | 802.11n: MCS, channel, rate adaptation, DCF |

@@ -332,53 +332,6 @@ impl LinkProbeSim {
     }
 }
 
-/// Checkpointing: the channel, direction and estimator configuration are
-/// construction inputs. Persisted are the estimator's sufficient
-/// statistics, the RNG position, the PB windows and the *timestamps* of
-/// the per-slot spectrum cache; the spectrum buffers themselves are pure
-/// in (channel, time, slot phase) and recomputed on load.
-impl electrifi_state::Persist for LinkProbeSim {
-    fn save_state(&self, w: &mut electrifi_state::SectionWriter) {
-        self.est.save_state(w);
-        w.put(&self.rng);
-        w.put(&self.window);
-        w.put(&self.cumulative);
-        for entry in &self.spec_cache {
-            w.put(&entry.as_ref().map(|(at, _)| *at));
-        }
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<(), electrifi_state::StateError> {
-        // The restored estimator's tone-map ids need not match the memo's.
-        self.pberr_memo = [None; TONEMAP_SLOTS];
-        self.est.load_state(r)?;
-        self.rng = r.get()?;
-        self.window = r.get()?;
-        self.cumulative = r.get()?;
-        for (label, (total, err)) in [("window", self.window), ("cumulative", self.cumulative)] {
-            if err > total {
-                return Err(r.malformed(format!(
-                    "probe {label} counter has {err} errors of {total} PBs"
-                )));
-            }
-        }
-        for slot in 0..TONEMAP_SLOTS {
-            let at: Option<Time> = r.get()?;
-            self.spec_cache[slot] = at.map(|t| {
-                let phase = (slot as f64 + 0.5) / TONEMAP_SLOTS as f64;
-                let mut spec = SnrSpectrum::empty();
-                self.channel
-                    .spectrum_at_phase_into(self.dir, t, phase, &mut spec);
-                (t, spec)
-            });
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,34 +345,6 @@ mod tests {
             env.estimator,
             42,
         )
-    }
-
-    #[test]
-    fn persist_resumes_the_measurement_loop_bit_identically() {
-        use electrifi_state::{SnapshotReader, SnapshotWriter};
-        let mut straight = link(5, 8);
-        let mut resumed = link(5, 8);
-        let start = Time::from_hours(2);
-        let cut = straight.warmup(start, 4);
-        let mut snap = SnapshotWriter::new();
-        snap.save("probe", &straight);
-        SnapshotReader::from_bytes(&snap.to_bytes())
-            .unwrap()
-            .load("probe", &mut resumed)
-            .unwrap();
-        for k in 0..200u64 {
-            let t = cut + Duration::from_millis(k * 7);
-            let a = straight.frame(t, 1500);
-            let b = resumed.frame(t, 1500);
-            assert_eq!(a.pb_errors, b.pb_errors, "error draws diverged at {k}");
-            assert_eq!(
-                a.ble_mbps.to_bits(),
-                b.ble_mbps.to_bits(),
-                "BLE diverged at {k}"
-            );
-        }
-        assert_eq!(straight.ble_avg().to_bits(), resumed.ble_avg().to_bits());
-        assert_eq!(straight.cumulative, resumed.cumulative);
     }
 
     /// Push a frame at `t` and check its PBerr (and, every tenth frame,
@@ -453,8 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn pberr_memo_matches_recomputation_across_reset_and_restore() {
-        use electrifi_state::{SnapshotReader, SnapshotWriter};
+    fn pberr_memo_matches_recomputation_across_reset() {
         let mut l = link(5, 8);
         let mut hits = 0usize;
         let mut t = Time::from_hours(2);
@@ -468,33 +392,8 @@ mod tests {
         run(&mut l, &mut t, 200, 20);
         // A reset restarts tone-map ids at 1 while the memo is warm.
         l.reset();
-        run(&mut l, &mut t, 150, 7);
-        // Another link at another time of day: same tone-map ids, other
-        // maps, so its memo would serve a wrong PBerr after the restore.
-        let mut resumed = link(5, 8);
-        let mut other = Time::from_hours(14);
-        run(&mut resumed, &mut other, 100, 7);
-        let slot = t.tonemap_slot(TONEMAP_SLOTS);
-        let fresh_at = l.spec_cache[slot].as_ref().unwrap().0;
-        assert!(
-            t.saturating_since(fresh_at) < SPECTRUM_TTL,
-            "spectrum must be live"
-        );
-        let (id, p) = resumed.pberr_memo[slot].expect("warm memo");
-        assert_eq!(
-            id,
-            l.sender_map(slot).id,
-            "the restore must meet a colliding id"
-        );
-        assert_ne!(p.to_bits(), l.pberr_memo[slot].unwrap().1.to_bits());
-        let mut snap = SnapshotWriter::new();
-        snap.save("probe", &l);
-        SnapshotReader::from_bytes(&snap.to_bytes())
-            .unwrap()
-            .load("probe", &mut resumed)
-            .unwrap();
-        run(&mut resumed, &mut t, 200, 7);
-        assert!(hits > 300, "memo served only {hits} of 650 frames");
+        run(&mut l, &mut t, 350, 7);
+        assert!(hits > 300, "memo served only {hits} of 550 frames");
     }
 
     #[test]

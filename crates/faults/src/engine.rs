@@ -5,7 +5,6 @@ use crate::profile::{
     DropoutProfile, JamProfile, JamWindow, LinkOverlay, OutageProfile, OverlayWindow,
 };
 use crate::spec::{CouplingSpec, DisturbanceKind, DisturbanceSpec, ISOLATION_DB};
-use electrifi_state::{Persist, SectionReader, SectionWriter, StateError};
 use simnet::{Duration, Time};
 
 /// One resolved disturbance window on the absolute timeline (used by the
@@ -237,11 +236,8 @@ impl CompiledFaults {
 ///
 /// The profiles themselves are stateless; the engine only tracks which
 /// boundary events have already been consumed, so a simulation can
-/// schedule the *next* edge through `simnet`'s queue and count fired
-/// edges into `obs`. That cursor is the only mutable state, and it
-/// persists, so a checkpoint taken mid-disturbance resumes on the exact
-/// same timeline position.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// count fired edges into `obs`. That cursor is the only mutable state.
+#[derive(Debug, Clone, Default)]
 pub struct FaultEngine {
     cursor: usize,
 }
@@ -265,18 +261,6 @@ impl FaultEngine {
     /// Number of edges already consumed.
     pub fn fired(&self) -> usize {
         self.cursor
-    }
-}
-
-impl Persist for FaultEngine {
-    fn save_state(&self, w: &mut SectionWriter) {
-        w.put_u64(self.cursor as u64);
-    }
-
-    fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError> {
-        let cursor = r.get_u64()? as usize;
-        self.cursor = cursor;
-        Ok(())
     }
 }
 
@@ -363,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_cursor_advances_and_persists() {
+    fn engine_cursor_advances() {
         let cf = CompiledFaults::compile(
             &[surge("a", 1.0, 1.0, 0, 5.0), surge("b", 4.0, 1.0, 0, 5.0)],
             &[],
@@ -375,17 +359,8 @@ mod tests {
         assert_eq!(eng.fired(), 0);
         assert_eq!(eng.advance_to(&cf, Time::from_secs(2)), 2);
         assert_eq!(cf.edges()[eng.fired()], Time::from_secs(4));
-
-        // Checkpoint mid-timeline, resume into a fresh engine.
-        let mut w = SectionWriter::new();
-        eng.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut resumed = FaultEngine::new();
-        let mut r = SectionReader::new("faults", &bytes);
-        resumed.load_state(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(resumed, eng);
-        assert_eq!(resumed.advance_to(&cf, Time::from_secs(10)), 2);
-        assert_eq!(resumed.fired(), 4);
+        assert_eq!(eng.advance_to(&cf, Time::from_secs(2)), 0);
+        assert_eq!(eng.advance_to(&cf, Time::from_secs(10)), 2);
+        assert_eq!(eng.fired(), 4);
     }
 }

@@ -23,9 +23,7 @@
 //!
 //! [`CompiledFaults::compile`] turns specs into profiles anchored at a
 //! measurement start time; [`FaultEngine`] is the run-time cursor over
-//! the boundary-event timeline and implements
-//! [`Persist`](electrifi_state::Persist) so a checkpoint taken
-//! mid-disturbance resumes bit-identically.
+//! the boundary-event timeline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

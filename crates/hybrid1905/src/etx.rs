@@ -47,59 +47,9 @@ impl UEtx {
     }
 }
 
-impl electrifi_state::PersistValue for UEtx {
-    fn encode(&self, w: &mut electrifi_state::SectionWriter) {
-        w.put_f64(self.mean);
-        w.put_f64(self.std);
-        w.put_u64(self.packets);
-    }
-
-    fn decode(
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<Self, electrifi_state::StateError> {
-        let u = UEtx {
-            mean: r.get_f64()?,
-            std: r.get_f64()?,
-            packets: r.get_u64()?,
-        };
-        if u.mean.is_nan() || u.mean < 1.0 || u.std.is_nan() || u.std < 0.0 || u.packets == 0 {
-            return Err(r.malformed(format!(
-                "U-ETX mean={} std={} over {} packets",
-                u.mean, u.std, u.packets
-            )));
-        }
-        Ok(u)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn persist_value_roundtrip_and_validation() {
-        use electrifi_state::{PersistValue, SectionReader, SectionWriter, StateError};
-        let u = UEtx::from_tx_counts(&[1, 2, 1, 4]).unwrap();
-        let mut w = SectionWriter::new();
-        u.encode(&mut w);
-        let mut r = SectionReader::new("etx", w.bytes());
-        let back = UEtx::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(u, back);
-        // A mean below 1 transmission per packet is impossible.
-        let mut w = SectionWriter::new();
-        UEtx {
-            mean: 0.5,
-            std: 0.0,
-            packets: 3,
-        }
-        .encode(&mut w);
-        let mut r = SectionReader::new("etx", w.bytes());
-        assert!(matches!(
-            UEtx::decode(&mut r),
-            Err(StateError::Malformed { .. })
-        ));
-    }
 
     #[test]
     fn uetx_from_counts() {

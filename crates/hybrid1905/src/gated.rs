@@ -10,7 +10,6 @@
 //! throughput until probing resumes.
 
 use electrifi_faults::DropoutProfile;
-use electrifi_state::{Persist, SectionReader, SectionWriter, StateError};
 use simnet::time::Time;
 
 /// A capacity estimate fed by periodic probes and gated by an optional
@@ -60,21 +59,6 @@ impl GatedEstimator {
     }
 }
 
-impl Persist for GatedEstimator {
-    fn save_state(&self, w: &mut SectionWriter) {
-        // The dropout profile is configuration (recompiled from the
-        // scenario on resume); only the measurement state persists.
-        w.put(&self.estimate_mbps);
-        w.put_u64(self.holds);
-    }
-
-    fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError> {
-        self.estimate_mbps = r.get()?;
-        self.holds = r.get_u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,23 +90,5 @@ mod tests {
         assert!(e.observe(Time::from_secs(1), 10.0));
         assert!(e.observe(Time::from_secs(2), 20.0));
         assert_eq!(e.holds(), 0);
-    }
-
-    #[test]
-    fn persist_roundtrips_mid_dropout() {
-        let dropout = DropoutProfile {
-            windows: vec![(0, Time::from_secs(100).as_nanos())],
-        };
-        let mut e = GatedEstimator::new(Some(dropout.clone()));
-        e.observe(Time::from_secs(1), 42.0); // dropped
-        let mut w = SectionWriter::new();
-        e.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut resumed = GatedEstimator::new(Some(dropout));
-        let mut r = SectionReader::new("gated", &bytes);
-        resumed.load_state(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(resumed.estimate_mbps(), e.estimate_mbps());
-        assert_eq!(resumed.holds(), 1);
     }
 }

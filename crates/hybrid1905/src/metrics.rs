@@ -8,7 +8,7 @@
 //! directions.
 
 use serde::{Deserialize, Serialize};
-use simnet::time::{Duration, Time};
+use simnet::time::Time;
 use std::collections::HashMap;
 
 /// Network technology of a link.
@@ -104,19 +104,6 @@ impl LinkMetricsDb {
         self.records.get(&link)
     }
 
-    /// Latest capacity, treating missing/stale records as unusable.
-    /// `now` and `max_age` implement the staleness rule: metrics older
-    /// than the probing policy allows must not drive forwarding.
-    pub fn capacity(&self, link: LinkId, now: Time, max_age: Duration) -> Option<f64> {
-        self.records.get(&link).and_then(|m| {
-            if now.saturating_since(m.updated_at) <= max_age {
-                Some(m.capacity_mbps)
-            } else {
-                None
-            }
-        })
-    }
-
     /// Asymmetry ratio of a link: forward capacity over reverse capacity
     /// (`None` unless both directions are known). The paper observes
     /// ratios above 1.5 on ~30% of PLC pairs (§5).
@@ -145,105 +132,6 @@ impl LinkMetricsDb {
     }
 }
 
-impl electrifi_state::PersistValue for Medium {
-    fn encode(&self, w: &mut electrifi_state::SectionWriter) {
-        w.put_u8(match self {
-            Medium::Plc => 0,
-            Medium::Wifi => 1,
-        });
-    }
-
-    fn decode(
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<Self, electrifi_state::StateError> {
-        match r.get_u8()? {
-            0 => Ok(Medium::Plc),
-            1 => Ok(Medium::Wifi),
-            tag => Err(r.malformed(format!("medium tag {tag}"))),
-        }
-    }
-}
-
-impl electrifi_state::PersistValue for LinkId {
-    fn encode(&self, w: &mut electrifi_state::SectionWriter) {
-        w.put_u16(self.src);
-        w.put_u16(self.dst);
-        self.medium.encode(w);
-    }
-
-    fn decode(
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<Self, electrifi_state::StateError> {
-        Ok(LinkId {
-            src: r.get_u16()?,
-            dst: r.get_u16()?,
-            medium: Medium::decode(r)?,
-        })
-    }
-}
-
-impl electrifi_state::PersistValue for LinkMetric {
-    fn encode(&self, w: &mut electrifi_state::SectionWriter) {
-        w.put_f64(self.capacity_mbps);
-        w.put(&self.loss_rate);
-        w.put(&self.updated_at);
-    }
-
-    fn decode(
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<Self, electrifi_state::StateError> {
-        Ok(LinkMetric {
-            capacity_mbps: r.get_f64()?,
-            loss_rate: r.get()?,
-            updated_at: r.get()?,
-        })
-    }
-}
-
-/// Checkpointing: records are encoded sorted by `(src, dst, medium)` so
-/// the byte stream is canonical regardless of hash-map iteration order.
-impl electrifi_state::Persist for LinkMetricsDb {
-    fn save_state(&self, w: &mut electrifi_state::SectionWriter) {
-        use electrifi_state::PersistValue;
-        let mut entries: Vec<(&LinkId, &LinkMetric)> = self.records.iter().collect();
-        entries.sort_unstable_by_key(|(id, _)| {
-            (
-                id.src,
-                id.dst,
-                match id.medium {
-                    Medium::Plc => 0u8,
-                    Medium::Wifi => 1,
-                },
-            )
-        });
-        w.put_u64(entries.len() as u64);
-        for (id, metric) in entries {
-            id.encode(w);
-            metric.encode(w);
-        }
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<(), electrifi_state::StateError> {
-        use electrifi_state::PersistValue;
-        let n = r.get_u64()? as usize;
-        self.records.clear();
-        for _ in 0..n {
-            let id = LinkId::decode(r)?;
-            let metric = LinkMetric::decode(r)?;
-            if self.records.insert(id, metric).is_some() {
-                return Err(r.malformed(format!(
-                    "duplicate link-metric record {}->{}",
-                    id.src, id.dst
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,35 +150,6 @@ mod tests {
             loss_rate: Some(0.02),
             updated_at: at,
         }
-    }
-
-    #[test]
-    fn persist_roundtrip_is_canonical() {
-        use electrifi_state::{Persist, SectionReader, SectionWriter};
-        let mut db = LinkMetricsDb::new();
-        db.update(link(3, 1), metric(42.0, Time::from_secs(2)));
-        db.update(link(0, 1), metric(100.0, Time::ZERO));
-        db.update(
-            LinkId {
-                src: 0,
-                dst: 1,
-                medium: Medium::Wifi,
-            },
-            metric(65.0, Time::from_secs(1)),
-        );
-        let encode = |db: &LinkMetricsDb| {
-            let mut w = SectionWriter::new();
-            db.save_state(&mut w);
-            w.into_bytes()
-        };
-        let bytes = encode(&db);
-        let mut back = LinkMetricsDb::new();
-        let mut r = SectionReader::new("metrics.db", &bytes);
-        back.load_state(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back.get(link(0, 1)).unwrap().capacity_mbps, 100.0);
-        assert_eq!(bytes, encode(&back), "re-encode must be byte-identical");
     }
 
     #[test]
@@ -314,18 +173,6 @@ mod tests {
         db.update(wifi, metric(65.0, Time::ZERO));
         assert_eq!(db.get(link(0, 1)).unwrap().capacity_mbps, 100.0);
         assert_eq!(db.get(wifi).unwrap().capacity_mbps, 65.0);
-    }
-
-    #[test]
-    fn staleness_hides_old_records() {
-        let mut db = LinkMetricsDb::new();
-        db.update(link(0, 1), metric(100.0, Time::from_secs(10)));
-        let max_age = Duration::from_secs(5);
-        assert_eq!(
-            db.capacity(link(0, 1), Time::from_secs(12), max_age),
-            Some(100.0)
-        );
-        assert_eq!(db.capacity(link(0, 1), Time::from_secs(16), max_age), None);
     }
 
     #[test]

@@ -255,6 +255,13 @@ mod tests {
     fn stale_metrics_are_not_used() {
         let mut db = LinkMetricsDb::new();
         db.update(link(0, 1, Medium::Plc), metric(100.0, 0.0, Time::ZERO));
+        // A record exactly `max_metric_age` old is still fresh; one
+        // nanosecond older is not.
+        let edge = Time::ZERO + RouterConfig::default().max_metric_age;
+        assert!(router().best_route(&db, 0, 1, edge).is_some());
+        assert!(router()
+            .best_route(&db, 0, 1, edge + Duration::from_nanos(1))
+            .is_none());
         let later = Time::from_secs(1_000);
         assert!(router().best_route(&db, 0, 1, later).is_none());
         // Refreshing restores the route.

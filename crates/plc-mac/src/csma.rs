@@ -102,29 +102,6 @@ impl BackoffState {
     }
 }
 
-impl electrifi_state::PersistValue for BackoffState {
-    fn encode(&self, w: &mut electrifi_state::SectionWriter) {
-        w.put_u8(self.stage as u8);
-        w.put_u32(self.bc);
-        w.put_u32(self.dc);
-    }
-
-    fn decode(
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<Self, electrifi_state::StateError> {
-        let stage = r.get_u8()? as usize;
-        if stage >= CW_TABLE.len() {
-            return Err(r.malformed(format!("backoff stage {stage}")));
-        }
-        let bc = r.get_u32()?;
-        let dc = r.get_u32()?;
-        if bc >= CW_TABLE[stage] || dc > DC_TABLE[stage] {
-            return Err(r.malformed(format!("backoff counters bc={bc} dc={dc} at stage {stage}")));
-        }
-        Ok(BackoffState { stage, bc, dc })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,43 +36,3 @@ pub struct SofRecord {
     /// The captured delimiter.
     pub sof: SofDelimiter,
 }
-
-impl electrifi_state::PersistValue for SofDelimiter {
-    fn encode(&self, w: &mut electrifi_state::SectionWriter) {
-        w.put_u16(self.src);
-        w.put_u16(self.dst);
-        w.put_f64(self.ble_mbps);
-        w.put_u32(self.tonemap_id);
-        w.put_u8(self.slot);
-        w.put_u64(self.n_symbols);
-    }
-
-    fn decode(
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<Self, electrifi_state::StateError> {
-        Ok(SofDelimiter {
-            src: r.get_u16()?,
-            dst: r.get_u16()?,
-            ble_mbps: r.get_f64()?,
-            tonemap_id: r.get_u32()?,
-            slot: r.get_u8()?,
-            n_symbols: r.get_u64()?,
-        })
-    }
-}
-
-impl electrifi_state::PersistValue for SofRecord {
-    fn encode(&self, w: &mut electrifi_state::SectionWriter) {
-        w.put(&self.t);
-        self.sof.encode(w);
-    }
-
-    fn decode(
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<Self, electrifi_state::StateError> {
-        Ok(SofRecord {
-            t: r.get()?,
-            sof: SofDelimiter::decode(r)?,
-        })
-    }
-}

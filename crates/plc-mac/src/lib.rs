@@ -30,7 +30,6 @@
 pub mod csma;
 pub mod frame;
 pub mod pb;
-mod persist;
 pub mod reference;
 mod scratch;
 pub mod sim;

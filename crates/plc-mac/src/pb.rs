@@ -5,7 +5,6 @@
 //! into PLC frames; a selective acknowledgment reports per-PB success so
 //! only corrupted PBs are retransmitted (paper §2.2, Fig. 1).
 
-use electrifi_state::{Persist, PersistValue, SectionReader, SectionWriter, StateError};
 use serde::{Deserialize, Serialize};
 use simnet::time::Time;
 
@@ -216,99 +215,6 @@ impl Reassembler {
     /// Packets still missing PBs.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
-    }
-}
-
-impl PersistValue for QueuedPb {
-    fn encode(&self, w: &mut SectionWriter) {
-        w.put_u64(self.packet_seq);
-        w.put_u32(self.index);
-        w.put_u32(self.of);
-        w.put(&self.created);
-    }
-
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        let pb = QueuedPb {
-            packet_seq: r.get_u64()?,
-            index: r.get_u32()?,
-            of: r.get_u32()?,
-            created: r.get()?,
-        };
-        if pb.of == 0 || pb.index >= pb.of {
-            return Err(r.malformed(format!("queued PB index {}/{}", pb.index, pb.of)));
-        }
-        Ok(pb)
-    }
-}
-
-impl PersistValue for CompletedPacket {
-    fn encode(&self, w: &mut SectionWriter) {
-        w.put_u64(self.seq);
-        w.put(&self.created);
-        w.put(&self.delivered);
-    }
-
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        Ok(CompletedPacket {
-            seq: r.get_u64()?,
-            created: r.get()?,
-            delivered: r.get()?,
-        })
-    }
-}
-
-impl PersistValue for PbBitmap {
-    fn encode(&self, w: &mut SectionWriter) {
-        match self {
-            PbBitmap::Small(m) => {
-                w.put_u8(0);
-                w.put_u64(*m);
-            }
-            PbBitmap::Large(v) => {
-                w.put_u8(1);
-                w.put_seq(v);
-            }
-        }
-    }
-
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        match r.get_u8()? {
-            0 => Ok(PbBitmap::Small(r.get_u64()?)),
-            1 => Ok(PbBitmap::Large(r.get_vec()?)),
-            tag => Err(r.malformed(format!("PB bitmap tag {tag}"))),
-        }
-    }
-}
-
-/// Checkpointing: pending packets are encoded sorted by sequence number
-/// (the hash map's iteration order is not canonical); completed packets
-/// keep their completion order.
-impl Persist for Reassembler {
-    fn save_state(&self, w: &mut SectionWriter) {
-        let mut pending: Vec<(&u64, &(PbBitmap, u32, Time))> = self.pending.iter().collect();
-        pending.sort_by_key(|(seq, _)| **seq);
-        w.put_u64(pending.len() as u64);
-        for (seq, (bitmap, of, created)) in pending {
-            w.put_u64(*seq);
-            bitmap.encode(w);
-            w.put_u32(*of);
-            w.put(created);
-        }
-        w.put_seq(&self.completed);
-    }
-
-    fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError> {
-        let n = r.get_u64()?;
-        self.pending.clear();
-        for _ in 0..n {
-            let seq = r.get_u64()?;
-            let bitmap = PbBitmap::decode(r)?;
-            let of = r.get_u32()?;
-            let created: Time = r.get()?;
-            self.pending.insert(seq, (bitmap, of, created));
-        }
-        self.completed = r.get_vec()?;
-        Ok(())
     }
 }
 

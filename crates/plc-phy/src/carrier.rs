@@ -18,9 +18,6 @@ pub const GUARD_INTERVAL_US: f64 = 5.56;
 /// This is the `Tsym` of IEEE 1901 Eq. (1) as used in the paper.
 pub const SYMBOL_US: f64 = SYMBOL_FFT_US + GUARD_INTERVAL_US;
 
-/// Carrier spacing in Hz (1/40.96 µs).
-pub const CARRIER_SPACING_HZ: f64 = 1.0 / (SYMBOL_FFT_US * 1e-6);
-
 /// PLC generations measured in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PlcTechnology {
@@ -176,10 +173,5 @@ mod tests {
                 assert!((gap - got).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn carrier_spacing_is_fft_reciprocal() {
-        assert!((CARRIER_SPACING_HZ - 24_414.0).abs() < 10.0);
     }
 }

@@ -27,7 +27,6 @@
 use crate::modulation::{FecRate, Modulation};
 use crate::tonemap::{ToneMap, ToneMapSet, TONEMAP_SLOTS};
 use crate::SnrSpectrum;
-use electrifi_state::{Persist, PersistValue, SectionReader, SectionWriter, StateError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use simnet::rng::Distributions;
@@ -377,99 +376,6 @@ impl ChannelEstimator {
     /// Time of the last tone-map regeneration.
     pub fn last_regen(&self) -> Option<Time> {
         self.last_regen
-    }
-}
-
-impl PersistValue for EstimatorStats {
-    fn encode(&self, w: &mut SectionWriter) {
-        w.put_u64(self.resets);
-        w.put_u64(self.observations);
-        w.put_u64(self.regenerations);
-        w.put_u64(self.error_regenerations);
-    }
-
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        Ok(EstimatorStats {
-            resets: r.get_u64()?,
-            observations: r.get_u64()?,
-            regenerations: r.get_u64()?,
-            error_regenerations: r.get_u64()?,
-        })
-    }
-}
-
-/// Checkpointing: the estimator persists its sufficient statistics (SNR
-/// estimates, tracking weights, lifetime counters) and the current tone
-/// maps. The configuration and carrier count are *not* persisted — they
-/// are construction inputs, validated on load so a snapshot cannot be
-/// applied to a differently-shaped estimator.
-impl Persist for ChannelEstimator {
-    fn save_state(&self, w: &mut SectionWriter) {
-        w.put_u64(self.n_carriers as u64);
-        self.stats.encode(w);
-        w.put_u64(self.snr_est.len() as u64);
-        for slot in &self.snr_est {
-            w.put_seq(slot);
-        }
-        w.put_seq(&self.weight);
-        w.put_f64(self.total_weight);
-        w.put_u32(self.max_pbs_seen);
-        self.tonemaps.encode(w);
-        w.put(&self.last_regen);
-        w.put_u32(self.next_id);
-    }
-
-    fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError> {
-        let n_carriers = r.get_u64()? as usize;
-        if n_carriers != self.n_carriers {
-            return Err(r.malformed(format!(
-                "snapshot has {n_carriers} carriers, estimator has {}",
-                self.n_carriers
-            )));
-        }
-        let stats = EstimatorStats::decode(r)?;
-        let n_slots = r.get_u64()? as usize;
-        if n_slots != TONEMAP_SLOTS {
-            return Err(r.malformed(format!(
-                "snapshot has {n_slots} slots, want {TONEMAP_SLOTS}"
-            )));
-        }
-        let mut snr_est = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            let slot: Vec<f64> = r.get_vec()?;
-            if slot.len() != n_carriers {
-                return Err(r.malformed(format!(
-                    "SNR slot has {} carriers, want {n_carriers}",
-                    slot.len()
-                )));
-            }
-            snr_est.push(slot);
-        }
-        let weight: Vec<f64> = r.get_vec()?;
-        if weight.len() != TONEMAP_SLOTS {
-            return Err(r.malformed("weight vector length mismatch"));
-        }
-        let total_weight = r.get_f64()?;
-        let max_pbs_seen = r.get_u32()?;
-        let tonemaps = ToneMapSet::decode(r)?;
-        if tonemaps
-            .slots
-            .iter()
-            .any(|m| m.carriers.len() != n_carriers)
-        {
-            return Err(r.malformed("tone map carrier count mismatch"));
-        }
-        let last_regen: Option<Time> = r.get()?;
-        let next_id = r.get_u32()?;
-        self.stats = stats;
-        self.snr_est = snr_est;
-        self.weight = weight;
-        self.total_weight = total_weight;
-        self.max_pbs_seen = max_pbs_seen;
-        self.tonemaps = tonemaps;
-        self.last_regen = last_regen;
-        self.next_id = next_id;
-        Ok(())
     }
 }
 

@@ -125,41 +125,6 @@ impl FecRate {
     }
 }
 
-impl electrifi_state::PersistValue for Modulation {
-    fn encode(&self, w: &mut electrifi_state::SectionWriter) {
-        // Ladder index: 0 = Off ... 7 = 1024-QAM.
-        let idx = Modulation::LADDER.iter().position(|m| m == self).unwrap();
-        w.put_u8(idx as u8);
-    }
-    fn decode(
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<Self, electrifi_state::StateError> {
-        let idx = r.get_u8()? as usize;
-        Modulation::LADDER
-            .get(idx)
-            .copied()
-            .ok_or_else(|| r.malformed(format!("modulation ladder index {idx}")))
-    }
-}
-
-impl electrifi_state::PersistValue for FecRate {
-    fn encode(&self, w: &mut electrifi_state::SectionWriter) {
-        w.put_u8(match self {
-            FecRate::Half => 0,
-            FecRate::SixteenTwentyFirsts => 1,
-        });
-    }
-    fn decode(
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<Self, electrifi_state::StateError> {
-        match r.get_u8()? {
-            0 => Ok(FecRate::Half),
-            1 => Ok(FecRate::SixteenTwentyFirsts),
-            tag => Err(r.malformed(format!("FEC rate tag {tag}"))),
-        }
-    }
-}
-
 /// ROBO (robust OFDM) repetition factor used by sound frames, broadcast
 /// and multicast: QPSK on all carriers, rate-1/2 code, 4× repetition
 /// (paper §2.1: "a default, robust modulation scheme that employs QPSK

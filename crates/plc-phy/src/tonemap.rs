@@ -22,7 +22,6 @@
 
 use crate::carrier::SYMBOL_US;
 use crate::modulation::{FecRate, Modulation, ROBO_REPETITION};
-use electrifi_state::{PersistValue, SectionReader, SectionWriter, StateError};
 use serde::{Deserialize, Serialize};
 
 /// Number of tone-map slots over the half mains cycle in HomePlug AV.
@@ -168,47 +167,6 @@ impl ToneMapSet {
     /// management messages (`int6krate`).
     pub fn ble_avg(&self) -> Ble {
         self.slots.iter().map(|m| m.ble()).sum::<f64>() / self.slots.len() as f64
-    }
-}
-
-impl PersistValue for ToneMap {
-    fn encode(&self, w: &mut SectionWriter) {
-        w.put_seq(&self.carriers);
-        w.put(&self.fec);
-        w.put_f64(self.design_pberr);
-        w.put_u32(self.repetition);
-        w.put_u32(self.id);
-    }
-
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        Ok(ToneMap {
-            carriers: r.get_vec()?,
-            fec: r.get()?,
-            design_pberr: r.get_f64()?,
-            repetition: r.get_u32()?,
-            id: r.get_u32()?,
-        })
-    }
-}
-
-impl PersistValue for ToneMapSet {
-    fn encode(&self, w: &mut SectionWriter) {
-        w.put_seq(&self.slots);
-        w.put(&self.default);
-    }
-
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        let slots: Vec<ToneMap> = r.get_vec()?;
-        if slots.len() != TONEMAP_SLOTS {
-            return Err(r.malformed(format!(
-                "tone-map set has {} slots, expected {TONEMAP_SLOTS}",
-                slots.len()
-            )));
-        }
-        Ok(ToneMapSet {
-            slots,
-            default: r.get()?,
-        })
     }
 }
 

@@ -1,87 +1,9 @@
-//! Determinism properties of disturbed runs: the sampled series — and
-//! therefore the verdict block — must be bit-identical whether the run
-//! executes straight through or across a checkpoint/resume cut anywhere
-//! in the timeline, including cuts landing mid-disturbance.
+//! A disturbed run through the campaign executor: the demo fault track
+//! on the paper floor yields a run record whose typed verdict passes.
 
-use electrifi::env::PaperEnv;
-use electrifi::experiments::disturbance::{DisturbanceConfig, DisturbanceSim};
-use electrifi_faults::{CompiledFaults, CouplingSpec, DisturbanceKind, DisturbanceSpec};
 use electrifi_scenario::campaign::{execute_run, RunSpec};
 use electrifi_scenario::spec::ScenarioSpec;
-use electrifi_state::{Persist, SectionReader, SectionWriter};
-use proptest::prelude::*;
 use simnet::obs::Obs;
-use simnet::time::{Duration, Time};
-
-fn track(t0: Time, surge_at: f64, trip_at: f64, jam_delay_ms: u64) -> CompiledFaults {
-    let disturbances = vec![
-        DisturbanceSpec {
-            name: "surge".to_string(),
-            at_s: surge_at,
-            duration_s: 3.0,
-            ramp_s: 1.0,
-            kind: DisturbanceKind::ApplianceSurge {
-                board: 0,
-                noise_db: 12.0,
-            },
-        },
-        DisturbanceSpec {
-            name: "trip".to_string(),
-            at_s: trip_at,
-            duration_s: 4.0,
-            ramp_s: 0.0,
-            kind: DisturbanceKind::BreakerTrip { board: 0 },
-        },
-    ];
-    let couplings = vec![CouplingSpec {
-        source: "trip".to_string(),
-        after_ms: jam_delay_ms,
-        duration_s: 1.5,
-        effect: DisturbanceKind::WifiJam { penalty_db: 18.0 },
-    }];
-    CompiledFaults::compile(&disturbances, &couplings, t0).unwrap()
-}
-
-fn cfg(t0: Time) -> DisturbanceConfig {
-    DisturbanceConfig {
-        start: t0,
-        duration: Duration::from_secs(25),
-        sample: Duration::from_millis(500),
-        probe: Duration::from_secs(1),
-    }
-}
-
-proptest! {
-    /// Checkpointing a disturbed run at ANY sample boundary — including
-    /// mid-surge, mid-trip and mid-jam — and resuming into a freshly
-    /// constructed sim reproduces the straight-through series bit for
-    /// bit, for arbitrary fault timings.
-    #[test]
-    fn checkpoint_resume_is_bit_identical_for_any_cut_and_timing(
-        surge_at in 1.0f64..8.0,
-        trip_gap in 2.0f64..8.0,
-        jam_delay_ms in 0u64..2000,
-        cut in 1usize..49,
-    ) {
-        let env = PaperEnv::new(2015);
-        let t0 = Time::from_hours(10);
-        let faults = track(t0, surge_at, surge_at + trip_gap, jam_delay_ms);
-        let straight = DisturbanceSim::new(&env, &faults, cfg(t0)).run_to_end();
-
-        let mut sim = DisturbanceSim::new(&env, &faults, cfg(t0));
-        for _ in 0..cut {
-            prop_assert!(sim.step());
-        }
-        let mut w = SectionWriter::new();
-        sim.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut resumed = DisturbanceSim::new(&env, &faults, cfg(t0));
-        let mut r = SectionReader::new("disturbance", &bytes);
-        resumed.load_state(&mut r).unwrap();
-        r.finish().unwrap();
-        prop_assert_eq!(resumed.run_to_end(), straight);
-    }
-}
 
 const DISTURBED_SCENARIO: &str = r#"{
   "name": "identity-probe",

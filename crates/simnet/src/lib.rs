@@ -5,7 +5,6 @@
 //!
 //! * [`time`] — nanosecond-resolution simulation time with mains-cycle
 //!   helpers (the PLC PHY is locked to the AC line cycle).
-//! * [`event`] — a deterministic discrete-event queue.
 //! * [`rng`] — reproducible, independently-seeded random-number streams and
 //!   the distributions the channel models need (normal, exponential,
 //!   Bernoulli), implemented locally so the only external
@@ -36,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod appliance;
-pub mod event;
 pub mod geometry;
 pub mod grid;
 pub mod noise;
@@ -49,7 +47,6 @@ pub mod time;
 pub mod trace;
 pub mod traffic;
 
-pub use event::{EventQueue, EventQueueStats, ScheduledEvent};
 pub use obs::{MetricsSnapshot, Obs, ObsEvent, ObsSink, Registry, RunManifest};
 pub use rng::{Distributions, RngPool};
 pub use time::{Duration, Time};

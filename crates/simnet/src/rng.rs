@@ -14,7 +14,6 @@
 //! need (normal, exponential, Bernoulli) are implemented
 //! here from uniform draws, so no extra dependency is required.
 
-use electrifi_state::{Persist, PersistValue, SectionReader, SectionWriter, StateError};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
@@ -150,41 +149,6 @@ impl GaussMarkov {
             + rho * (self.state - self.mean)
             + innovation * Distributions::std_normal(rng);
         self.state
-    }
-}
-
-impl PersistValue for GaussMarkov {
-    fn encode(&self, w: &mut SectionWriter) {
-        w.put_f64(self.mean);
-        w.put_f64(self.sigma);
-        w.put_f64(self.corr_time_s);
-        w.put_f64(self.state);
-    }
-
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        let gm = GaussMarkov {
-            mean: r.get_f64()?,
-            sigma: r.get_f64()?,
-            corr_time_s: r.get_f64()?,
-            state: r.get_f64()?,
-        };
-        if gm.corr_time_s.is_nan() || gm.corr_time_s <= 0.0 || gm.sigma.is_nan() || gm.sigma < 0.0 {
-            return Err(r.malformed(format!(
-                "Gauss-Markov parameters out of range: sigma={} corr_time_s={}",
-                gm.sigma, gm.corr_time_s
-            )));
-        }
-        Ok(gm)
-    }
-}
-
-impl Persist for GaussMarkov {
-    fn save_state(&self, w: &mut SectionWriter) {
-        self.encode(w);
-    }
-    fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError> {
-        *self = GaussMarkov::decode(r)?;
-        Ok(())
     }
 }
 

@@ -6,7 +6,6 @@
 //! (Fig. 15) and correlations between link quality and variability (§6, §8).
 //! Everything here is deterministic and allocation-light.
 
-use electrifi_state::{Persist, PersistValue, SectionReader, SectionWriter, StateError};
 use serde::{Deserialize, Serialize};
 
 /// Numerically stable running mean/variance (Welford's algorithm), plus
@@ -44,26 +43,6 @@ impl RunningStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of (finite) observations.
@@ -115,36 +94,6 @@ impl RunningStats {
     /// Coefficient of variation `std/mean` (`NaN` for zero mean).
     pub fn cv(&self) -> f64 {
         self.std() / self.mean()
-    }
-}
-
-impl PersistValue for RunningStats {
-    fn encode(&self, w: &mut SectionWriter) {
-        w.put_u64(self.n);
-        w.put_f64(self.mean);
-        w.put_f64(self.m2);
-        w.put_f64(self.min);
-        w.put_f64(self.max);
-    }
-
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        Ok(RunningStats {
-            n: r.get_u64()?,
-            mean: r.get_f64()?,
-            m2: r.get_f64()?,
-            min: r.get_f64()?,
-            max: r.get_f64()?,
-        })
-    }
-}
-
-impl Persist for RunningStats {
-    fn save_state(&self, w: &mut SectionWriter) {
-        self.encode(w);
-    }
-    fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError> {
-        *self = RunningStats::decode(r)?;
-        Ok(())
     }
 }
 
@@ -405,21 +354,6 @@ mod tests {
         s.push(3.0);
         assert_eq!(s.count(), 2);
         assert!((s.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        xs.iter().for_each(|&x| whole.push(x));
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        xs[..37].iter().for_each(|&x| a.push(x));
-        xs[37..].iter().for_each(|&x| b.push(x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
     }
 
     #[test]

@@ -16,9 +16,6 @@ use serde::{Deserialize, Serialize};
 /// European mains frequency used throughout the reproduction (EPFL testbed).
 pub const MAINS_HZ: u64 = 50;
 
-/// Duration of one full mains cycle (20 ms at 50 Hz).
-pub const MAINS_CYCLE: Duration = Duration::from_micros(1_000_000 / MAINS_HZ);
-
 /// Duration of half a mains cycle (10 ms at 50 Hz). HomePlug AV tone-map
 /// slots partition the *half* cycle because the noise environment repeats
 /// with double the mains frequency (IEEE 1901 §5).
@@ -35,28 +32,6 @@ pub struct Time(pub u64);
 /// A span of simulation time, in nanoseconds.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct Duration(pub u64);
-
-impl electrifi_state::PersistValue for Time {
-    fn encode(&self, w: &mut electrifi_state::SectionWriter) {
-        w.put_u64(self.0);
-    }
-    fn decode(
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<Self, electrifi_state::StateError> {
-        Ok(Time(r.get_u64()?))
-    }
-}
-
-impl electrifi_state::PersistValue for Duration {
-    fn encode(&self, w: &mut electrifi_state::SectionWriter) {
-        w.put_u64(self.0);
-    }
-    fn decode(
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<Self, electrifi_state::StateError> {
-        Ok(Duration(r.get_u64()?))
-    }
-}
 
 impl Time {
     /// The simulation epoch (t = 0).
@@ -313,7 +288,6 @@ mod tests {
 
     #[test]
     fn mains_constants_are_consistent() {
-        assert_eq!(MAINS_CYCLE.as_nanos(), 20_000_000);
         assert_eq!(MAINS_HALF_CYCLE.as_nanos(), 10_000_000);
         assert_eq!(BEACON_PERIOD.as_nanos(), 40_000_000);
     }

@@ -8,7 +8,6 @@
 
 use crate::stats::RunningStats;
 use crate::time::{Duration, Time};
-use electrifi_state::{Persist, SectionReader, SectionWriter, StateError};
 use serde::{Deserialize, Serialize};
 
 /// A named time series of scalar samples.
@@ -123,27 +122,6 @@ impl Series {
             .filter(|(_, s)| s.count() > 0)
             .map(|(h, s)| (h as u32, s))
             .collect()
-    }
-}
-
-/// Checkpointing: a series is already canonical (time-ordered `Vec`), so
-/// the encoding is just name + points + the dropped counter.
-impl Persist for Series {
-    fn save_state(&self, w: &mut SectionWriter) {
-        w.put_str(&self.name);
-        w.put_seq(&self.points);
-        w.put_u64(self.dropped);
-    }
-
-    fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError> {
-        self.name = r.get_str()?.to_string();
-        let points: Vec<(Time, f64)> = r.get_vec()?;
-        if points.windows(2).any(|p| p[1].0 < p[0].0) {
-            return Err(r.malformed("series points not in time order"));
-        }
-        self.points = points;
-        self.dropped = r.get_u64()?;
-        Ok(())
     }
 }
 

@@ -15,7 +15,6 @@
 //! * **Poisson arrivals** — background traffic with natural jitter.
 
 use crate::time::{Duration, Time};
-use electrifi_state::{Persist, PersistValue, SectionReader, SectionWriter, StateError};
 use serde::{Deserialize, Serialize};
 
 /// A packet handed to a MAC layer.
@@ -209,95 +208,6 @@ impl TrafficSource {
             TrafficPattern::FileTransfer { total_bytes, .. } => self.sent_bytes >= total_bytes,
             _ => false,
         }
-    }
-}
-
-impl PersistValue for TrafficPattern {
-    fn encode(&self, w: &mut SectionWriter) {
-        match *self {
-            TrafficPattern::Saturated { pkt_bytes } => {
-                w.put_u8(0);
-                w.put_u32(pkt_bytes);
-            }
-            TrafficPattern::Cbr {
-                rate_bps,
-                pkt_bytes,
-            } => {
-                w.put_u8(1);
-                w.put_f64(rate_bps);
-                w.put_u32(pkt_bytes);
-            }
-            TrafficPattern::Bursts {
-                rate_bps,
-                pkt_bytes,
-                burst_len,
-            } => {
-                w.put_u8(2);
-                w.put_f64(rate_bps);
-                w.put_u32(pkt_bytes);
-                w.put_u32(burst_len);
-            }
-            TrafficPattern::FileTransfer {
-                total_bytes,
-                pkt_bytes,
-            } => {
-                w.put_u8(3);
-                w.put_u64(total_bytes);
-                w.put_u32(pkt_bytes);
-            }
-        }
-    }
-
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        match r.get_u8()? {
-            0 => Ok(TrafficPattern::Saturated {
-                pkt_bytes: r.get_u32()?,
-            }),
-            1 => Ok(TrafficPattern::Cbr {
-                rate_bps: r.get_f64()?,
-                pkt_bytes: r.get_u32()?,
-            }),
-            2 => Ok(TrafficPattern::Bursts {
-                rate_bps: r.get_f64()?,
-                pkt_bytes: r.get_u32()?,
-                burst_len: r.get_u32()?,
-            }),
-            3 => Ok(TrafficPattern::FileTransfer {
-                total_bytes: r.get_u64()?,
-                pkt_bytes: r.get_u32()?,
-            }),
-            tag => Err(r.malformed(format!("traffic pattern tag {tag}"))),
-        }
-    }
-}
-
-impl PersistValue for TrafficSource {
-    fn encode(&self, w: &mut SectionWriter) {
-        self.pattern.encode(w);
-        w.put_u64(self.next_seq);
-        w.put(&self.next_at);
-        w.put_u64(self.sent_bytes);
-        w.put_u32(self.in_burst);
-    }
-
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        Ok(TrafficSource {
-            pattern: TrafficPattern::decode(r)?,
-            next_seq: r.get_u64()?,
-            next_at: r.get()?,
-            sent_bytes: r.get_u64()?,
-            in_burst: r.get_u32()?,
-        })
-    }
-}
-
-impl Persist for TrafficSource {
-    fn save_state(&self, w: &mut SectionWriter) {
-        self.encode(w);
-    }
-    fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError> {
-        *self = TrafficSource::decode(r)?;
-        Ok(())
     }
 }
 

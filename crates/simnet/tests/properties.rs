@@ -6,7 +6,7 @@ use simnet::noise::ValueNoise;
 use simnet::obs::{MetricsSnapshot, Registry};
 use simnet::stats::{linear_fit, Ecdf, RunningStats};
 use simnet::time::{Duration, Time};
-use simnet::{EventQueue, RngPool};
+use simnet::RngPool;
 
 /// Replay a worker's instrument operations into a fresh registry and
 /// snapshot it — the exact shape `sweep::par_map_workers` folds back
@@ -39,28 +39,6 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
 }
 
 proptest! {
-    /// The event queue pops events in non-decreasing time order, FIFO
-    /// within a timestamp, regardless of insertion order.
-    #[test]
-    fn event_queue_total_order(times in proptest::collection::vec(0u64..1_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(Time::from_micros(t), i);
-        }
-        let mut last: Option<(Time, usize)> = None;
-        while let Some(ev) = q.pop() {
-            if let Some((lt, li)) = last {
-                prop_assert!(ev.at >= lt);
-                if ev.at == lt {
-                    // FIFO within the instant: payload indices (insertion
-                    // order) increase.
-                    prop_assert!(ev.event > li);
-                }
-            }
-            last = Some((ev.at, ev.event));
-        }
-    }
-
     /// Welford statistics agree with the naive two-pass computation.
     #[test]
     fn running_stats_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 2..300)) {
@@ -74,24 +52,6 @@ proptest! {
         prop_assert!((s.mean() - mean).abs() <= 1e-6 * mean.abs().max(1.0));
         prop_assert!((s.variance() - var).abs() <= 1e-6 * var.abs().max(1.0));
         prop_assert_eq!(s.count(), xs.len() as u64);
-    }
-
-    /// Merging split statistics equals computing them in one pass.
-    #[test]
-    fn running_stats_merge_is_associative(
-        xs in proptest::collection::vec(-1e3f64..1e3, 2..200),
-        split in 0usize..200,
-    ) {
-        let split = split.min(xs.len());
-        let mut whole = RunningStats::new();
-        xs.iter().for_each(|&x| whole.push(x));
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        xs[..split].iter().for_each(|&x| a.push(x));
-        xs[split..].iter().for_each(|&x| b.push(x));
-        a.merge(&b);
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-7 * whole.mean().abs().max(1.0));
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-6 * whole.variance().max(1.0));
     }
 
     /// An ECDF is a valid distribution function: monotone, 0 below the

@@ -83,17 +83,6 @@ impl StateError {
     pub fn is_data_damage(&self) -> bool {
         !matches!(self, StateError::Io { .. })
     }
-
-    /// The section this error concerns, if it names one.
-    pub fn section(&self) -> Option<&str> {
-        match self {
-            StateError::Truncated { section }
-            | StateError::Corrupt { section, .. }
-            | StateError::MissingSection { section }
-            | StateError::Malformed { section, .. } => Some(section),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for StateError {

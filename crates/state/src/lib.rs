@@ -1,30 +1,17 @@
 //! `electrifi-state` — versioned, checksummed binary snapshots for
-//! checkpoint/resume and deterministic replay.
+//! campaign checkpoint/resume.
 //!
-//! The paper's temporal experiments (§6) and the campaign runner push the
-//! simulators through days of sim-time; this crate is the layer that lets
-//! an interrupted sweep pick up where it stopped and lets a surprising
-//! result be re-examined without re-running everything. It provides:
+//! A campaign checkpoints at run granularity: the completed run records
+//! are written into a snapshot so that an interrupted sweep picks up
+//! where it stopped. This crate provides the snapshot container
+//! ([`SnapshotWriter`]/[`SnapshotReader`]): magic + format version +
+//! named sections, each payload CRC-32-framed, with typed [`StateError`]s
+//! (naming the failing section) on truncation, corruption, or version
+//! skew — never a panic on malformed input. Section payloads are written
+//! and read with [`SectionWriter`]/[`SectionReader`].
 //!
-//! - a snapshot container ([`SnapshotWriter`]/[`SnapshotReader`]): magic +
-//!   format version + named sections, each payload CRC-32-framed, with
-//!   typed [`StateError`]s (naming the failing section) on truncation,
-//!   corruption, or version skew — never a panic on malformed input;
-//! - the [`Persist`] trait, implemented by every stateful simulator
-//!   component (RNG streams, event queues, traffic sources, the PLC MAC
-//!   sim, channel estimators, WiFi rate control, hybrid balancer state);
-//! - the element-level [`PersistValue`] codec for the records those
-//!   components contain.
-//!
-//! The crate sits at the very bottom of the workspace dependency graph
-//! (only the vendored `rand`, for the ready-made `StdRng` codec), so every
-//! simulator crate can depend on it without cycles.
-//!
-//! **Determinism contract.** Components must encode canonically: hash maps
-//! sorted by key, heaps in `(time, seq)` order, floats as bit patterns.
-//! Then `encode → decode → encode` is the identity on bytes, and a resumed
-//! simulation is bit-identical to one that never stopped — the property
-//! the proptest suites in `plc-mac` and the campaign resume smoke assert.
+//! The crate sits at the very bottom of the workspace dependency graph,
+//! so any crate can depend on it without cycles.
 
 #![forbid(unsafe_code)]
 
@@ -35,82 +22,35 @@ mod snapshot;
 
 pub use crc32::crc32;
 pub use error::StateError;
-pub use section::{PersistValue, SectionReader, SectionWriter};
+pub use section::{SectionReader, SectionWriter};
 pub use snapshot::{SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC};
-
-/// A component whose dynamic state can be captured into a snapshot section
-/// and later restored into an equivalently-constructed instance.
-///
-/// `load_state` deliberately takes `&mut self` rather than constructing:
-/// simulators are rebuilt from their (static) configuration first —
-/// topology, channel models and flow definitions are *recomputed*, not
-/// persisted — and only the dynamic state (RNG positions, queues,
-/// estimator sufficient statistics, counters) is loaded on top. Pure
-/// caches (spectrum buffers, memo tables, scratch high-water marks) are
-/// dropped on save and rebuilt lazily; implementations must guarantee the
-/// rebuild is bit-identical.
-pub trait Persist {
-    /// Append this component's dynamic state to `w`.
-    fn save_state(&self, w: &mut SectionWriter);
-
-    /// Restore dynamic state from `r` into `self`. Implementations should
-    /// validate structural invariants (station counts, carrier counts,
-    /// flow counts) against `self`'s configuration and return
-    /// [`StateError::Malformed`] on mismatch rather than panicking.
-    fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError>;
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
-
-    struct Blob {
-        xs: Vec<u64>,
-        label: String,
-    }
-
-    impl Persist for Blob {
-        fn save_state(&self, w: &mut SectionWriter) {
-            w.put_seq(&self.xs);
-            w.put_str(&self.label);
-        }
-        fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError> {
-            self.xs = r.get_vec()?;
-            self.label = r.get_str()?.to_string();
-            Ok(())
-        }
-    }
 
     #[test]
     fn roundtrip_sections() {
-        let blob = Blob {
-            xs: vec![1, 2, 3, u64::MAX],
-            label: "hello".into(),
-        };
         let mut snap = SnapshotWriter::new();
-        snap.save("blob", &blob);
-        snap.section("meta", |w| {
-            w.put_u64(42);
-            w.put_f64(-0.125);
-            w.put(&Some((7u32, true)));
+        snap.section("blob", |w| {
+            for x in [1, 2, 3, u64::MAX] {
+                w.put_u64(x);
+            }
+            w.put_str("hello");
         });
+        snap.section("meta", |w| w.put_u64(42));
         let bytes = snap.to_bytes();
 
         let reader = SnapshotReader::from_bytes(&bytes).unwrap();
         assert_eq!(reader.version(), FORMAT_VERSION);
-        let mut out = Blob {
-            xs: vec![],
-            label: String::new(),
-        };
-        reader.load("blob", &mut out).unwrap();
-        assert_eq!(out.xs, blob.xs);
-        assert_eq!(out.label, blob.label);
+        let mut blob = reader.section("blob").unwrap();
+        for x in [1, 2, 3, u64::MAX] {
+            assert_eq!(blob.get_u64().unwrap(), x);
+        }
+        assert_eq!(blob.get_str().unwrap(), "hello");
+        blob.finish().unwrap();
         let mut meta = reader.section("meta").unwrap();
         assert_eq!(meta.get_u64().unwrap(), 42);
-        assert_eq!(meta.get_f64().unwrap(), -0.125);
-        assert_eq!(meta.get::<Option<(u32, bool)>>().unwrap(), Some((7, true)));
         meta.finish().unwrap();
     }
 
@@ -136,22 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn rng_codec_resumes_sequence() {
-        let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..17 {
-            rng.next_u64();
-        }
-        let mut w = SectionWriter::new();
-        w.put(&rng);
-        let mut r = SectionReader::new("rng", w.bytes());
-        let mut restored: StdRng = r.get().unwrap();
-        r.finish().unwrap();
-        for _ in 0..100 {
-            assert_eq!(rng.next_u64(), restored.next_u64());
-        }
-    }
-
-    #[test]
     fn trailing_bytes_detected() {
         let mut snap = SnapshotWriter::new();
         snap.section("s", |w| {
@@ -159,16 +83,31 @@ mod tests {
             w.put_u64(2);
         });
         let reader = SnapshotReader::from_bytes(&snap.to_bytes()).unwrap();
-        struct Half;
-        impl Persist for Half {
-            fn save_state(&self, _w: &mut SectionWriter) {}
-            fn load_state(&mut self, r: &mut SectionReader<'_>) -> Result<(), StateError> {
-                r.get_u64()?;
-                Ok(())
-            }
-        }
-        match reader.load("s", &mut Half) {
+        let mut r = reader.section("s").unwrap();
+        r.get_u64().unwrap();
+        match r.finish() {
             Err(StateError::Malformed { section, .. }) => assert_eq!(section, "s"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn short_and_non_utf8_strings_are_typed() {
+        let mut snap = SnapshotWriter::new();
+        // A string header claiming more bytes than the payload holds.
+        snap.section("short", |w| w.put_u64(5));
+        // A length of 8 followed by eight 0xFF bytes, which are not UTF-8.
+        snap.section("bad", |w| {
+            w.put_u64(8);
+            w.put_u64(u64::MAX);
+        });
+        let reader = SnapshotReader::from_bytes(&snap.to_bytes()).unwrap();
+        match reader.section("short").unwrap().get_str() {
+            Err(StateError::Truncated { section }) => assert_eq!(section, "short"),
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+        match reader.section("bad").unwrap().get_str() {
+            Err(StateError::Malformed { section, .. }) => assert_eq!(section, "bad"),
             other => panic!("expected Malformed, got {other:?}"),
         }
     }

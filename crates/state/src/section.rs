@@ -6,12 +6,8 @@
 //! of panicking — malformed input must never abort the process.
 //!
 //! Encoding rules, chosen for byte-for-byte determinism:
-//! - all integers little-endian, `f64` as its IEEE-754 bit pattern;
-//! - lengths as `u64`;
-//! - `Option<T>` as a `0`/`1` tag byte then the payload;
-//! - sequences as length then elements — callers serialising maps or heaps
-//!   must sort entries into a canonical order first, so that
-//!   encode→decode→encode is the identity on bytes.
+//! - integers little-endian;
+//! - strings as a `u64` byte length then the UTF-8 bytes.
 
 use crate::error::StateError;
 
@@ -22,44 +18,9 @@ pub struct SectionWriter {
 }
 
 impl SectionWriter {
-    /// Fresh empty payload.
-    pub fn new() -> Self {
-        SectionWriter { buf: Vec::new() }
-    }
-
-    /// The encoded bytes so far.
-    pub fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
     /// Consume the writer, yielding the payload.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Append a single byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a `u16`, little-endian.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `u64`, little-endian.
@@ -67,43 +28,10 @@ impl SectionWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append an `i64`, little-endian two's complement.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `f64` as its exact bit pattern (no rounding, NaNs kept).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Append a bool as one byte (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
-    /// Append a length-prefixed byte string.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
     /// Append a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
-    }
-
-    /// Append any [`PersistValue`].
-    pub fn put<T: PersistValue>(&mut self, v: &T) {
-        v.encode(self);
-    }
-
-    /// Append a length-prefixed sequence of values.
-    pub fn put_seq<T: PersistValue>(&mut self, xs: &[T]) {
-        self.put_u64(xs.len() as u64);
-        for x in xs {
-            x.encode(self);
-        }
+        self.put_u64(v.len() as u64);
+        self.buf.extend_from_slice(v.as_bytes());
     }
 }
 
@@ -118,60 +46,23 @@ pub struct SectionReader<'a> {
 
 impl<'a> SectionReader<'a> {
     /// Wrap `buf` as the payload of section `name`.
-    pub fn new(name: &'a str, buf: &'a [u8]) -> Self {
+    pub(crate) fn new(name: &'a str, buf: &'a [u8]) -> Self {
         SectionReader { name, buf, pos: 0 }
     }
 
-    /// The section name (used in the errors this reader produces).
-    pub fn section(&self) -> &str {
-        self.name
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// True once the payload is fully consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    fn truncated(&self) -> StateError {
-        StateError::Truncated {
-            section: self.name.to_string(),
-        }
-    }
-
-    /// Produce a [`StateError::Malformed`] for this section.
-    pub fn malformed(&self, detail: impl Into<String>) -> StateError {
-        StateError::malformed(self.name, detail)
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], StateError> {
         if self.remaining() < n {
-            return Err(self.truncated());
+            return Err(StateError::Truncated {
+                section: self.name.to_string(),
+            });
         }
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
-    }
-
-    /// Read one byte.
-    pub fn get_u8(&mut self) -> Result<u8, StateError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Read a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, StateError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    /// Read a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, StateError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Read a little-endian `u64`.
@@ -182,190 +73,24 @@ impl<'a> SectionReader<'a> {
         ]))
     }
 
-    /// Read a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, StateError> {
-        Ok(self.get_u64()? as i64)
-    }
-
-    /// Read an `f64` bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, StateError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Read a bool; any byte other than 0/1 is malformed.
-    pub fn get_bool(&mut self) -> Result<bool, StateError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(self.malformed(format!("bool tag {b} (want 0 or 1)"))),
-        }
-    }
-
-    /// Read a length-prefixed byte string.
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], StateError> {
-        let len = self.get_u64()?;
-        if len > self.remaining() as u64 {
-            return Err(self.truncated());
-        }
-        self.take(len as usize)
-    }
-
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<&'a str, StateError> {
-        let raw = self.get_bytes()?;
-        core::str::from_utf8(raw).map_err(|_| self.malformed("string is not UTF-8"))
-    }
-
-    /// Read any [`PersistValue`].
-    pub fn get<T: PersistValue>(&mut self) -> Result<T, StateError> {
-        T::decode(self)
-    }
-
-    /// Read a length-prefixed sequence of values.
-    pub fn get_vec<T: PersistValue>(&mut self) -> Result<Vec<T>, StateError> {
         let len = self.get_u64()?;
-        // Cheap sanity bound: every element costs at least one byte, so a
-        // length beyond the remaining bytes is corruption, not a huge
-        // allocation request.
-        if len > self.remaining() as u64 {
-            return Err(self.malformed(format!(
-                "sequence length {len} exceeds remaining {} bytes",
-                self.remaining()
-            )));
-        }
-        let mut out = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            out.push(T::decode(self)?);
-        }
-        Ok(out)
+        let raw = self.take(usize::try_from(len).unwrap_or(usize::MAX))?;
+        core::str::from_utf8(raw)
+            .map_err(|_| StateError::malformed(self.name, "string is not UTF-8"))
     }
 
     /// Error unless the payload was consumed exactly — catches writer/reader
-    /// drift where a component decodes fewer fields than it encoded.
+    /// drift where a reader decodes fewer fields than were encoded.
     pub fn finish(&self) -> Result<(), StateError> {
-        if self.is_exhausted() {
+        if self.remaining() == 0 {
             Ok(())
         } else {
-            Err(self.malformed(format!("{} trailing bytes after decode", self.remaining())))
+            Err(StateError::malformed(
+                self.name,
+                format!("{} trailing bytes after decode", self.remaining()),
+            ))
         }
-    }
-}
-
-/// A value with a canonical byte encoding — the element-level counterpart
-/// of [`crate::Persist`]. Implemented for primitives, tuples, `Option` and
-/// `Vec`; simulator crates implement it for their small state records
-/// (queued blocks, backoff words, tone maps...).
-pub trait PersistValue: Sized {
-    /// Append the canonical encoding of `self`.
-    fn encode(&self, w: &mut SectionWriter);
-    /// Decode one value, consuming exactly what [`encode`](Self::encode)
-    /// produced.
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError>;
-}
-
-macro_rules! persist_int {
-    ($ty:ty, $put:ident, $get:ident) => {
-        impl PersistValue for $ty {
-            fn encode(&self, w: &mut SectionWriter) {
-                w.$put(*self);
-            }
-            fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-                r.$get()
-            }
-        }
-    };
-}
-
-persist_int!(u8, put_u8, get_u8);
-persist_int!(u16, put_u16, get_u16);
-persist_int!(u32, put_u32, get_u32);
-persist_int!(u64, put_u64, get_u64);
-persist_int!(i64, put_i64, get_i64);
-persist_int!(f64, put_f64, get_f64);
-persist_int!(bool, put_bool, get_bool);
-
-impl PersistValue for usize {
-    fn encode(&self, w: &mut SectionWriter) {
-        w.put_u64(*self as u64);
-    }
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        let v = r.get_u64()?;
-        usize::try_from(v).map_err(|_| r.malformed(format!("usize {v} overflows platform")))
-    }
-}
-
-impl PersistValue for String {
-    fn encode(&self, w: &mut SectionWriter) {
-        w.put_str(self);
-    }
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        Ok(r.get_str()?.to_string())
-    }
-}
-
-impl<T: PersistValue> PersistValue for Option<T> {
-    fn encode(&self, w: &mut SectionWriter) {
-        match self {
-            None => w.put_u8(0),
-            Some(v) => {
-                w.put_u8(1);
-                v.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        match r.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(r)?)),
-            b => Err(r.malformed(format!("Option tag {b} (want 0 or 1)"))),
-        }
-    }
-}
-
-impl<T: PersistValue> PersistValue for Vec<T> {
-    fn encode(&self, w: &mut SectionWriter) {
-        w.put_seq(self);
-    }
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        r.get_vec()
-    }
-}
-
-impl<A: PersistValue, B: PersistValue> PersistValue for (A, B) {
-    fn encode(&self, w: &mut SectionWriter) {
-        self.0.encode(w);
-        self.1.encode(w);
-    }
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        Ok((A::decode(r)?, B::decode(r)?))
-    }
-}
-
-impl<A: PersistValue, B: PersistValue, C: PersistValue> PersistValue for (A, B, C) {
-    fn encode(&self, w: &mut SectionWriter) {
-        self.0.encode(w);
-        self.1.encode(w);
-        self.2.encode(w);
-    }
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
-    }
-}
-
-impl PersistValue for rand::rngs::StdRng {
-    fn encode(&self, w: &mut SectionWriter) {
-        for word in self.state() {
-            w.put_u64(word);
-        }
-    }
-    fn decode(r: &mut SectionReader<'_>) -> Result<Self, StateError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.get_u64()?;
-        }
-        if s == [0, 0, 0, 0] {
-            return Err(r.malformed("all-zero xoshiro256++ state is degenerate"));
-        }
-        Ok(rand::rngs::StdRng::from_state(s))
     }
 }

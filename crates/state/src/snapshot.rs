@@ -27,7 +27,6 @@ use std::path::Path;
 use crate::crc32::crc32;
 use crate::error::StateError;
 use crate::section::{SectionReader, SectionWriter};
-use crate::Persist;
 
 /// First eight bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"EFISTATE";
@@ -50,24 +49,9 @@ impl SnapshotWriter {
 
     /// Append a section whose payload is produced by `fill`.
     pub fn section(&mut self, name: &str, fill: impl FnOnce(&mut SectionWriter)) {
-        let mut w = SectionWriter::new();
+        let mut w = SectionWriter::default();
         fill(&mut w);
         self.sections.push((name.to_string(), w.into_bytes()));
-    }
-
-    /// Append a section holding `component`'s state via [`Persist`].
-    pub fn save(&mut self, name: &str, component: &impl Persist) {
-        self.section(name, |w| component.save_state(w));
-    }
-
-    /// Number of sections accumulated.
-    pub fn len(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// True if no sections have been added.
-    pub fn is_empty(&self) -> bool {
-        self.sections.is_empty()
     }
 
     /// Serialise header + all sections to a byte vector.
@@ -224,13 +208,5 @@ impl SnapshotReader {
             .ok_or_else(|| StateError::MissingSection {
                 section: name.to_string(),
             })
-    }
-
-    /// Load a section into `component` via [`Persist`], enforcing that the
-    /// payload is consumed exactly.
-    pub fn load(&self, name: &str, component: &mut impl Persist) -> Result<(), StateError> {
-        let mut r = self.section(name)?;
-        component.load_state(&mut r)?;
-        r.finish()
     }
 }

@@ -11,7 +11,9 @@ fn sample() -> Vec<u8> {
     snap.section("mac.sim", |w| {
         w.put_u64(0xDEAD_BEEF);
         w.put_str("tone maps");
-        w.put_seq(&[1u64, 2, 3, 4, 5]);
+        for x in 1..=5u64 {
+            w.put_u64(x);
+        }
     });
     snap.section("rng.master", |w| {
         for i in 0..4u64 {
@@ -130,7 +132,9 @@ fn intact_snapshot_still_loads_after_damage_tests() {
     let mut s = reader.section("mac.sim").unwrap();
     assert_eq!(s.get_u64().unwrap(), 0xDEAD_BEEF);
     assert_eq!(s.get_str().unwrap(), "tone maps");
-    assert_eq!(s.get_vec::<u64>().unwrap(), vec![1, 2, 3, 4, 5]);
+    for x in 1..=5u64 {
+        assert_eq!(s.get_u64().unwrap(), x);
+    }
     s.finish().unwrap();
 }
 

@@ -89,65 +89,11 @@ impl RateAdapter {
     }
 }
 
-/// Checkpointing: the configuration is a construction input; only the
-/// EWMA estimate and its warm-up flag are dynamic.
-impl electrifi_state::Persist for RateAdapter {
-    fn save_state(&self, w: &mut electrifi_state::SectionWriter) {
-        w.put_f64(self.snr_est_db);
-        w.put_bool(self.initialized);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut electrifi_state::SectionReader<'_>,
-    ) -> Result<(), electrifi_state::StateError> {
-        let snr_est_db = r.get_f64()?;
-        let initialized = r.get_bool()?;
-        if snr_est_db.is_nan() {
-            return Err(r.malformed("rate adapter SNR estimate is NaN".to_string()));
-        }
-        self.snr_est_db = snr_est_db;
-        self.initialized = initialized;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn persist_roundtrip_resumes_adaptation() {
-        use electrifi_state::{Persist, SectionReader, SectionWriter};
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut a = RateAdapter::new(RateAdapterConfig::default());
-        for _ in 0..40 {
-            a.observe(&mut rng, 24.0);
-        }
-        let mut w = SectionWriter::new();
-        a.save_state(&mut w);
-        let mut b = RateAdapter::new(RateAdapterConfig::default());
-        let mut r = SectionReader::new("wifi.rate", w.bytes());
-        b.load_state(&mut r).unwrap();
-        r.finish().unwrap();
-        let state = |x: &RateAdapter| {
-            let mut w = SectionWriter::new();
-            x.save_state(&mut w);
-            w.bytes().to_vec()
-        };
-        assert_eq!(state(&a), state(&b));
-        assert_eq!(a.current_mcs(), b.current_mcs());
-        // Same RNG stream from here: the two must evolve identically.
-        let mut ra = StdRng::seed_from_u64(9);
-        let mut rb = StdRng::seed_from_u64(9);
-        for _ in 0..20 {
-            a.observe(&mut ra, 18.0);
-            b.observe(&mut rb, 18.0);
-        }
-        assert_eq!(state(&a), state(&b));
-    }
 
     #[test]
     fn starts_at_probe_rate() {

@@ -8,52 +8,28 @@
 
 use crate::channel::WifiChannel;
 use crate::mcs::Mcs;
-use serde::{Deserialize, Serialize};
 use simnet::time::Time;
 
-/// Efficiency knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WifiMacModel {
-    /// Net MAC efficiency at saturation with A-MPDU aggregation
-    /// (preamble, DIFS/SIFS, block ACK, MPDU framing).
-    pub mac_efficiency: f64,
-    /// Safety margin of rate adaptation (dB below instantaneous SNR).
-    pub rate_margin_db: f64,
-    /// Collision efficiency per extra contender.
-    pub contention_factor: f64,
-}
+/// Net MAC efficiency at saturation with A-MPDU aggregation (preamble,
+/// DIFS/SIFS, block ACK, MPDU framing).
+const MAC_EFFICIENCY: f64 = 0.72;
 
-impl Default for WifiMacModel {
-    fn default() -> Self {
-        WifiMacModel {
-            mac_efficiency: 0.72,
-            rate_margin_db: 1.5,
-            contention_factor: 0.92,
-        }
-    }
-}
+/// Safety margin of rate adaptation (dB below instantaneous SNR).
+const RATE_MARGIN_DB: f64 = 1.5;
+
+/// Collision efficiency per extra contender.
+const CONTENTION_FACTOR: f64 = 0.92;
 
 /// Expected saturation UDP goodput (Mb/s) on `channel` at instant `t`
 /// with `n_contenders` saturated stations (including this one).
 pub fn expected_goodput_mbps(channel: &WifiChannel, t: Time, n_contenders: usize) -> f64 {
-    expected_goodput_with(WifiMacModel::default(), channel, t, n_contenders)
-}
-
-/// [`expected_goodput_mbps`] with explicit model constants.
-pub fn expected_goodput_with(
-    model: WifiMacModel,
-    channel: &WifiChannel,
-    t: Time,
-    n_contenders: usize,
-) -> f64 {
     let snr = channel.snr_db(t);
-    let Some(mcs) = Mcs::select(snr, model.rate_margin_db) else {
+    let Some(mcs) = Mcs::select(snr, RATE_MARGIN_DB) else {
         return 0.0;
     };
     let loss = mcs.mpdu_error_prob(snr);
     let n = n_contenders.max(1) as f64;
-    mcs.phy_rate_mbps() * model.mac_efficiency * (1.0 - loss) / n
-        * model.contention_factor.powf(n - 1.0)
+    mcs.phy_rate_mbps() * MAC_EFFICIENCY * (1.0 - loss) / n * CONTENTION_FACTOR.powf(n - 1.0)
 }
 
 #[cfg(test)]

@@ -237,25 +237,6 @@ if so:
 PY
 fi
 
-if [ -f out/BENCH_state.json ]; then
-  echo "== bench_state =="
-  python3 - <<'PY'
-import json
-
-with open("out/BENCH_state.json") as f:
-    b = json.load(f)
-kb = b.get("snapshot_bytes", 0) / 1e3
-print(
-    f"snapshot={kb:.0f}kB"
-    f"  save={b.get('save_mb_per_sec', 0):.0f}MB/s"
-    f" ({b.get('saves_per_sec', 0):.0f}/s)"
-    f"  load={b.get('load_mb_per_sec', 0):.0f}MB/s"
-    f" ({b.get('loads_per_sec', 0):.0f}/s)"
-    f"  reencode_identical={b.get('reencode_identical')}"
-)
-PY
-fi
-
 if [ -f out/BENCH_channel.json ]; then
   echo "== bench_channel =="
   python3 - <<'PY'
