@@ -68,8 +68,7 @@ pub struct DisturbanceOutcome {
 /// One disturbed hybrid link being sampled. Construction wires the fault
 /// profiles into the channel models; [`DisturbanceSim::run_to_end`]
 /// drives the loop.
-#[derive(Debug, Clone)]
-pub struct DisturbanceSim {
+struct DisturbanceSim {
     // Configuration.
     plc: PlcChannel,
     dir: LinkDir,
@@ -93,23 +92,12 @@ impl DisturbanceSim {
     /// Wire the fault track into the first same-network pair's channels.
     /// Panics if the testbed has no same-network PLC pair (the scenario
     /// loader guarantees at least one).
-    pub fn new(env: &PaperEnv, faults: &CompiledFaults, cfg: DisturbanceConfig) -> Self {
+    fn new(env: &PaperEnv, faults: &CompiledFaults, cfg: DisturbanceConfig) -> Self {
         let (a, b) = *env
             .plc_pairs()
             .iter()
             .find(|(a, b)| a < b)
             .expect("disturbance experiment needs a same-network PLC pair");
-        Self::for_pair(env, faults, cfg, a, b)
-    }
-
-    /// Wire the fault track into one specific pair's channels.
-    pub fn for_pair(
-        env: &PaperEnv,
-        faults: &CompiledFaults,
-        cfg: DisturbanceConfig,
-        a: StationId,
-        b: StationId,
-    ) -> Self {
         let board = network_index(env.testbed.stations[a as usize].network);
         let mut plc = env.plc_channel(a, b);
         plc.set_fault_overlay(faults.link_overlay(board).cloned());
@@ -196,7 +184,7 @@ impl DisturbanceSim {
     }
 
     /// Drive the sampling loop to the end of the measurement window.
-    pub fn run_to_end(mut self) -> DisturbanceOutcome {
+    fn run_to_end(mut self) -> DisturbanceOutcome {
         while self.step() {}
         DisturbanceOutcome {
             series: self.series,

@@ -321,12 +321,10 @@ impl PlcSim {
                 .get(&(src, dst, slot as u8))
                 .expect("just refreshed")
                 .spec;
-            let degraded;
+            let mut degraded = SnrSpectrum::empty();
             let spec = match degraded_to {
                 Some(sinr) => {
-                    degraded = SnrSpectrum {
-                        snr_db: cached.snr_db.iter().map(|s| s.min(sinr)).collect(),
-                    };
+                    cached.capped_into(sinr, &mut degraded);
                     &degraded
                 }
                 None => cached,

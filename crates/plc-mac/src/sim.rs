@@ -1242,11 +1242,7 @@ impl PlcSim {
             // it copies into the reused scratch spectrum.
             let spec = match degraded_to {
                 Some(sinr) => {
-                    scratch.degraded.snr_db.clear();
-                    scratch
-                        .degraded
-                        .snr_db
-                        .extend(cached.snr_db.iter().map(|s| s.min(sinr)));
+                    cached.capped_into(sinr, &mut scratch.degraded);
                     self.metrics.allocs_saved.inc();
                     &scratch.degraded
                 }

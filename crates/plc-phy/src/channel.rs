@@ -37,6 +37,7 @@ use simnet::obs::{self, Counter};
 use simnet::schedule::Schedule;
 use simnet::time::Time;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Direction of a (bidirectional) physical link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -187,17 +188,58 @@ struct LocalAppliance {
 }
 
 /// Per-carrier SNR snapshot of one link direction at one instant.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// A spectrum written by the cached evaluator also carries its
+/// `SpectrumSource`, which lets a consumer recompose the same values
+/// later without keeping a copy of them. Equality compares the values
+/// only.
+#[derive(Debug, Clone, Default)]
 pub struct SnrSpectrum {
     /// SNR per carrier, dB.
     pub snr_db: Vec<f64>,
+    /// How `snr_db` was composed; `None` for spectra built from raw
+    /// values.
+    source: Option<SpectrumSource>,
+}
+
+impl PartialEq for SnrSpectrum {
+    fn eq(&self, other: &Self) -> bool {
+        self.snr_db == other.snr_db
+    }
 }
 
 impl SnrSpectrum {
     /// An empty spectrum buffer, for reuse with
     /// [`PlcChannel::spectrum_at_phase_into`].
     pub fn empty() -> Self {
-        SnrSpectrum { snr_db: Vec::new() }
+        SnrSpectrum::from_db(Vec::new())
+    }
+
+    /// A spectrum of raw per-carrier values, with no source.
+    pub fn from_db(snr_db: Vec<f64>) -> Self {
+        SnrSpectrum {
+            snr_db,
+            source: None,
+        }
+    }
+
+    /// The provenance of `snr_db`, when the channel composed it.
+    pub(crate) fn source(&self) -> Option<&SpectrumSource> {
+        self.source.as_ref()
+    }
+
+    /// Overwrite `out` with this spectrum capped at `cap_db` on every
+    /// carrier: what a receiver measures under capture, where it cannot
+    /// tell collision noise from channel noise (paper §8.2). The source,
+    /// if any, is carried over with the cap, so the copy stays
+    /// recomposable. Reuses `out`'s buffer.
+    pub fn capped_into(&self, cap_db: f64, out: &mut SnrSpectrum) {
+        out.snr_db.clear();
+        out.snr_db.extend(self.snr_db.iter().map(|s| s.min(cap_db)));
+        out.source = self.source.as_ref().map(|src| SpectrumSource {
+            cap_db: Some(src.cap_db.map_or(cap_db, |c| c.min(cap_db))),
+            ..src.clone()
+        });
     }
 
     /// Mean SNR over carriers, dB.
@@ -206,6 +248,53 @@ impl SnrSpectrum {
             return f64::NAN;
         }
         self.snr_db.iter().sum::<f64>() / self.snr_db.len() as f64
+    }
+}
+
+/// Everything [`PlcChannel::spectrum_at_phase_into`] composed one
+/// spectrum from: the channel's static planes and the epoch's multipath
+/// plane (both shared, never copied), the frequency-flat scalars of that
+/// call, and an optional capture cap. Holding a source keeps its epoch
+/// plane alive: the channel rebuilds a plane in place only when no
+/// source still refers to it, and allocates a fresh one otherwise.
+#[derive(Debug, Clone)]
+pub(crate) struct SpectrumSource {
+    stat: Arc<StaticTerms>,
+    mp_db: Arc<Vec<f64>>,
+    flat: kernels::FlatTerms,
+    /// Per-carrier ceiling applied after composition, dB.
+    cap_db: Option<f64>,
+}
+
+impl SpectrumSource {
+    /// Recompose the spectrum into `out`, bit-identical to the
+    /// `snr_db` it came with. Pure arithmetic on the held planes: the
+    /// channel is not consulted and no counter moves.
+    pub(crate) fn compose_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.mp_db.len(), 0.0);
+        kernels::compose_snr_chunked(
+            out,
+            &self.stat.cable_db,
+            &self.stat.clutter_db,
+            &self.stat.lowfreq_db,
+            &self.mp_db,
+            &self.flat,
+        );
+        if let Some(cap) = self.cap_db {
+            for s in out.iter_mut() {
+                *s = s.min(cap);
+            }
+        }
+    }
+
+    /// Whether `other` composes to the same bits: the same planes (by
+    /// identity) and bitwise-equal scalars and cap.
+    pub(crate) fn same_as(&self, other: &SpectrumSource) -> bool {
+        Arc::ptr_eq(&self.stat, &other.stat)
+            && Arc::ptr_eq(&self.mp_db, &other.mp_db)
+            && self.flat.to_bits() == other.flat.to_bits()
+            && self.cap_db.map(f64::to_bits) == other.cap_db.map(f64::to_bits)
     }
 }
 
@@ -278,8 +367,10 @@ struct EpochTerms {
     valid_until_ns: u64,
     /// Summed transit loss past all loaded taps, dB.
     transit_db_total: f64,
-    /// Per-carrier multipath interference term, dB.
-    mp_db: Vec<f64>,
+    /// Per-carrier multipath interference term, dB. Shared with the
+    /// [`SpectrumSource`]s composed from this epoch; see
+    /// [`PlcChannel::rebuild_epoch`].
+    mp_db: Arc<Vec<f64>>,
     /// Per-group reflection coefficients (summed `echo_gain·γ`), scratch
     /// reused across rebuilds.
     coeffs: Vec<f64>,
@@ -317,7 +408,7 @@ impl CacheMetrics {
 
 #[derive(Debug, Clone, Default)]
 struct CacheState {
-    stat: Option<StaticTerms>,
+    stat: Option<Arc<StaticTerms>>,
     epoch: EpochTerms,
     metrics: Option<CacheMetrics>,
 }
@@ -477,7 +568,7 @@ impl PlcChannel {
         };
         // Warm the static per-carrier vectors now: every spectrum of this
         // link needs them and they never change.
-        ch.cache.state.borrow_mut().stat = Some(ch.build_static_terms(true));
+        ch.cache.state.borrow_mut().stat = Some(Arc::new(ch.build_static_terms(true)));
         Some(ch)
     }
 
@@ -599,9 +690,7 @@ impl PlcChannel {
     /// half mains cycle. Use this to characterize tone-map slots without
     /// waiting for the right instant.
     pub fn spectrum_at_phase(&self, dir: LinkDir, t: Time, phase: f64) -> SnrSpectrum {
-        let mut out = SnrSpectrum {
-            snr_db: Vec::with_capacity(self.plan.len()),
-        };
+        let mut out = SnrSpectrum::from_db(Vec::with_capacity(self.plan.len()));
         self.spectrum_at_phase_into(dir, t, phase, &mut out);
         out
     }
@@ -621,8 +710,12 @@ impl PlcChannel {
     /// The composition performs the same floating-point operations in the
     /// same association order as [`PlcChannel::spectrum_at_phase_reference`],
     /// so results are **bit-identical** to the uncached evaluator
-    /// (property-tested in `tests/spectrum_cache.rs`).
+    /// (property-tested in `tests/spectrum_cache.rs`). `out` also gets
+    /// the call's `SpectrumSource`.
     pub fn spectrum_at_phase_into(&self, dir: LinkDir, t: Time, phase: f64, out: &mut SnrSpectrum) {
+        // Release `out`'s hold on the previous epoch plane first, so a
+        // rebuild below can reuse it in place.
+        out.source = None;
         let p = &self.params;
         let (src_local, dst_local, cycle, dst_static_db) = match dir {
             LinkDir::AtoB => (
@@ -664,7 +757,7 @@ impl PlcChannel {
         let state = &mut *guard;
         let st = state.stat.get_or_insert_with(|| {
             let _span = obs::span::enter_at("phy.static_build", t);
-            self.build_static_terms(true)
+            Arc::new(self.build_static_terms(true))
         });
         let metrics = state.metrics.get_or_insert_with(CacheMetrics::register);
         let ep = &mut state.epoch;
@@ -715,6 +808,12 @@ impl PlcChannel {
             &ep.mp_db,
             &flat,
         );
+        out.source = Some(SpectrumSource {
+            stat: Arc::clone(st),
+            mp_db: Arc::clone(&ep.mp_db),
+            flat,
+            cap_db: None,
+        });
     }
 
     /// End of the analytic epoch-key validity window starting at `t`:
@@ -888,6 +987,11 @@ impl PlcChannel {
     /// static geometry planes, so the rebuild is a handful of chunked
     /// multiply-accumulate passes plus the dB finisher — tens of
     /// microseconds for a 917-carrier plan.
+    ///
+    /// The multipath plane is rewritten in place unless a
+    /// [`SpectrumSource`] (say, in an estimator's pending log) still
+    /// holds it; then the old plane stays with its holders and the epoch
+    /// gets a fresh one.
     fn rebuild_epoch(&self, t: Time, st: &StaticTerms, ep: &mut EpochTerms) {
         {
             let _span = obs::span::enter_at("phy.echo_setup", t);
@@ -908,9 +1012,13 @@ impl PlcChannel {
                 &group.sin,
             );
         }
-        ep.mp_db.clear();
-        ep.mp_db.resize(n, 0.0);
-        kernels::mp_db_chunked(&mut ep.mp_db, &ep.re, &ep.im, MAX_NULL_DB);
+        if Arc::get_mut(&mut ep.mp_db).is_none() {
+            ep.mp_db = Arc::new(Vec::with_capacity(n));
+        }
+        let mp_db = Arc::get_mut(&mut ep.mp_db).expect("epoch plane is unshared");
+        mp_db.clear();
+        mp_db.resize(n, 0.0);
+        kernels::mp_db_chunked(mp_db, &ep.re, &ep.im, MAX_NULL_DB);
     }
 
     /// The uncached evaluator, kept as the ground truth the cache must
@@ -1001,7 +1109,7 @@ impl PlcChannel {
             &mp_db,
             &flat,
         );
-        SnrSpectrum { snr_db }
+        SnrSpectrum::from_db(snr_db)
     }
 }
 
@@ -1380,6 +1488,45 @@ mod tests {
         // re-scanned a schedule. The two cold/flipped calls rescanned.
         assert_eq!(snap.counter("plc.phy.spectrum.key_skips"), 2);
         assert_eq!(snap.counter("plc.phy.spectrum.key_rescans"), 2);
+    }
+
+    #[test]
+    fn rebuild_never_overwrites_a_held_epoch_plane() {
+        // BuildingLights on a tap: noon and 23:00 are different epochs.
+        let mut g = Grid::new();
+        let a = g.add_outlet("A");
+        let j = g.add_junction("J");
+        let b = g.add_outlet("B");
+        g.connect(a, j, 20.0);
+        g.connect(j, b, 20.0);
+        let o = g.add_outlet("L");
+        g.connect(j, o, 3.0);
+        g.attach(o, ApplianceKind::Lighting, Schedule::BuildingLights);
+        let c = chan(&g, a, b);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut buf = SnrSpectrum::empty();
+        c.spectrum_at_phase_into(LinkDir::AtoB, Time::from_hours(12), 0.3, &mut buf);
+        let noon = buf.snr_db.clone();
+        // A log holds the noon source while the channel moves on.
+        let held = buf.source().expect("cached spectra carry a source").clone();
+        c.spectrum_at_phase_into(LinkDir::AtoB, Time::from_hours(23), 0.3, &mut buf);
+        assert_ne!(bits(&buf.snr_db), bits(&noon));
+        assert!(!Arc::ptr_eq(&held.mp_db, &buf.source().unwrap().mp_db));
+        let mut recomposed = Vec::new();
+        held.compose_into(&mut recomposed);
+        assert_eq!(bits(&recomposed), bits(&noon));
+        // Once nothing else holds it, a rebuild reuses the plane in place.
+        drop(held);
+        let plane = Arc::as_ptr(&buf.source().unwrap().mp_db);
+        c.spectrum_at_phase_into(LinkDir::AtoB, Time::from_hours(12), 0.3, &mut buf);
+        assert_eq!(Arc::as_ptr(&buf.source().unwrap().mp_db), plane);
+        assert_eq!(bits(&buf.snr_db), bits(&noon));
+        // A capped copy recomposes to its capped values.
+        let mut capped = SnrSpectrum::empty();
+        buf.capped_into(20.0, &mut capped);
+        capped.source().unwrap().compose_into(&mut recomposed);
+        assert_eq!(bits(&recomposed), bits(&capped.snr_db));
+        assert!(capped.snr_db.iter().all(|&s| s <= 20.0));
     }
 
     #[test]

@@ -118,9 +118,7 @@ mod tests {
     #[test]
     fn flat_channel_is_coherent_everywhere() {
         let plan = plan_n(917);
-        let spec = SnrSpectrum {
-            snr_db: vec![30.0; 917],
-        };
+        let spec = SnrSpectrum::from_db(vec![30.0; 917]);
         let c = characterize(&plan, &spec);
         assert_eq!(c.mean_snr_db, 30.0);
         assert_eq!(c.freq_selectivity_db, 0.0);
@@ -140,7 +138,7 @@ mod tests {
                 30.0 + 6.0 * (2.0 * std::f64::consts::PI * f / 2.0).sin()
             })
             .collect();
-        let c = characterize(&plan, &SnrSpectrum { snr_db: snr });
+        let c = characterize(&plan, &SnrSpectrum::from_db(snr));
         assert!(c.coherence_bw_mhz < 1.0, "bw={}", c.coherence_bw_mhz);
         assert!(c.coherence_bw_mhz > 0.05, "bw={}", c.coherence_bw_mhz);
         assert!(c.freq_selectivity_db > 3.0);
@@ -153,7 +151,7 @@ mod tests {
         // Two separate notch regions.
         snr[100..110].fill(10.0);
         snr[500..520].fill(12.0);
-        let c = characterize(&plan, &SnrSpectrum { snr_db: snr });
+        let c = characterize(&plan, &SnrSpectrum::from_db(snr));
         assert_eq!(c.notches, 2);
         assert_eq!(c.min_snr_db, 10.0);
     }
@@ -204,11 +202,6 @@ mod tests {
     #[should_panic(expected = "spectrum must match the plan")]
     fn plan_mismatch_panics() {
         let plan = plan_n(917);
-        characterize(
-            &plan,
-            &SnrSpectrum {
-                snr_db: vec![1.0; 10],
-            },
-        );
+        characterize(&plan, &SnrSpectrum::from_db(vec![1.0; 10]));
     }
 }

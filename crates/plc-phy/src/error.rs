@@ -76,9 +76,7 @@ mod tests {
     fn map_and_spectrum(chosen_snr: f64, actual_snr: f64, n: usize) -> (ToneMap, SnrSpectrum) {
         let snr_design = vec![chosen_snr; n];
         let map = ToneMap::from_snr(&snr_design, 2.0, FecRate::SixteenTwentyFirsts, 0.02, 1);
-        let spectrum = SnrSpectrum {
-            snr_db: vec![actual_snr; n],
-        };
+        let spectrum = SnrSpectrum::from_db(vec![actual_snr; n]);
         (map, spectrum)
     }
 
@@ -101,9 +99,7 @@ mod tests {
     #[test]
     fn improved_channel_shrinks_pberr() {
         let (map, base) = map_and_spectrum(25.0, 25.0, 200);
-        let better = SnrSpectrum {
-            snr_db: vec![31.0; 200],
-        };
+        let better = SnrSpectrum::from_db(vec![31.0; 200]);
         assert!(pb_error_prob(&map, &better) < pb_error_prob(&map, &base));
     }
 
@@ -125,9 +121,7 @@ mod tests {
         // why broadcast loss rates are ~1e-4 regardless of link quality
         // (paper §8.1).
         let robo = ToneMap::robo(100);
-        let spec = SnrSpectrum {
-            snr_db: vec![8.0; 100],
-        };
+        let spec = SnrSpectrum::from_db(vec![8.0; 100]);
         let p = pb_error_prob(&robo, &spec);
         assert!(p < 0.05, "robo pberr={p}");
     }
@@ -135,9 +129,7 @@ mod tests {
     #[test]
     fn all_off_map_always_fails() {
         let map = ToneMap::from_snr(&vec![-20.0; 50], 0.0, FecRate::Half, 0.02, 1);
-        let spec = SnrSpectrum {
-            snr_db: vec![-20.0; 50],
-        };
+        let spec = SnrSpectrum::from_db(vec![-20.0; 50]);
         assert_eq!(map.bits_per_symbol(), 0);
         assert!(pb_error_prob(&map, &spec) > 0.9);
     }

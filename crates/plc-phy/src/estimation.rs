@@ -24,10 +24,11 @@
 //!   errors makes the estimator return a very low BLE until the next
 //!   regeneration.
 
+use crate::channel::SpectrumSource;
 use crate::modulation::{FecRate, Modulation};
 use crate::tonemap::{ToneMap, ToneMapSet, TONEMAP_SLOTS};
 use crate::SnrSpectrum;
-use rand::Rng;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use simnet::rng::Distributions;
 use simnet::time::{Duration, Time};
@@ -131,18 +132,94 @@ pub struct EstimatorStats {
     pub error_regenerations: u64,
 }
 
+/// Entries the pending-observation log holds before it is applied
+/// anyway. It bounds the memory of an estimator that observes for long
+/// without regenerating; applying early changes no result. Unit tests
+/// use a small cap so that their short runs cross it.
+#[cfg(not(test))]
+const LOG_CAP: usize = 4096;
+#[cfg(test)]
+const LOG_CAP: usize = 24;
+
+/// One deferred observation: everything the eager per-carrier update
+/// needs to run later with the same draws.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    /// Shared-generator state right before the observation's draws.
+    rng: [u64; 4],
+    /// Index into [`PendingLog::sources`] of the truth spectrum.
+    source: u32,
+    slot: u8,
+    /// Frame length in symbols, already clamped to `1..=64`.
+    n_symbols: u8,
+}
+
+/// Observations whose per-carrier updates have not been applied yet, in
+/// order. The buffers are reused across flushes and resets.
+#[derive(Debug, Clone, Default)]
+struct PendingLog {
+    entries: Vec<Pending>,
+    /// Distinct truth spectra of `entries`.
+    sources: Vec<SpectrumSource>,
+    /// Per tone-map slot, the index of the last source logged for it:
+    /// consecutive frames in a slot mostly reuse one cached spectrum.
+    last_source: [Option<u32>; TONEMAP_SLOTS],
+    /// Scratch the replay recomposes each truth spectrum into.
+    truth: Vec<f64>,
+}
+
+impl PendingLog {
+    fn push(&mut self, rng: [u64; 4], slot: usize, n_symbols: u8, src: &SpectrumSource) {
+        let source = match self.last_source[slot] {
+            Some(i) if self.sources[i as usize].same_as(src) => i,
+            _ => {
+                let i = self.sources.len() as u32;
+                self.sources.push(src.clone());
+                self.last_source[slot] = Some(i);
+                i
+            }
+        };
+        self.entries.push(Pending {
+            rng,
+            source,
+            slot: slot as u8,
+            n_symbols,
+        });
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.sources.clear();
+        self.last_source = [None; TONEMAP_SLOTS];
+    }
+}
+
 /// Per-link-direction channel estimator, owned by the *destination*
 /// station, which measures sound/data frames and returns tone maps to the
 /// source (paper §2.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Only a regeneration reads the per-carrier estimates, so
+/// [`ChannelEstimator::observe`] defers their update: it keeps every
+/// scalar the regeneration triggers read current, advances the shared
+/// generator past the draws the update will make, and logs the
+/// observation. [`ChannelEstimator::regenerate`] replays the log first,
+/// with the same draws and the same float expressions, so every estimate
+/// and tone map is bit-identical to updating eagerly; a reset drops the
+/// log, and with it the work no regeneration would ever have read.
+#[derive(Debug, Clone)]
 pub struct ChannelEstimator {
     cfg: EstimatorConfig,
     stats: EstimatorStats,
     n_carriers: usize,
-    /// Per-slot, per-carrier SNR estimates (dB).
+    /// Per-slot, per-carrier SNR estimates (dB), up to the last applied
+    /// observation.
     snr_est: Vec<Vec<f64>>,
-    /// Per-slot tracking weight (bounded by `tracking_cap`).
-    weight: Vec<f64>,
+    /// Per-slot tracking weight (bounded by `tracking_cap`), up to the
+    /// last observation.
+    weight: [f64; TONEMAP_SLOTS],
+    /// `weight` as of the last applied observation: the replay's own
+    /// copy, equal to `weight` whenever the log is empty.
+    applied_weight: [f64; TONEMAP_SLOTS],
     /// Total accumulated sample weight since the last reset; drives the
     /// bootstrap-margin decay and never shrinks while probing pauses.
     total_weight: f64,
@@ -154,6 +231,7 @@ pub struct ChannelEstimator {
     tonemaps: ToneMapSet,
     last_regen: Option<Time>,
     next_id: u32,
+    log: PendingLog,
 }
 
 impl ChannelEstimator {
@@ -164,23 +242,28 @@ impl ChannelEstimator {
             stats: EstimatorStats::default(),
             n_carriers,
             snr_est: vec![vec![0.0; n_carriers]; TONEMAP_SLOTS],
-            weight: vec![0.0; TONEMAP_SLOTS],
+            weight: [0.0; TONEMAP_SLOTS],
+            applied_weight: [0.0; TONEMAP_SLOTS],
             total_weight: 0.0,
             max_pbs_seen: 0,
             tonemaps: ToneMapSet::all_robo(n_carriers),
             last_regen: None,
             next_id: 1,
+            log: PendingLog::default(),
         }
     }
 
     /// Factory reset (the paper resets devices before the Fig. 16/18
     /// convergence experiments). Lifetime counters survive the reset —
-    /// and record it.
+    /// and record it. Pending observations are dropped unapplied.
     pub fn reset(&mut self) {
         let mut stats = self.stats;
         stats.resets += 1;
+        let mut log = std::mem::take(&mut self.log);
+        log.clear();
         *self = ChannelEstimator::new(self.cfg, self.n_carriers);
         self.stats = stats;
+        self.log = log;
     }
 
     /// Lifetime counters (resets, observations, regenerations).
@@ -222,9 +305,14 @@ impl ChannelEstimator {
     /// frames provide more measurement samples ("it needs many samples
     /// from many PBs to estimate the error for every frequency", §7.1) —
     /// and `n_pbs` the number of physical blocks the frame carried.
-    pub fn observe<R: Rng + ?Sized>(
+    ///
+    /// A spectrum the channel composed (one with a `SpectrumSource`) is
+    /// logged and its per-carrier update deferred to the next
+    /// regeneration; `rng` is still advanced exactly as the update will
+    /// draw. A spectrum of raw values is applied at once.
+    pub fn observe(
         &mut self,
-        rng: &mut R,
+        rng: &mut StdRng,
         slot: usize,
         true_spectrum: &SnrSpectrum,
         n_symbols: u64,
@@ -232,31 +320,88 @@ impl ChannelEstimator {
     ) {
         debug_assert_eq!(true_spectrum.snr_db.len(), self.n_carriers);
         let slot = slot % TONEMAP_SLOTS;
-        let w = (n_symbols.clamp(1, 64) as f64).sqrt();
-        let sigma = self.cfg.meas_noise_db / w;
-        // Primary update of the observed slot; weak cross-slot update of
-        // the others (the standard derives maps for all slots from any
-        // traffic, paper §7.1). Cross-slot updates stop once a slot has
-        // built up its own history — they only serve the bootstrap.
-        for s in 0..TONEMAP_SLOTS {
-            if s != slot && self.weight[s] >= 0.3 * self.cfg.tracking_cap {
-                continue;
+        let n_symbols = n_symbols.clamp(1, 64) as u8;
+        match true_spectrum.source() {
+            Some(src) => {
+                debug_assert!(
+                    {
+                        let mut truth = Vec::new();
+                        src.compose_into(&mut truth);
+                        truth
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .eq(true_spectrum.snr_db.iter().map(|x| x.to_bits()))
+                    },
+                    "spectrum values no longer match their source"
+                );
+                let state = rng.state();
+                let n = true_spectrum.snr_db.len().min(self.n_carriers);
+                update_slots(
+                    &self.cfg,
+                    &mut self.weight,
+                    slot,
+                    n_symbols,
+                    |_, _, _, _, _| {
+                        for _ in 0..n {
+                            Distributions::skip_std_normal(rng);
+                        }
+                    },
+                );
+                self.log.push(state, slot, n_symbols, src);
+                if self.log.entries.len() >= LOG_CAP {
+                    self.apply_pending();
+                }
             }
-            let (uw, us) = if s == slot {
-                (w, sigma)
-            } else {
-                (0.25 * w, sigma * 2.0)
-            };
-            let total = self.weight[s] + uw;
-            for (est, &truth) in self.snr_est[s].iter_mut().zip(&true_spectrum.snr_db) {
-                let meas = truth + Distributions::normal(rng, 0.0, us);
-                *est = (*est * self.weight[s] + meas * uw) / total;
+            None => {
+                self.apply_pending();
+                apply_observation(
+                    &self.cfg,
+                    &mut self.snr_est,
+                    &mut self.applied_weight,
+                    rng,
+                    slot,
+                    &true_spectrum.snr_db,
+                    n_symbols,
+                );
+                self.weight = self.applied_weight;
             }
-            self.weight[s] = total.min(self.cfg.tracking_cap);
         }
-        self.total_weight += w;
+        self.total_weight += (n_symbols as f64).sqrt();
         self.max_pbs_seen = self.max_pbs_seen.max(n_pbs);
         self.stats.observations += 1;
+    }
+
+    /// Apply every pending observation, in order, with the draws and
+    /// float expressions the eager update would have used.
+    fn apply_pending(&mut self) {
+        let ChannelEstimator {
+            cfg,
+            snr_est,
+            applied_weight,
+            log,
+            ..
+        } = self;
+        let mut composed = None;
+        for e in &log.entries {
+            if composed != Some(e.source) {
+                log.sources[e.source as usize].compose_into(&mut log.truth);
+                composed = Some(e.source);
+            }
+            apply_observation(
+                cfg,
+                snr_est,
+                applied_weight,
+                &mut StdRng::from_state(e.rng),
+                e.slot as usize,
+                &log.truth,
+                e.n_symbols,
+            );
+        }
+        log.clear();
+        debug_assert_eq!(
+            self.applied_weight.map(f64::to_bits),
+            self.weight.map(f64::to_bits)
+        );
     }
 
     /// Effective margin: base margin plus the bootstrap margin scaled down
@@ -302,6 +447,7 @@ impl ChannelEstimator {
     /// Unconditionally regenerate the tone maps from the current SNR
     /// estimates.
     pub fn regenerate(&mut self, now: Time, error_triggered: bool) {
+        self.apply_pending();
         self.stats.regenerations += 1;
         if error_triggered {
             self.stats.error_regenerations += 1;
@@ -348,28 +494,31 @@ impl ChannelEstimator {
         self.last_regen = Some(now);
     }
 
-    /// Downgrade carriers round-robin until the map's information bits per
-    /// symbol do not exceed `cap_bits`.
+    /// Downgrade carriers one rung at a time, always the highest-loaded
+    /// one (the highest index among equals), until the map's information
+    /// bits per symbol do not exceed `cap_bits`.
+    ///
+    /// That order walks the ladder top down and, on each rung, the
+    /// carriers on it from the highest index down, so one pass per rung
+    /// finds every downgrade; a running bit sum replaces the per-step
+    /// recount. Both give the comparisons
+    /// [`ToneMap::info_bits_per_symbol`] would.
     fn cap_info_bits(map: &mut ToneMap, cap_bits: u64) {
-        let ladder_down = |m: Modulation| -> Modulation {
-            let idx = Modulation::LADDER.iter().position(|x| *x == m).unwrap();
-            Modulation::LADDER[idx.saturating_sub(1)]
-        };
-        let mut guard = 0;
-        while map.info_bits_per_symbol() > cap_bits as f64 && guard < 20 * map.carriers.len() {
-            // Downgrade the highest-loaded carrier first.
-            if let Some((i, _)) = map
-                .carriers
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, m)| m.bits())
-            {
-                if map.carriers[i] == Modulation::Off {
-                    break;
+        let (fec, repetition) = (map.fec.as_f64(), map.repetition as f64);
+        let over = |bits: u64| bits as f64 * fec / repetition > cap_bits as f64;
+        let mut bits = map.bits_per_symbol();
+        for rung in (1..Modulation::LADDER.len()).rev() {
+            let (from, to) = (Modulation::LADDER[rung], Modulation::LADDER[rung - 1]);
+            for m in map.carriers.iter_mut().rev() {
+                if *m != from {
+                    continue;
                 }
-                map.carriers[i] = ladder_down(map.carriers[i]);
+                if !over(bits) {
+                    return;
+                }
+                *m = to;
+                bits -= (from.bits() - to.bits()) as u64;
             }
-            guard += 1;
         }
     }
 
@@ -379,19 +528,66 @@ impl ChannelEstimator {
     }
 }
 
+/// Run `per_slot(s, weight, uw, us, total)` for every slot one
+/// observation updates, then advance that slot's tracking weight: the
+/// observed slot at full weight, the others weakly (the standard derives
+/// maps for all slots from any traffic, paper §7.1). Cross-slot updates
+/// stop once a slot has built up its own history — they only serve the
+/// bootstrap.
+fn update_slots(
+    cfg: &EstimatorConfig,
+    weight: &mut [f64; TONEMAP_SLOTS],
+    slot: usize,
+    n_symbols: u8,
+    mut per_slot: impl FnMut(usize, f64, f64, f64, f64),
+) {
+    let w = (n_symbols as f64).sqrt();
+    let sigma = cfg.meas_noise_db / w;
+    for (s, ws) in weight.iter_mut().enumerate() {
+        if s != slot && *ws >= 0.3 * cfg.tracking_cap {
+            continue;
+        }
+        let (uw, us) = if s == slot {
+            (w, sigma)
+        } else {
+            (0.25 * w, sigma * 2.0)
+        };
+        let total = *ws + uw;
+        per_slot(s, *ws, uw, us, total);
+        *ws = total.min(cfg.tracking_cap);
+    }
+}
+
+/// The per-carrier update of one observation: one noisy measurement per
+/// carrier, folded into the slot's running estimate.
+fn apply_observation(
+    cfg: &EstimatorConfig,
+    snr_est: &mut [Vec<f64>],
+    weight: &mut [f64; TONEMAP_SLOTS],
+    rng: &mut StdRng,
+    slot: usize,
+    truth: &[f64],
+    n_symbols: u8,
+) {
+    update_slots(cfg, weight, slot, n_symbols, |s, old, uw, us, total| {
+        for (est, &truth) in snr_est[s].iter_mut().zip(truth) {
+            let meas = truth + Distributions::normal(rng, 0.0, us);
+            *est = (*est * old + meas * uw) / total;
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::carrier::SYMBOL_US;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
 
     const N: usize = 200;
 
     fn flat_spectrum(snr: f64) -> SnrSpectrum {
-        SnrSpectrum {
-            snr_db: vec![snr; N],
-        }
+        SnrSpectrum::from_db(vec![snr; N])
     }
 
     fn estimator() -> ChannelEstimator {
@@ -518,9 +714,7 @@ mod tests {
         let cfg = EstimatorConfig::default();
         let mut e = ChannelEstimator::new(cfg, 917);
         let mut rng = StdRng::seed_from_u64(2);
-        let spec = SnrSpectrum {
-            snr_db: vec![40.0; 917],
-        };
+        let spec = SnrSpectrum::from_db(vec![40.0; 917]);
         for step in 0..3000 {
             e.observe(&mut rng, step % TONEMAP_SLOTS, &spec, 1, 1); // 1-symbol frames
         }
@@ -631,6 +825,236 @@ mod tests {
         assert_eq!(s.resets, 1);
         // The estimate itself did reset.
         assert_eq!(e.total_weight(), 0.0);
+    }
+
+    /// Today's eager update, kept verbatim as the oracle the deferred
+    /// estimator must match: every carrier drawn and folded in at
+    /// observation time. Regeneration and reset go through the
+    /// production paths, which find nothing pending.
+    fn eager_observe(
+        e: &mut ChannelEstimator,
+        rng: &mut StdRng,
+        slot: usize,
+        true_spectrum: &SnrSpectrum,
+        n_symbols: u64,
+        n_pbs: u32,
+    ) {
+        let slot = slot % TONEMAP_SLOTS;
+        let w = (n_symbols.clamp(1, 64) as f64).sqrt();
+        let sigma = e.cfg.meas_noise_db / w;
+        for s in 0..TONEMAP_SLOTS {
+            if s != slot && e.weight[s] >= 0.3 * e.cfg.tracking_cap {
+                continue;
+            }
+            let (uw, us) = if s == slot {
+                (w, sigma)
+            } else {
+                (0.25 * w, sigma * 2.0)
+            };
+            let total = e.weight[s] + uw;
+            for (est, &truth) in e.snr_est[s].iter_mut().zip(&true_spectrum.snr_db) {
+                let meas = truth + Distributions::normal(rng, 0.0, us);
+                *est = (*est * e.weight[s] + meas * uw) / total;
+            }
+            e.weight[s] = total.min(e.cfg.tracking_cap);
+        }
+        e.applied_weight = e.weight;
+        e.total_weight += w;
+        e.max_pbs_seen = e.max_pbs_seen.max(n_pbs);
+        e.stats.observations += 1;
+    }
+
+    /// The estimates `e` would hold with its log applied, leaving `e`
+    /// itself untouched.
+    fn flushed_estimates(e: &ChannelEstimator) -> Vec<Vec<u64>> {
+        let mut copy = e.clone();
+        copy.apply_pending();
+        copy.snr_est
+            .iter()
+            .map(|slot| slot.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// A link whose tap carries a one-second duty cycle, so spectra
+    /// sampled a second apart fall in different appliance epochs.
+    fn switching_channel() -> crate::channel::PlcChannel {
+        use crate::channel::{PlcChannel, PlcChannelParams};
+        use crate::PlcTechnology;
+        use simnet::appliance::ApplianceKind;
+        use simnet::grid::Grid;
+        use simnet::schedule::Schedule;
+        let mut g = Grid::new();
+        let a = g.add_outlet("A");
+        let j = g.add_junction("J");
+        let b = g.add_outlet("B");
+        g.connect(a, j, 20.0);
+        g.connect(j, b, 25.0);
+        let o = g.add_outlet("F");
+        g.connect(j, o, 3.0);
+        let duty = Schedule::DutyCycle {
+            on_s: 1,
+            off_s: 1,
+            seed: 3,
+        };
+        g.attach(o, ApplianceKind::Fridge, duty);
+        PlcChannel::from_grid(
+            &g,
+            a,
+            b,
+            PlcTechnology::HpAv,
+            PlcChannelParams::default(),
+            77,
+        )
+        .expect("connected")
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn deferred_estimator_matches_the_eager_oracle(
+            seed in proptest::any::<u64>(),
+            regen_pct in 0u64..12,
+            ops in proptest::collection::vec(
+                (0u64..100, 0usize..2 * TONEMAP_SLOTS, 1u64..65, proptest::any::<u64>()),
+                1..70,
+            ),
+        ) {
+            use crate::channel::LinkDir;
+            let ch = switching_channel();
+            let n = ch.plan().len();
+            let cfg = if seed.is_multiple_of(3) {
+                EstimatorConfig::vendor_qca()
+            } else {
+                EstimatorConfig::default()
+            };
+            let mut deferred = ChannelEstimator::new(cfg, n);
+            let mut oracle = ChannelEstimator::new(cfg, n);
+            let mut rng_d = StdRng::seed_from_u64(seed);
+            let mut rng_o = rng_d.clone();
+            // One cached spectrum per tone-map slot, rewritten in place
+            // like the MAC's and the probe loop's caches.
+            let mut cache = vec![SnrSpectrum::empty(); TONEMAP_SLOTS];
+            let mut capped = SnrSpectrum::empty();
+            let mut now = Time::from_hours(10);
+            for (kind, slot, n_symbols, param) in ops {
+                now += Duration::from_millis(1 + param % 1500);
+                if kind < regen_pct {
+                    let pberr = (param >> 20) as f64 % 100.0 / 400.0;
+                    prop_assert_eq!(
+                        deferred.maybe_regenerate(now, pberr),
+                        oracle.maybe_regenerate(now, pberr)
+                    );
+                    if param.is_multiple_of(5) {
+                        deferred.regenerate(now, param.is_multiple_of(2));
+                        oracle.regenerate(now, param.is_multiple_of(2));
+                    }
+                } else if kind < regen_pct + regen_pct / 4 {
+                    deferred.reset();
+                    oracle.reset();
+                } else if kind >= 92 {
+                    // Another consumer of the shared generator.
+                    prop_assert_eq!(rng_d.next_u64(), rng_o.next_u64());
+                } else {
+                    let s = slot % TONEMAP_SLOTS;
+                    if !param.is_multiple_of(3) || cache[s].snr_db.is_empty() {
+                        let phase = (s as f64 + 0.5) / TONEMAP_SLOTS as f64;
+                        ch.spectrum_at_phase_into(LinkDir::AtoB, now, phase, &mut cache[s]);
+                    }
+                    let raw;
+                    let spec = match param % 10 {
+                        0 => {
+                            raw = SnrSpectrum::from_db(cache[s].snr_db.clone());
+                            &raw
+                        }
+                        1 | 2 => {
+                            let cap = 5.0 + (param >> 8) as f64 % 30.0;
+                            cache[s].capped_into(cap, &mut capped);
+                            &capped
+                        }
+                        _ => &cache[s],
+                    };
+                    let n_pbs = 1 + (param >> 32) as u32 % 3;
+                    deferred.observe(&mut rng_d, slot, spec, n_symbols, n_pbs);
+                    eager_observe(&mut oracle, &mut rng_o, slot, spec, n_symbols, n_pbs);
+                }
+                prop_assert_eq!(rng_d.state(), rng_o.state());
+                prop_assert!(deferred.log.entries.len() < LOG_CAP);
+                prop_assert_eq!(deferred.tonemaps(), oracle.tonemaps());
+                prop_assert_eq!(deferred.stats(), oracle.stats());
+                prop_assert_eq!(
+                    deferred.total_weight().to_bits(),
+                    oracle.total_weight().to_bits()
+                );
+                prop_assert!(flushed_estimates(&deferred) == flushed_estimates(&oracle));
+            }
+        }
+
+        #[test]
+        fn linear_cap_matches_the_quadratic_oracle(
+            rungs in proptest::collection::vec(0usize..Modulation::LADDER.len(), 0..300),
+            cap_frac in 0.0f64..1.2,
+            half_rate in proptest::any::<bool>(),
+            repetition in 1u32..4,
+        ) {
+            let mut map = ToneMap::robo(rungs.len());
+            map.carriers = rungs.iter().map(|&r| Modulation::LADDER[r]).collect();
+            map.fec = if half_rate { FecRate::Half } else { DATA_FEC };
+            map.repetition = repetition;
+            let cap = (map.info_bits_per_symbol() * cap_frac) as u64;
+            let mut oracle = map.clone();
+            cap_info_bits_quadratic(&mut oracle, cap);
+            ChannelEstimator::cap_info_bits(&mut map, cap);
+            prop_assert_eq!(map, oracle);
+        }
+    }
+
+    /// The capping loop as it was before it went linear: one downgrade
+    /// per pass, each pass recounting the bits and rescanning for the
+    /// last highest-loaded carrier.
+    fn cap_info_bits_quadratic(map: &mut ToneMap, cap_bits: u64) {
+        let ladder_down = |m: Modulation| -> Modulation {
+            let idx = Modulation::LADDER.iter().position(|x| *x == m).unwrap();
+            Modulation::LADDER[idx.saturating_sub(1)]
+        };
+        let mut guard = 0;
+        while map.info_bits_per_symbol() > cap_bits as f64 && guard < 20 * map.carriers.len() {
+            if let Some((i, _)) = map
+                .carriers
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, m)| m.bits())
+            {
+                if map.carriers[i] == Modulation::Off {
+                    break;
+                }
+                map.carriers[i] = ladder_down(map.carriers[i]);
+            }
+            guard += 1;
+        }
+    }
+
+    #[test]
+    fn reset_drops_pending_observations_without_drawing() {
+        use crate::channel::LinkDir;
+        let ch = switching_channel();
+        let spec = ch.spectrum(LinkDir::AtoB, Time::from_hours(10));
+        let mut e = ChannelEstimator::new(EstimatorConfig::default(), spec.snr_db.len());
+        let mut rng = StdRng::seed_from_u64(4);
+        for k in 0..5 {
+            e.observe(&mut rng, k, &spec, 8, 4);
+        }
+        assert_eq!(e.log.entries.len(), 5);
+        // Consecutive frames in a slot share one logged source.
+        e.observe(&mut rng, 0, &spec, 8, 4);
+        assert_eq!(e.log.sources.len(), 5);
+        let after_observing = rng.state();
+        e.reset();
+        assert!(e.log.entries.is_empty() && e.log.sources.is_empty());
+        assert_eq!(rng.state(), after_observing);
+        assert_eq!(flushed_estimates(&e), flushed_estimates(&estimator_of(&e)));
+    }
+
+    fn estimator_of(e: &ChannelEstimator) -> ChannelEstimator {
+        ChannelEstimator::new(*e.config(), e.n_carriers)
     }
 
     #[test]

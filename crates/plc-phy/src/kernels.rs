@@ -331,6 +331,19 @@ pub struct FlatTerms {
 }
 
 impl FlatTerms {
+    /// The scalars' bit patterns, for exact comparison.
+    pub(crate) fn to_bits(self) -> [u64; 7] {
+        [
+            self.tx_psd_dbm_hz.to_bits(),
+            self.transit_db_total.to_bits(),
+            self.board_db.to_bits(),
+            self.coupling_db.to_bits(),
+            self.noise_floor_dbm_hz.to_bits(),
+            self.ambient_db.to_bits(),
+            self.cycle_db.to_bits(),
+        ]
+    }
+
     /// One carrier of the composition, kept `inline(always)` so both
     /// variants inline the identical expression. The association order
     /// is the reference evaluator's, verbatim.

@@ -56,10 +56,8 @@ proptest! {
     #[test]
     fn pberr_valid_and_monotone(snrs in arb_snrs(60), drop in 0f64..15.0) {
         let map = ToneMap::from_snr(&snrs, 3.0, FecRate::SixteenTwentyFirsts, 0.02, 1);
-        let now = SnrSpectrum { snr_db: snrs.clone() };
-        let degraded = SnrSpectrum {
-            snr_db: snrs.iter().map(|s| s - drop).collect(),
-        };
+        let now = SnrSpectrum::from_db(snrs.clone());
+        let degraded = SnrSpectrum::from_db(snrs.iter().map(|s| s - drop).collect());
         let p0 = pb_error_prob(&map, &now);
         let p1 = pb_error_prob(&map, &degraded);
         prop_assert!((0.0..=1.0).contains(&p0));
@@ -98,7 +96,7 @@ proptest! {
         use simnet::time::Time;
         let mut est = ChannelEstimator::new(EstimatorConfig::default(), 80);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let spec = SnrSpectrum { snr_db: vec![snr; 80] };
+        let spec = SnrSpectrum::from_db(vec![snr; 80]);
         let ceiling = ToneMap {
             carriers: vec![Modulation::Qam1024; 80],
             fec: FecRate::SixteenTwentyFirsts,

@@ -79,10 +79,20 @@ pub enum CampaignOutcome {
     },
 }
 
+/// Damaged bytes (truncation, CRC mismatch, bad magic, ...) are an
+/// invalid checkpoint, the same class as one taken for a different work
+/// list; only a failing filesystem is an I/O error.
 fn state_to_scenario(path: &Path, e: StateError) -> ScenarioError {
-    ScenarioError::Io {
-        path: path.to_string_lossy().into_owned(),
-        message: e.to_string(),
+    if e.is_data_damage() {
+        ScenarioError::invalid(
+            "checkpoint",
+            format!("checkpoint {} is damaged: {e}", path.display()),
+        )
+    } else {
+        ScenarioError::Io {
+            path: path.to_string_lossy().into_owned(),
+            message: e.to_string(),
+        }
     }
 }
 

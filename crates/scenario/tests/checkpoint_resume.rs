@@ -64,19 +64,21 @@ fn checkpoint_for_a_different_work_list_is_rejected() {
         other => panic!("expected Invalid, got {other:?}"),
     }
 
-    // A truncated checkpoint surfaces the typed state error.
+    // A truncated checkpoint is invalid, like one for another work
+    // list, and names the typed state error; it is not an I/O failure.
     let path = dir.join(CHECKPOINT_FILE);
     let bytes = fs::read(&path).expect("read checkpoint");
     fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
     let err = load_checkpoint(&dir, "whatever", 4).unwrap_err();
     match err {
-        ScenarioError::Io { message, .. } => {
+        ScenarioError::Invalid { field, message } => {
+            assert_eq!(field, "checkpoint");
             assert!(
                 message.contains("truncated") || message.contains("corrupt"),
                 "unexpected message: {message}"
             );
         }
-        other => panic!("expected Io, got {other:?}"),
+        other => panic!("expected Invalid, got {other:?}"),
     }
     let _ = fs::remove_dir_all(&dir);
 }

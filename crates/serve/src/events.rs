@@ -21,7 +21,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug)]
 struct HubInner {
     /// `(seq, line)` pairs; seq is dense and strictly increasing.
-    buf: VecDeque<(u64, Arc<String>)>,
+    /// Lines are stored at their exact length: a server keeps every
+    /// ended job's ring for late subscribers.
+    buf: VecDeque<(u64, Arc<str>)>,
     next_seq: u64,
     cap: usize,
     dropped: u64,
@@ -49,7 +51,7 @@ pub enum Batch {
     /// before it caught up) since the previous batch.
     Lines {
         /// The lines, oldest first.
-        lines: Vec<Arc<String>>,
+        lines: Vec<Arc<str>>,
         /// Lines lost to ring eviction for this subscriber.
         gap: u64,
     },
@@ -89,7 +91,7 @@ impl EventHub {
         }
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        inner.buf.push_back((seq, Arc::new(line)));
+        inner.buf.push_back((seq, Arc::from(line)));
         drop(inner);
         self.cond.notify_all();
         evicted
@@ -98,7 +100,10 @@ impl EventHub {
     /// Close the hub: existing lines stay readable, new publishes are
     /// ignored, and drained subscribers see [`Batch::Closed`].
     pub fn close(&self) {
-        lock(&self.inner).closed = true;
+        let mut inner = lock(&self.inner);
+        inner.closed = true;
+        inner.buf.shrink_to_fit();
+        drop(inner);
         self.cond.notify_all();
     }
 
@@ -131,7 +136,7 @@ impl Subscription {
                 if gap > 0 {
                     self.cursor = first_retained;
                 }
-                let lines: Vec<Arc<String>> = inner
+                let lines: Vec<Arc<str>> = inner
                     .buf
                     .iter()
                     .skip_while(|(s, _)| *s < self.cursor)
@@ -168,7 +173,7 @@ mod tests {
             match sub.next_batch(64, Duration::from_millis(10)) {
                 Batch::Lines { lines, gap } => {
                     gaps += gap;
-                    out.extend(lines.iter().map(|l| l.as_str().to_string()));
+                    out.extend(lines.iter().map(|l| l.to_string()));
                 }
                 Batch::TimedOut | Batch::Closed => return (out, gaps),
             }
@@ -229,7 +234,7 @@ mod tests {
             })
         };
         match sub.next_batch(64, Duration::from_secs(5)) {
-            Batch::Lines { lines, .. } => assert_eq!(lines[0].as_str(), "wake"),
+            Batch::Lines { lines, .. } => assert_eq!(&*lines[0], "wake"),
             other => panic!("expected lines, got {other:?}"),
         }
         publisher.join().unwrap();

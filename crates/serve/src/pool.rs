@@ -135,7 +135,12 @@ fn execute_shard(core: &Arc<Core>, lease: &Lease) -> ShardOutcome {
     let Some(job) = core.job(&lease.job) else {
         return ShardOutcome::Failed(format!("no job data for {}", lease.job));
     };
-    let shard_runs = &job.runs[lease.start..lease.end];
+    // The job ended (cancelled, or failed by a sibling shard) after this
+    // shard was leased; its completion would be stale anyway.
+    let Some(inputs) = &job.inputs else {
+        return ShardOutcome::Cancelled;
+    };
+    let shard_runs = &inputs.runs[lease.start..lease.end];
     let shard_digest = config_digest(&shard_runs);
     let dir = shard_dir(&job, lease.shard);
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -250,7 +255,7 @@ fn execute_shard(core: &Arc<Core>, lease: &Lease) -> ShardOutcome {
             Some(tx) => Obs::with_sink(ChannelSink::new(tx.clone())),
             None => Obs::new(),
         };
-        let scenario = &job.spec.scenarios[run.scenario_index];
+        let scenario = &inputs.spec.scenarios[run.scenario_index];
         match execute_run(run, scenario, obs) {
             Ok(record) => {
                 core.metrics.inc(&core.metrics.workers_runs_executed);
@@ -299,13 +304,15 @@ fn write_shard_checkpoint(
 /// worker ever gets `job_finished == true` per job.
 pub(crate) fn finalize_job(core: &Arc<Core>, id: &str) {
     let Some(job) = core.job(id) else { return };
+    // Cancelled while its last shard completed: nothing left to write.
+    let Some(inputs) = &job.inputs else { return };
     let shard_results = lock(&core.sched).take_results(id);
     // Shards are contiguous ascending ranges, so concatenating their
     // records in shard order reproduces expansion order exactly — the
     // same order `summarize` sees in the CLI path, which is what makes
     // the served summary byte-identical to `campaign`'s.
     let records: Vec<RunRecord> = shard_results.into_iter().flatten().collect();
-    let summary = summarize(&job.spec, &job.runs, records);
+    let summary = summarize(&inputs.spec, &inputs.runs, records);
     // Assertion-verdict rollup for the status endpoint: only set when
     // some run actually carried a verdict, so plain campaigns keep
     // reporting `verdict: null`.
@@ -318,7 +325,7 @@ pub(crate) fn finalize_job(core: &Arc<Core>, id: &str) {
             lock(&core.sched).finalized(id, None);
             core.metrics.inc(&core.metrics.queue_completed);
             publish_status_event(core, &job, id, JobStatus::Done, None);
-            job.hub.close();
+            core.end_job(id, &job);
             // Shard checkpoints have served their purpose; the summary
             // and manifests are the durable artifacts.
             for shard in 0..usize::MAX {
@@ -334,7 +341,7 @@ pub(crate) fn finalize_job(core: &Arc<Core>, id: &str) {
             lock(&core.sched).finalized(id, Some(msg.clone()));
             core.metrics.inc(&core.metrics.queue_failed);
             publish_status_event(core, &job, id, JobStatus::Failed, Some(&msg));
-            job.hub.close();
+            core.end_job(id, &job);
         }
     }
 }
@@ -346,7 +353,7 @@ fn on_job_failed(core: &Arc<Core>, id: &str, error: &str) {
     if let Some(job) = core.job(id) {
         job.cancel.store(true, Ordering::SeqCst);
         publish_status_event(core, &job, id, JobStatus::Failed, Some(error));
-        job.hub.close();
+        core.end_job(id, &job);
     }
 }
 

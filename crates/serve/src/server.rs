@@ -102,12 +102,12 @@ impl ServeConfig {
 }
 
 /// Everything the server knows about one admitted campaign that the
-/// scheduler doesn't: the parsed spec, the expanded work list, artifact
-/// directory and live-stream plumbing.
+/// scheduler doesn't: its inputs, artifact directory and live-stream
+/// plumbing.
 pub(crate) struct JobData {
-    pub spec: CampaignSpec,
-    pub runs: Vec<RunSpec>,
-    pub digest: String,
+    /// What running and finalizing the job read; `None` once the job has
+    /// ended (see [`Core::end_job`]).
+    pub inputs: Option<JobInputs>,
     pub dir: PathBuf,
     pub hub: Arc<EventHub>,
     /// Set on cancel/failure so in-flight shards stop at the next run.
@@ -116,6 +116,12 @@ pub(crate) struct JobData {
     /// this job attach a `ChannelSink` (inert for the results either
     /// way — the observability invariant).
     pub obs_wanted: Arc<AtomicBool>,
+}
+
+/// A job's parsed spec and expanded work list.
+pub(crate) struct JobInputs {
+    pub spec: CampaignSpec,
+    pub runs: Vec<RunSpec>,
 }
 
 /// Shared state every thread of the server hangs off.
@@ -144,6 +150,26 @@ pub(crate) struct Core {
 impl Core {
     pub fn job(&self, id: &str) -> Option<Arc<JobData>> {
         lock(&self.jobs).get(id).cloned()
+    }
+
+    /// Close an ended job's event stream and drop its inputs from the
+    /// registry. `summary.json` and the manifests are a finished job's
+    /// durable record, and the status, events and results endpoints read
+    /// only the stream, the artifact directory and the scheduler entry,
+    /// so a server that has run many jobs keeps just those. A worker
+    /// still inside one of the job's shards keeps its own handle until
+    /// it stops.
+    pub fn end_job(&self, id: &str, job: &JobData) {
+        if let Some(entry) = lock(&self.jobs).get_mut(id) {
+            *entry = Arc::new(JobData {
+                inputs: None,
+                dir: job.dir.clone(),
+                hub: Arc::clone(&job.hub),
+                cancel: Arc::clone(&job.cancel),
+                obs_wanted: Arc::clone(&job.obs_wanted),
+            });
+        }
+        job.hub.close();
     }
 
     /// Worker threads that have not exited yet.
@@ -551,10 +577,9 @@ fn handle_submit(core: &Arc<Core>, req: &Request, out: &mut impl Write) -> std::
         );
     }
     let hub = Arc::new(EventHub::new(EVENTS_RING));
+    let total_runs = runs.len();
     let job = Arc::new(JobData {
-        spec,
-        runs,
-        digest,
+        inputs: Some(JobInputs { spec, runs }),
         dir,
         hub,
         cancel: Arc::new(AtomicBool::new(false)),
@@ -567,7 +592,7 @@ fn handle_submit(core: &Arc<Core>, req: &Request, out: &mut impl Write) -> std::
     let submitted = {
         let mut sched = lock(&core.sched);
         sched
-            .submit(&id, job.runs.len(), core.config.shard_size)
+            .submit(&id, total_runs, core.config.shard_size)
             .map(|()| {
                 // Published under the scheduler lock, so `queued` precedes
                 // any worker's `running`.
@@ -601,9 +626,9 @@ fn handle_submit(core: &Arc<Core>, req: &Request, out: &mut impl Write) -> std::
     let doc = to_json(&SubmittedDoc {
         id: id.clone(),
         status: JobStatus::Queued.as_str().to_string(),
-        total_runs: job.runs.len() as u64,
+        total_runs: total_runs as u64,
         shards: shards as u64,
-        config_digest: job.digest.clone(),
+        config_digest: digest,
     });
     core.metrics.inc(&core.metrics.queue_submitted);
     core.work_cv.notify_all();
@@ -640,7 +665,7 @@ fn handle_cancel(core: &Arc<Core>, id: &str, out: &mut impl Write) -> std::io::R
                 if let Some(job) = core.job(id) {
                     job.cancel.store(true, Ordering::SeqCst);
                     pool::publish_status_event(core, &job, id, JobStatus::Cancelled, None);
-                    job.hub.close();
+                    core.end_job(id, &job);
                 }
                 let doc = status_doc_json(core, id).unwrap_or_default();
                 http::respond_json(out, 200, &doc)
@@ -881,6 +906,55 @@ mod tests {
             spy.join().expect("spy thread")
         });
         assert_eq!(orphans, 0, "jobs were schedulable before their data");
+        server.shutdown(true);
+        server.wait().expect("clean stop");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// An ended job keeps its stream, directory and results but not its
+    /// inputs.
+    #[test]
+    fn ended_jobs_drop_their_inputs() {
+        let root = std::env::temp_dir().join(format!("efi-serve-end-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).expect("temp root");
+        let mut config = ServeConfig::new(Bind::Unix(root.join("ctl.sock")), root.join("out"));
+        config.workers = 1;
+        let server = Server::start(config).expect("server starts");
+        let client = server.client();
+        let resp = client
+            .request("POST", "/campaigns", Some(ONE_RUN_JSON.as_bytes()))
+            .expect("submit");
+        assert_eq!(resp.status, 202, "{}", resp.text());
+        let doc: serde::Value = serde_json::from_str(&resp.text()).expect("submit reply");
+        let Some(serde::Value::Str(id)) = doc.get("id") else {
+            panic!("no id in {}", resp.text());
+        };
+        let events = format!("/campaigns/{id}/events");
+        // The stream ends when the job does.
+        let mut live = 0;
+        let code = client
+            .stream_lines(&events, |_| {
+                live += 1;
+                true
+            })
+            .expect("events");
+        assert_eq!(code, 200);
+        assert!(server.core.job(id).expect("registered").inputs.is_none());
+        // A late subscriber still replays the whole stream, and the
+        // results are still served.
+        let mut late = 0;
+        client
+            .stream_lines(&events, |_| {
+                late += 1;
+                true
+            })
+            .expect("late events");
+        assert_eq!(late, live);
+        let results = client
+            .request("GET", &format!("/campaigns/{id}/results"), None)
+            .expect("results");
+        assert_eq!(results.status, 200, "{}", results.text());
         server.shutdown(true);
         server.wait().expect("clean stop");
         let _ = std::fs::remove_dir_all(&root);

@@ -79,6 +79,17 @@ impl Distributions {
         }
     }
 
+    /// Advance `rng` by exactly the words one [`Distributions::std_normal`]
+    /// call consumes, without computing the value: one word per attempt
+    /// while its top 53 bits are zero (the `u1 > 1e-300` rejection, since
+    /// the smallest nonzero uniform is 2⁻⁵³), then one more. A caller
+    /// that defers a draw replays it later from the generator state it
+    /// captured before skipping.
+    pub fn skip_std_normal<R: Rng + ?Sized>(rng: &mut R) {
+        while rng.next_u64() >> 11 == 0 {}
+        rng.next_u64();
+    }
+
     /// Normal with the given mean and standard deviation.
     pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
         mean + std * Self::std_normal(rng)
@@ -195,6 +206,34 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.1, "mean={mean}");
         assert!((var.sqrt() - 2.0).abs() < 0.1, "std={}", var.sqrt());
+    }
+
+    #[test]
+    fn skip_std_normal_consumes_what_std_normal_does() {
+        for seed in 0..64 {
+            let mut drawn = StdRng::seed_from_u64(seed);
+            let mut skipped = drawn.clone();
+            for _ in 0..100 {
+                Distributions::std_normal(&mut drawn);
+                Distributions::skip_std_normal(&mut skipped);
+            }
+            assert_eq!(drawn, skipped);
+        }
+        // The rejection branch: a generator whose next word has its top
+        // 53 bits clear is skipped past exactly like `std_normal` would.
+        struct Words(std::vec::IntoIter<u64>);
+        impl rand::RngCore for Words {
+            fn next_u64(&mut self) -> u64 {
+                self.0.next().expect("enough words")
+            }
+        }
+        let words = vec![0, (1 << 11) - 1, 1 << 11, 7, 99];
+        let mut drawn = Words(words.clone().into_iter());
+        let mut skipped = Words(words.into_iter());
+        Distributions::std_normal(&mut drawn);
+        Distributions::skip_std_normal(&mut skipped);
+        assert_eq!(drawn.0.as_slice(), [99]);
+        assert_eq!(skipped.0.as_slice(), [99]);
     }
 
     #[test]

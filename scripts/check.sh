@@ -154,7 +154,7 @@ PY
 wait "$SERVE_PID"
 trap - EXIT
 
-echo "== exit codes (usage=2, io=3) =="
+echo "== exit codes (usage=2, io=3, damaged checkpoint=4) =="
 # A start hour past the simulated clock must fail validation, not
 # overflow the clock once the run starts.
 mkdir -p out/range-check
@@ -169,6 +169,14 @@ set +e
 ./target/release/campaign --help > /dev/null; RC_HELP=$?
 ./target/release/paper 2>/dev/null; RC_PAPER_NONE=$?
 ./target/release/paper fig99 2>/dev/null; RC_PAPER_UNKNOWN=$?
+# A checkpoint cut to half its bytes is damaged data, not a failing disk.
+rm -rf out/damaged-ckpt
+./target/release/campaign scenarios/smoke-campaign.json --workers 1 \
+    --out out/damaged-ckpt --stop-after 1 > /dev/null
+CKPT=out/damaged-ckpt/checkpoint.efistate
+head -c $(( $(wc -c < "$CKPT") / 2 )) "$CKPT" > "$CKPT.half" && mv "$CKPT.half" "$CKPT"
+./target/release/campaign scenarios/smoke-campaign.json --workers 1 \
+    --out out/damaged-ckpt --resume out/damaged-ckpt 2>/dev/null; RC_DAMAGED=$?
 ELECTRIFI_TRACE=out/trace-sample.json ELECTRIFI_TRACE_SAMPLE=abc \
     ./target/release/paper table3 > /dev/null 2>&1; RC_SAMPLE=$?
 set -e
@@ -179,7 +187,8 @@ set -e
 [ "$RC_PAPER_NONE" -eq 2 ] || { echo "paper without a name must exit 2, got $RC_PAPER_NONE"; exit 1; }
 [ "$RC_PAPER_UNKNOWN" -eq 2 ] || { echo "paper fig99 must exit 2, got $RC_PAPER_UNKNOWN"; exit 1; }
 [ "$RC_SAMPLE" -eq 2 ] || { echo "malformed ELECTRIFI_TRACE_SAMPLE must exit 2, got $RC_SAMPLE"; exit 1; }
-echo "exit codes OK: usage=2 out-of-range=2 io=3 help=0 paper-usage=2 trace-sample=2"
+[ "$RC_DAMAGED" -eq 4 ] || { echo "resuming a truncated checkpoint must exit 4, got $RC_DAMAGED"; exit 1; }
+echo "exit codes OK: usage=2 out-of-range=2 io=3 help=0 paper-usage=2 trace-sample=2 damaged-checkpoint=4"
 
 echo "== disturbance gate smoke (verdict pass=0, fail fixture=5, serve verdict) =="
 # A gated campaign that holds its assertions exits 0 and writes a typed
