@@ -29,9 +29,9 @@
 use electrifi::experiments::PAPER_SEED;
 use electrifi::PaperEnv;
 use electrifi_bench::gate::{self as knobs, Gate, TOL};
+use electrifi_bench::report::{ChannelBenchReport, ColdEval, ColdRebuild, Warm};
 use plc_phy::channel::{LinkDir, PlcChannel};
 use plc_phy::SnrSpectrum;
-use serde::{Deserialize, Serialize};
 use simnet::obs::{self, Obs};
 use simnet::time::{Duration, Time};
 
@@ -42,70 +42,6 @@ static ALLOC: allocprobe::CountingAlloc = allocprobe::CountingAlloc::new();
 fn mix(h: &mut u64, v: u64) {
     *h ^= v;
     *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-}
-
-/// The uncached-evaluator arm.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ColdEval {
-    iters: u64,
-    total_s: f64,
-    per_eval_us: f64,
-}
-
-/// The cached hot path on an epoch-stable window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Warm {
-    iters: u64,
-    total_s: f64,
-    per_call_us: f64,
-    /// Heap allocations (allocs + reallocs) per call in the timed
-    /// window. Gated to exactly zero.
-    allocs_per_call: f64,
-    epoch_hits: u64,
-    epoch_rebuilds: u64,
-    /// Calls served inside the analytic validity window (no schedule
-    /// scanned at all).
-    key_skips: u64,
-    /// Calls that re-derived the epoch key.
-    key_rescans: u64,
-    cache_hit_rate: f64,
-    key_skip_rate: f64,
-}
-
-/// The gated epoch-rebuild arm: every call flips the appliance epoch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ColdRebuild {
-    iters: u64,
-    reps: u64,
-    best_total_s: f64,
-    /// Wall µs per call in the all-rebuilds regime (best rep).
-    cold_rebuild_us: f64,
-    /// Epoch rebuilds observed across all reps — must equal
-    /// `iters · reps` (every call really rebuilt).
-    rebuilds: u64,
-    allocs_per_rebuild: f64,
-}
-
-/// What `out/BENCH_channel.json` records; also the committed baseline's
-/// type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ChannelBenchReport {
-    seed: u64,
-    link: (u16, u16),
-    taps: usize,
-    carriers: usize,
-    smoke: bool,
-    cold_eval: ColdEval,
-    warm: Warm,
-    cold_rebuild: ColdRebuild,
-    /// Top-level copy of the gated number.
-    cold_rebuild_us: f64,
-    /// cold per-eval over warm per-call.
-    speedup: f64,
-    cache_hit_rate: f64,
-    /// Cached and reference spectra agree bitwise over the tour.
-    digest_match: bool,
-    digest: String,
 }
 
 fn timed(iters: u64, mut f: impl FnMut(u64)) -> f64 {

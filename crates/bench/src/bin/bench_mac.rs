@@ -32,12 +32,12 @@
 //!   runs; only the invariants are gated.
 
 use electrifi_bench::gate::{self as knobs, Gate, TOL};
+use electrifi_bench::report::{grouped, Arm, BenchReport, Comparison, IdleReport, SpanOverhead};
 use plc_mac::pb::CompletedPacket;
 use plc_mac::sim::{Flow, PlcSim, SimConfig, StationId};
-use serde::{Deserialize, Serialize};
 use simnet::appliance::ApplianceKind;
 use simnet::grid::Grid;
-use simnet::obs::span::{self, RunProfile, SpanConfig};
+use simnet::obs::span::{self, SpanConfig};
 use simnet::obs::{self, Obs};
 use simnet::schedule::Schedule;
 use simnet::time::{Duration, Time};
@@ -50,105 +50,6 @@ const SEED: u64 = 0xBE9C;
 const WARMUP_SECS: u64 = 3;
 /// Quiesce value: pushes the next estimator observation past any window.
 const QUIESCE_GAP: Duration = Duration::from_secs(1_000_000);
-
-/// One timed arm of a workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Arm {
-    /// MAC scheduling steps taken inside the timed window.
-    steps: u64,
-    /// Wall-clock seconds the window took.
-    wall_s: f64,
-    /// Steps per wall-clock second.
-    steps_per_sec: f64,
-    /// FNV digest over every observable at the end of the run.
-    digest: String,
-    /// Heap allocations (allocs + reallocs) inside the timed window.
-    allocs_in_window: u64,
-    /// Allocations per step inside the window.
-    allocs_per_step: f64,
-    /// `plc.mac.scratch_reuses` delta over the window.
-    scratch_reuses: u64,
-    /// `plc.mac.allocs_saved` delta over the window.
-    allocs_saved: u64,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Comparison {
-    /// Simulated seconds in the timed window.
-    window_sim_s: f64,
-    /// Whether the estimator was quiesced and spectrum refreshes frozen
-    /// after warmup (isolates the MAC scheduling loop from shared
-    /// estimation/PHY costs that have their own benchmarks).
-    estimator_quiesced: bool,
-    reference: Arm,
-    optimized: Arm,
-    /// optimized steps/sec over reference steps/sec.
-    speedup: f64,
-    /// The two arms saw byte-identical observables.
-    digest_match: bool,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct IdleReport {
-    /// Simulated seconds of the mostly-idle probing run.
-    sim_s: f64,
-    /// `plc.mac.idle_skips`: idle steps answered from the cached
-    /// next-arrival.
-    idle_skips: u64,
-    /// `plc.mac.idle_rescans`: idle steps that re-scanned every flow.
-    idle_rescans: u64,
-    /// skips / (skips + rescans).
-    hit_rate: f64,
-    /// Optimized-over-reference steps/sec on the idle workload.
-    speedup: f64,
-    /// The two arms saw byte-identical observables.
-    digest_match: bool,
-}
-
-/// Cost of the span-tracing hot path: the optimized quiesced Fig. 16
-/// arm with stats-mode spans enabled versus the same arm with spans
-/// disabled. The gate requires `ratio >= 0.95` (spans may cost at most
-/// 5%) and `digest_match == true` (observation never perturbs the
-/// simulation).
-#[derive(Debug, Clone, Serialize)]
-struct SpanOverhead {
-    /// Simulated seconds in the timed window.
-    window_sim_s: f64,
-    /// Steps/sec with span collection disabled (the ambient default).
-    disabled_steps_per_sec: f64,
-    /// Steps/sec with a stats-mode span collector active.
-    enabled_steps_per_sec: f64,
-    /// enabled over disabled steps/sec (1.0 = spans are free).
-    ratio: f64,
-    /// The traced and untraced arms saw byte-identical observables.
-    digest_match: bool,
-    /// Top spans by self-time observed during the enabled arm.
-    spans: RunProfile,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct BenchReport {
-    name: &'static str,
-    seed: u64,
-    smoke: bool,
-    /// Best-of-N repetitions per arm (noise filter).
-    reps: usize,
-    /// The 10-station Fig. 16 probing workload with the estimator
-    /// quiesced — the tentpole number the perf gate checks (≥ 3× and
-    /// zero allocs/step).
-    mac_loop: Comparison,
-    /// The saturated Table-3-shaped mesh (shared frame/PB work bounds
-    /// the ratio here; the gate checks zero allocs and no regression
-    /// against the baseline ratio).
-    saturated: Comparison,
-    /// The Fig. 16 workload with estimation left on: end-to-end speedup
-    /// as the figure experiments see it.
-    full_profile: Comparison,
-    idle: IdleReport,
-    /// Span-tracing overhead on the gated workload (the gate requires
-    /// ratio ≥ 0.95 and a digest match).
-    span_overhead: SpanOverhead,
-}
 
 /// Bus-topology grid mirroring the figure experiments' procedural grids.
 fn bus_grid(n: u16) -> (Grid, Vec<(StationId, simnet::grid::NodeId)>) {
@@ -541,7 +442,7 @@ fn main() {
     );
 
     let report = BenchReport {
-        name: "bench_mac",
+        name: "bench_mac".to_string(),
         seed: SEED,
         smoke,
         reps,
@@ -549,7 +450,7 @@ fn main() {
         saturated,
         full_profile,
         idle,
-        span_overhead,
+        span_overhead: Some(span_overhead),
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize") + "\n";
     std::fs::create_dir_all("out").expect("create out/");
@@ -560,18 +461,9 @@ fn main() {
     gate(&report, load_baseline, absolute).finish("bench_mac", smoke);
 }
 
-/// The committed `BENCH_mac` baseline's sections that the full-mode gate
-/// compares against. The file predates `span_overhead`, and no gate
-/// reads a baseline span ratio.
-#[derive(Debug, Clone, Deserialize)]
-struct MacBaseline {
-    smoke: bool,
-    mac_loop: Comparison,
-    saturated: Comparison,
-    idle: IdleReport,
-}
-
-fn load_baseline() -> Result<MacBaseline, String> {
+/// The committed `BENCH_mac` baseline. It predates `span_overhead`, and
+/// no gate reads a baseline span ratio.
+fn load_baseline() -> Result<BenchReport, String> {
     knobs::load_baseline("mac")
 }
 
@@ -581,7 +473,7 @@ fn load_baseline() -> Result<MacBaseline, String> {
 /// absolute-throughput warning into a failure.
 fn gate(
     rep: &BenchReport,
-    baseline: impl FnOnce() -> Result<MacBaseline, String>,
+    baseline: impl FnOnce() -> Result<BenchReport, String>,
     absolute: bool,
 ) -> Gate {
     let mut g = Gate::default();
@@ -607,7 +499,11 @@ fn gate(
         });
     }
     // Spans observe the simulation, they never steer it.
-    g.check(rep.span_overhead.digest_match, || {
+    let spans = rep.span_overhead.as_ref();
+    g.check(spans.is_some(), || {
+        "span_overhead: missing from the report".into()
+    });
+    g.check(spans.is_none_or(|s| s.digest_match), || {
         "span_overhead: digest mismatch — span tracing perturbed the simulation".into()
     });
     if rep.smoke {
@@ -644,13 +540,14 @@ fn gate(
 
     // Stats-mode spans may cost at most 5% of the gated workload.
     const SPAN_BUDGET: f64 = 0.95;
-    let ratio = rep.span_overhead.ratio;
-    g.check(ratio >= SPAN_BUDGET, || {
-        format!("span_overhead: enabled/disabled ratio {ratio:.3} below the {SPAN_BUDGET:.2} budget (spans cost more than 5%)")
-    });
-    g.note(format!(
-        "spans: enabled/disabled ratio {ratio:.3} (budget {SPAN_BUDGET:.2})"
-    ));
+    if let Some(ratio) = spans.map(|s| s.ratio) {
+        g.check(ratio >= SPAN_BUDGET, || {
+            format!("span_overhead: enabled/disabled ratio {ratio:.3} below the {SPAN_BUDGET:.2} budget (spans cost more than 5%)")
+        });
+        g.note(format!(
+            "spans: enabled/disabled ratio {ratio:.3} (budget {SPAN_BUDGET:.2})"
+        ));
+    }
 
     let cur = rep.mac_loop.optimized.steps_per_sec;
     let refv = base.mac_loop.optimized.steps_per_sec;
@@ -667,49 +564,37 @@ fn gate(
     g
 }
 
-/// `v` rounded to an integer and grouped by thousands (`775,141`).
-fn grouped(v: f64) -> String {
-    let digits = format!("{v:.0}");
-    let mut out = String::with_capacity(digits.len() + digits.len() / 3);
-    for (i, c) in digits.chars().enumerate() {
-        if i > 0 && (digits.len() - i) % 3 == 0 {
-            out.push(',');
-        }
-        out.push(c);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::obs::span::RunProfile;
 
     /// A report equal to the committed baseline (the span section, which
     /// the baseline lacks, is a free span tracer) and the baseline.
-    fn passing() -> (BenchReport, MacBaseline) {
+    fn passing() -> (BenchReport, BenchReport) {
         let base = load_baseline().expect("committed baseline parses");
         let report = BenchReport {
-            name: "bench_mac",
-            seed: SEED,
-            smoke: false,
-            reps: 3,
-            mac_loop: base.mac_loop.clone(),
-            saturated: base.saturated.clone(),
-            full_profile: base.mac_loop.clone(),
-            idle: base.idle.clone(),
-            span_overhead: SpanOverhead {
+            span_overhead: Some(SpanOverhead {
                 window_sim_s: 16.0,
                 disabled_steps_per_sec: 1e6,
                 enabled_steps_per_sec: 1e6,
                 ratio: 1.0,
                 digest_match: true,
                 spans: RunProfile { spans: Vec::new() },
-            },
+            }),
+            ..base.clone()
         };
         (report, base)
     }
 
-    fn judge(rep: &BenchReport, base: MacBaseline, absolute: bool) -> Gate {
+    /// The span section of a report built by [`passing`].
+    fn spans(r: &mut BenchReport) -> &mut SpanOverhead {
+        r.span_overhead
+            .as_mut()
+            .expect("passing reports carry spans")
+    }
+
+    fn judge(rep: &BenchReport, base: BenchReport, absolute: bool) -> Gate {
         gate(rep, || Ok(base), absolute)
     }
 
@@ -739,7 +624,7 @@ mod tests {
             => "idle: digest mismatch";
         optimized_window_allocation_fails: |r, _base| { r.saturated.optimized.allocs_in_window = 3; }
             => "saturated: optimized window performed 3 heap allocation(s)";
-        span_digest_mismatch_fails: |r, _base| { r.span_overhead.digest_match = false; }
+        span_digest_mismatch_fails: |r, _base| { spans(&mut r).digest_match = false; }
             => "span_overhead: digest mismatch";
         mac_loop_below_floor_fails: |r, _base| { r.mac_loop.speedup = 2.9; }
             => "mac_loop: speedup 2.90x below the 3.0x floor";
@@ -747,8 +632,10 @@ mod tests {
             => "saturated: speedup 2.61x regressed >20% vs baseline 5.22x";
         idle_hit_rate_regression_fails: |r, _base| { r.idle.hit_rate *= 0.7; }
             => "idle: skip hit rate";
-        span_budget_fails: |r, _base| { r.span_overhead.ratio = 0.94; }
+        span_budget_fails: |r, _base| { spans(&mut r).ratio = 0.94; }
             => "span_overhead: enabled/disabled ratio 0.940 below the 0.95 budget";
+        missing_spans_fail: |r, _base| { r.span_overhead = None; }
+            => "span_overhead: missing from the report";
         smoke_mac_baseline_is_refused: |_r, base| { base.smoke = true; }
             => "BENCH_mac is a smoke run";
     }
@@ -777,7 +664,7 @@ mod tests {
             c.optimized.steps_per_sec = 0.0;
         }
         r.idle.hit_rate = 0.0;
-        r.span_overhead.ratio = 0.0;
+        spans(&mut r).ratio = 0.0;
         let g = gate(&r, || panic!("smoke mode must not read the baseline"), true);
         assert!(g.failures.is_empty() && g.notes.is_empty(), "{g:?}");
     }

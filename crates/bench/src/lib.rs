@@ -3,14 +3,17 @@
 //! One reproduction binary, `paper <name>`, renders each figure or table
 //! of the paper's evaluation from a name table (`src/bin/paper/`); the
 //! bench bins (`bench_mac`, `bench_channel`) time the hot paths and gate
-//! their own reports (see [`gate`]). This library holds what they share:
-//! the [`RunGuard`] run scaffolding and the plain-text tables that print
-//! the same rows the paper reports.
+//! their own reports (see [`gate`]); `report` reads every artifact back
+//! through the types that wrote it (see [`report`]). This library holds
+//! what they share: the [`RunGuard`] run scaffolding, the bench report
+//! types and the plain-text tables that print the same rows the paper
+//! reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gate;
+pub mod report;
 
 use electrifi::experiments::Scale;
 use simnet::obs::span::{self, SpanConfig};

@@ -4,11 +4,12 @@
 //! sink, recording metrics, or snapshotting the registry must never
 //! change what a simulation computes — the same seed must produce
 //! bit-identical outputs with observability on and off, and two
-//! same-seed runs must produce byte-identical metrics snapshots.
+//! same-seed runs must produce byte-identical metrics snapshots. A
+//! traced `paper` run also records its span profile in its manifest.
 
 use electrifi::experiments::{capacity, temporal, Scale, PAPER_SEED};
 use electrifi::PaperEnv;
-use simnet::obs::{self, MetricsSnapshot, Obs, ObsEvent, ObsSink};
+use simnet::obs::{self, MetricsSnapshot, Obs, ObsEvent, ObsSink, RunManifest};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -94,4 +95,45 @@ fn recording_mac_events_leaves_fig9_unchanged() {
         "the sink recorded no plc.mac event ({} events in total)",
         events.len()
     );
+}
+
+/// Run `paper fig09` in `dir` (tracing to `dir/trace.json` when `traced`)
+/// and read back the manifest it wrote.
+fn fig9_manifest(dir: &std::path::Path, traced: bool) -> RunManifest {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).expect("run dir");
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_paper"));
+    cmd.arg("fig09").current_dir(dir);
+    for var in [
+        "ELECTRIFI_TRACE",
+        "ELECTRIFI_TRACE_SAMPLE",
+        "ELECTRIFI_PROFILE",
+    ] {
+        cmd.env_remove(var);
+    }
+    if traced {
+        cmd.env("ELECTRIFI_TRACE", "trace.json");
+    }
+    let out = cmd.output().expect("paper runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(dir.join("out/fig09.manifest.json")).expect("manifest");
+    serde_json::from_str(&text).expect("manifest parses as RunManifest")
+}
+
+/// A traced run carries a span profile in its manifest (and writes the
+/// trace); an untraced one carries none.
+#[test]
+fn traced_paper_run_fills_the_manifest_profile() {
+    let root = std::env::temp_dir().join(format!("efi-obs-profile-{}", std::process::id()));
+    let traced = fig9_manifest(&root.join("traced"), true);
+    let profile = traced.profile.expect("a traced run carries a profile");
+    assert!(!profile.spans.is_empty(), "the profile lists no spans");
+    assert!(root.join("traced/trace.json").is_file());
+    let untraced = fig9_manifest(&root.join("untraced"), false);
+    assert!(untraced.profile.is_none());
+    let _ = std::fs::remove_dir_all(&root);
 }

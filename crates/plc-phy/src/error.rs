@@ -52,10 +52,12 @@ const FEC_STEEPNESS: f64 = 3.0;
 ///
 /// The turbo code has a waterfall: below its knee almost every PB decodes,
 /// above it almost none does. The smooth model
-/// `PBerr = 1 / (1 + (knee / SER)^k)` reproduces that shape: a tone map
-/// built with the standard margin lands at SER ≈ 10⁻² → PBerr ≈ 0.035,
-/// consistent with the paper's PBerr range of 0–0.4 across live links
-/// (Fig. 7).
+/// `PBerr = 1 / (1 + (knee / SER)^k)` reproduces that shape. On the
+/// spectrum it was built from, a tone map with the standard margin loads
+/// every carrier at SER ≤ 1.8×10⁻³, so PBerr ≲ (1.8×10⁻³ / 3×10⁻²)³ ≈
+/// 2×10⁻⁴: errors appear only once the channel falls below the estimate
+/// by more than the margin. That is far below the paper's PBerr range of
+/// 0–0.4 across live links (Fig. 7); ROADMAP item 2 tracks the gap.
 pub fn pb_error_prob(map: &ToneMap, spectrum: &SnrSpectrum) -> f64 {
     let ser = mean_symbol_error(map, spectrum);
     if ser <= 0.0 {

@@ -5,8 +5,8 @@
 //! (`Rc`-based, matching the simulation's ownership model), so the
 //! multi-threaded control plane keeps its own atomic counters here and
 //! **snapshots** them into the exact same serde shape every manifest
-//! uses — `scripts/summarize_results.sh` reads `server.metrics.json`
-//! with the same code path it reads run manifests with.
+//! uses — the `report` bin deserializes `server.metrics.json` into the
+//! same `MetricsSnapshot` it reads run manifests' metrics with.
 
 use simnet::obs::MetricsSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};

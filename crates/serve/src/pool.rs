@@ -388,8 +388,8 @@ pub(crate) fn on_worker_death(core: &Arc<Core>, worker: u64) {
 }
 
 /// Metrics writer: periodically writes `server.metrics.json` (atomic
-/// tmp+rename) so the standard summarize tooling can read serve
-/// counters without talking HTTP, and once more on shutdown.
+/// tmp+rename) so the `report` bin can read serve counters without
+/// talking HTTP, and once more on shutdown.
 pub(crate) fn metrics_loop(core: &Arc<Core>) {
     let mut since_write = Duration::ZERO;
     loop {

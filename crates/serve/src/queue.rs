@@ -484,6 +484,14 @@ impl<R> Scheduler<R> {
             .collect()
     }
 
+    /// Forget a finished job. Queued, running and finalizing jobs are
+    /// never removed; returns whether `id` was.
+    pub fn evict(&mut self, id: &str) -> bool {
+        let before = self.jobs.len();
+        self.jobs.retain(|j| j.id != id || !j.status.is_terminal());
+        self.jobs.len() < before
+    }
+
     /// True when any admissible job still has a pending shard.
     pub fn has_pending_work(&self) -> bool {
         self.jobs.iter().any(|j| {
@@ -587,6 +595,20 @@ mod tests {
         assert_eq!(s.get("a").unwrap().status, JobStatus::Failed);
         assert_eq!(s.complete(&l1, 5), CompleteOutcome::Stale);
         assert!(s.next_work(2).is_none());
+    }
+
+    #[test]
+    fn only_finished_jobs_are_evicted() {
+        let mut s: Scheduler<u32> = Scheduler::new(4);
+        s.submit("a", 1, 1).unwrap();
+        s.submit("b", 1, 1).unwrap();
+        s.next_work(0).unwrap();
+        assert!(!s.evict("a"), "a running job stays");
+        assert!(!s.evict("b"), "a queued job stays");
+        s.cancel("b");
+        assert!(s.evict("b"));
+        assert!(s.get("b").is_none() && s.get("a").is_some());
+        assert!(!s.evict("b"));
     }
 
     #[test]

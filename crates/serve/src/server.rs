@@ -13,6 +13,8 @@
 //! * bounded per-job event rings → slow subscribers get gap notices,
 //!   publishers never block;
 //! * result size cap → 413 instead of reading a huge artifact;
+//! * only the last [`KEEP_FINISHED`] finished jobs stay registered →
+//!   410 for an older one;
 //! * connection cap → immediate 503;
 //! * `POST /shutdown` → drain (finish + checkpoint in-flight shards,
 //!   refuse new work) or `now` (checkpoint at the next run boundary).
@@ -26,7 +28,7 @@ use crate::queue::{JobStatus, Scheduler, SubmitError};
 use electrifi_scenario::{validate_scenarios, CampaignSpec, RunRecord, RunSpec};
 use serde::Serialize;
 use simnet::obs::config_digest;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -61,6 +63,15 @@ const MAX_RESULT_BYTES: u64 = 256 * 1024 * 1024;
 const EVENTS_RING: usize = 1024;
 /// Concurrent connections beyond this get an immediate 503.
 const MAX_CONNECTIONS: usize = 64;
+/// Finished (done, failed or cancelled) jobs the server keeps
+/// registered. Beyond it the oldest finished job is evicted: its
+/// scheduler entry, event stream and data are dropped, and its id
+/// answers 410. Its artifact directory stays on disk. Unit tests use a
+/// small cap so that their short runs cross it.
+#[cfg(not(test))]
+const KEEP_FINISHED: usize = 1024;
+#[cfg(test)]
+const KEEP_FINISHED: usize = 3;
 
 /// Server configuration. `new` fills every knob with a sane default;
 /// the fields are public so callers override what they need.
@@ -131,6 +142,8 @@ pub(crate) struct Core {
     pub sched: Mutex<Scheduler<Vec<RunRecord>>>,
     pub work_cv: Condvar,
     pub jobs: Mutex<HashMap<String, Arc<JobData>>>,
+    /// Ended jobs still registered, oldest first (see [`KEEP_FINISHED`]).
+    pub finished: Mutex<VecDeque<String>>,
     /// Every worker thread spawned, dead ones included.
     pub workers: Mutex<Vec<JoinHandle<()>>>,
     pub metrics: ServeMetrics,
@@ -140,6 +153,8 @@ pub(crate) struct Core {
     pub stop_now: AtomicBool,
     /// The metrics writer exits (after a final write).
     pub metrics_stop: AtomicBool,
+    /// The number of the next admitted job's id (`c<n>`); only
+    /// admissions, under the scheduler lock, advance it.
     pub next_job: AtomicU64,
     pub next_worker: AtomicU64,
     pub active_conns: AtomicUsize,
@@ -156,20 +171,58 @@ impl Core {
     /// registry. `summary.json` and the manifests are a finished job's
     /// durable record, and the status, events and results endpoints read
     /// only the stream, the artifact directory and the scheduler entry,
-    /// so a server that has run many jobs keeps just those. A worker
-    /// still inside one of the job's shards keeps its own handle until
-    /// it stops.
+    /// so a server that has run many jobs keeps just those, and only for
+    /// the last [`KEEP_FINISHED`] jobs to end. A worker still inside one
+    /// of the job's shards keeps its own handle until it stops.
     pub fn end_job(&self, id: &str, job: &JobData) {
-        if let Some(entry) = lock(&self.jobs).get_mut(id) {
-            *entry = Arc::new(JobData {
-                inputs: None,
-                dir: job.dir.clone(),
-                hub: Arc::clone(&job.hub),
-                cancel: Arc::clone(&job.cancel),
-                obs_wanted: Arc::clone(&job.obs_wanted),
-            });
+        let first_end = match lock(&self.jobs).get_mut(id) {
+            Some(entry) if entry.inputs.is_some() => {
+                *entry = Arc::new(JobData {
+                    inputs: None,
+                    dir: job.dir.clone(),
+                    hub: Arc::clone(&job.hub),
+                    cancel: Arc::clone(&job.cancel),
+                    obs_wanted: Arc::clone(&job.obs_wanted),
+                });
+                true
+            }
+            _ => false,
+        };
+        if first_end {
+            let evicted: Vec<String> = {
+                let mut finished = lock(&self.finished);
+                finished.push_back(id.to_string());
+                let excess = finished.len().saturating_sub(KEEP_FINISHED);
+                finished.drain(..excess).collect()
+            };
+            for old in evicted {
+                if lock(&self.sched).evict(&old) {
+                    lock(&self.jobs).remove(&old);
+                }
+            }
         }
+        // Closed last, so a subscriber whose stream ended sees the job
+        // fully retired.
         job.hub.close();
+    }
+
+    /// Answer a request for a job the server does not hold: 410 for an
+    /// id it admitted and has since evicted, 404 for one it never issued.
+    fn respond_unknown(&self, id: &str, out: &mut impl Write) -> std::io::Result<()> {
+        let next = self.next_job.load(Ordering::SeqCst);
+        let issued = id
+            .strip_prefix('c')
+            .and_then(|n| n.parse::<u64>().ok())
+            .is_some_and(|n| (1..next).contains(&n) && id == format!("c{n}"));
+        if issued {
+            let msg = format!(
+                "campaign {id:?} has ended and been evicted: the server keeps the last \
+                 {KEEP_FINISHED} finished campaigns"
+            );
+            http::respond_error(out, 410, &msg)
+        } else {
+            http::respond_error(out, 404, &format!("no campaign {id:?}"))
+        }
     }
 
     /// Worker threads that have not exited yet.
@@ -262,6 +315,7 @@ impl Server {
             sched: Mutex::new(Scheduler::new(config.queue_cap)),
             work_cv: Condvar::new(),
             jobs: Mutex::new(HashMap::new()),
+            finished: Mutex::new(VecDeque::new()),
             workers: Mutex::new(Vec::new()),
             metrics: ServeMetrics::new(),
             draining: AtomicBool::new(false),
@@ -567,62 +621,54 @@ fn handle_submit(core: &Arc<Core>, req: &Request, out: &mut impl Write) -> std::
         return http::respond_error(out, 400, &e.to_string());
     }
     let digest = config_digest(&runs);
-    let id = format!("c{}", core.next_job.fetch_add(1, Ordering::SeqCst));
+    let total_runs = runs.len();
+    // Admission runs under the scheduler lock, so no worker can lease the
+    // job's shards before its data is registered (one that did would
+    // find no data and fail the job), and an id number is spent only on
+    // an admitted job: an unknown id below `next_job` was evicted.
+    let mut sched = lock(&core.sched);
+    let id = format!("c{}", core.next_job.load(Ordering::SeqCst));
     let dir = core.config.out_root.join(&id);
     if let Err(e) = std::fs::create_dir_all(&dir) {
+        drop(sched);
         return http::respond_error(
             out,
             500,
             &format!("cannot create job directory {}: {e}", dir.display()),
         );
     }
-    let hub = Arc::new(EventHub::new(EVENTS_RING));
-    let total_runs = runs.len();
+    if let Err(e) = sched.submit(&id, total_runs, core.config.shard_size) {
+        drop(sched);
+        let _ = std::fs::remove_dir(&dir);
+        return match e {
+            SubmitError::QueueFull { cap } => {
+                core.metrics.inc(&core.metrics.queue_rejected_full);
+                http::respond(
+                    out,
+                    429,
+                    "application/json",
+                    &[("Retry-After", "1")],
+                    format!("{{\"error\":\"queue full ({cap} live campaigns)\",\"status\":429}}")
+                        .as_bytes(),
+                )
+            }
+            SubmitError::DuplicateId => http::respond_error(out, 500, "job id collision"),
+        };
+    }
+    core.next_job.fetch_add(1, Ordering::SeqCst);
     let job = Arc::new(JobData {
         inputs: Some(JobInputs { spec, runs }),
         dir,
-        hub,
+        hub: Arc::new(EventHub::new(EVENTS_RING)),
         cancel: Arc::new(AtomicBool::new(false)),
         obs_wanted: Arc::new(AtomicBool::new(false)),
     });
-    // Register the job's data before the scheduler can lease its shards:
-    // a worker that woke in between would find no data and fail the job.
-    // Ids come from `next_job`, so the entry is new.
     lock(&core.jobs).insert(id.clone(), Arc::clone(&job));
-    let submitted = {
-        let mut sched = lock(&core.sched);
-        sched
-            .submit(&id, total_runs, core.config.shard_size)
-            .map(|()| {
-                // Published under the scheduler lock, so `queued` precedes
-                // any worker's `running`.
-                pool::publish_status_event(core, &job, &id, JobStatus::Queued, None);
-                sched.get(&id).map_or(0, |j| j.shard_count())
-            })
-    };
-    let shards = match submitted {
-        Ok(shards) => shards,
-        Err(e) => {
-            lock(&core.jobs).remove(&id);
-            return match e {
-                SubmitError::QueueFull { cap } => {
-                    core.metrics.inc(&core.metrics.queue_rejected_full);
-                    let _ = std::fs::remove_dir(&job.dir);
-                    http::respond(
-                        out,
-                        429,
-                        "application/json",
-                        &[("Retry-After", "1")],
-                        format!(
-                            "{{\"error\":\"queue full ({cap} live campaigns)\",\"status\":429}}"
-                        )
-                        .as_bytes(),
-                    )
-                }
-                SubmitError::DuplicateId => http::respond_error(out, 500, "job id collision"),
-            };
-        }
-    };
+    // Published under the scheduler lock, so `queued` precedes any
+    // worker's `running`.
+    pool::publish_status_event(core, &job, &id, JobStatus::Queued, None);
+    let shards = sched.get(&id).map_or(0, |j| j.shard_count());
+    drop(sched);
     let doc = to_json(&SubmittedDoc {
         id: id.clone(),
         status: JobStatus::Queued.as_str().to_string(),
@@ -651,14 +697,14 @@ fn handle_list(core: &Arc<Core>, out: &mut impl Write) -> std::io::Result<()> {
 fn handle_status(core: &Arc<Core>, id: &str, out: &mut impl Write) -> std::io::Result<()> {
     match status_doc_json(core, id) {
         Some(doc) => http::respond_json(out, 200, &doc),
-        None => http::respond_error(out, 404, &format!("no campaign {id:?}")),
+        None => core.respond_unknown(id, out),
     }
 }
 
 fn handle_cancel(core: &Arc<Core>, id: &str, out: &mut impl Write) -> std::io::Result<()> {
     let outcome = lock(&core.sched).cancel(id);
     match outcome {
-        None => http::respond_error(out, 404, &format!("no campaign {id:?}")),
+        None => core.respond_unknown(id, out),
         Some((before, after)) => {
             if after == JobStatus::Cancelled && before != JobStatus::Cancelled {
                 core.metrics.inc(&core.metrics.queue_cancelled);
@@ -687,7 +733,7 @@ fn handle_results(
     out: &mut impl Write,
 ) -> std::io::Result<()> {
     let Some(job) = core.job(id) else {
-        return http::respond_error(out, 404, &format!("no campaign {id:?}"));
+        return core.respond_unknown(id, out);
     };
     let status = lock(&core.sched).get(id).map(|j| j.status);
     match status {
@@ -702,7 +748,7 @@ fn handle_results(
                 ),
             )
         }
-        None => return http::respond_error(out, 404, &format!("no campaign {id:?}")),
+        None => return core.respond_unknown(id, out),
     }
     match req.query_param("manifest") {
         None => {
@@ -765,7 +811,7 @@ fn handle_events(
     out: &mut impl Write,
 ) -> std::io::Result<()> {
     let Some(job) = core.job(id) else {
-        return http::respond_error(out, 404, &format!("no campaign {id:?}"));
+        return core.respond_unknown(id, out);
     };
     if req.query_param("obs") == Some("1") {
         job.obs_wanted.store(true, Ordering::SeqCst);
@@ -906,6 +952,72 @@ mod tests {
             spy.join().expect("spy thread")
         });
         assert_eq!(orphans, 0, "jobs were schedulable before their data");
+        server.shutdown(true);
+        server.wait().expect("clean stop");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Submit [`ONE_RUN_JSON`] and follow its event stream to the end;
+    /// returns the job id.
+    fn run_one(client: &HttpClient) -> String {
+        let resp = client
+            .request("POST", "/campaigns", Some(ONE_RUN_JSON.as_bytes()))
+            .expect("submit");
+        assert_eq!(resp.status, 202, "{}", resp.text());
+        let doc: serde::Value = serde_json::from_str(&resp.text()).expect("submit reply");
+        let Some(serde::Value::Str(id)) = doc.get("id") else {
+            panic!("no id in {}", resp.text());
+        };
+        let code = client
+            .stream_lines(&format!("/campaigns/{id}/events"), |_| true)
+            .expect("events");
+        assert_eq!(code, 200);
+        id.clone()
+    }
+
+    /// Past [`KEEP_FINISHED`] finished jobs the oldest is evicted: its id
+    /// answers 410 naming it on every route, the later jobs are still
+    /// served, and an id never issued stays 404.
+    #[test]
+    fn oldest_finished_job_is_evicted_past_the_cap() {
+        let root = std::env::temp_dir().join(format!("efi-serve-evict-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).expect("temp root");
+        let mut config = ServeConfig::new(Bind::Unix(root.join("ctl.sock")), root.join("out"));
+        config.workers = 1;
+        let server = Server::start(config).expect("server starts");
+        let client = server.client();
+        let ids: Vec<String> = (0..=KEEP_FINISHED).map(|_| run_one(&client)).collect();
+        let (gone, kept) = ids.split_first().expect("jobs ran");
+        for (method, path) in [
+            ("GET", format!("/campaigns/{gone}")),
+            ("GET", format!("/campaigns/{gone}/results")),
+            ("GET", format!("/campaigns/{gone}/events")),
+            ("POST", format!("/campaigns/{gone}/cancel")),
+        ] {
+            let resp = client.request(method, &path, None).expect("request");
+            assert_eq!(resp.status, 410, "{method} {path}: {}", resp.text());
+            let doc: serde::Value = serde_json::from_str(&resp.text()).expect("JSON error");
+            let Some(serde::Value::Str(error)) = doc.get("error") else {
+                panic!("no error in {}", resp.text());
+            };
+            assert!(error.contains(&format!("{gone:?}")), "{error}");
+        }
+        for id in kept {
+            let resp = client
+                .request("GET", &format!("/campaigns/{id}/results"), None)
+                .expect("results");
+            assert_eq!(resp.status, 200, "{id}: {}", resp.text());
+        }
+        let next = format!("c{}", ids.len() + 1);
+        for never in [next.as_str(), "c0", "c01", "zzz"] {
+            let resp = client
+                .request("GET", &format!("/campaigns/{never}"), None)
+                .expect("status");
+            assert_eq!(resp.status, 404, "{never}: {}", resp.text());
+        }
+        assert_eq!(lock(&server.core.sched).jobs().count(), KEEP_FINISHED);
+        assert_eq!(lock(&server.core.jobs).len(), KEEP_FINISHED);
         server.shutdown(true);
         server.wait().expect("clean stop");
         let _ = std::fs::remove_dir_all(&root);

@@ -1,8 +1,9 @@
 //! End-to-end tests over a real unix socket: the byte-identity contract
 //! against the CLI path, worker-death recovery (both rows of the
 //! determinism matrix, see `invariance.rs`), a run far longer than any
-//! polling interval, back-to-back submissions, and the error taxonomy
-//! (including a document nested past the JSON parser's depth limit).
+//! polling interval, a gated campaign's verdict rollup, back-to-back
+//! submissions, and the error taxonomy (including a document nested
+//! past the JSON parser's depth limit).
 
 #[path = "../../scenario/tests/matrix/mod.rs"]
 mod matrix;
@@ -85,6 +86,28 @@ fn a_long_run_finishes_without_a_worker_death() {
     assert_eq!(counter(&client, "serve.workers.spawned"), workers);
     assert_eq!(counter(&client, "serve.queue.completed"), 1);
 
+    server.shutdown(false);
+    server.wait().expect("clean drain");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The committed gated campaign, served: once done, its status document
+/// rolls up the runs' verdicts as a pass with no failures.
+#[test]
+fn gated_campaign_status_carries_its_verdict() {
+    let scenarios = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let doc = std::fs::read_to_string(scenarios.join("disturbance-campaign.json"))
+        .expect("campaign file");
+    let root = temp_root("verdict");
+    let mut config = config_for(&root);
+    // The campaign names its scenario by sibling path.
+    config.scenario_root = scenarios;
+    let server = Server::start(config).expect("server starts");
+    let client = server.client();
+    let id = submit_doc(&client, &doc, 1);
+    let status = wait_done(&client, &id);
+    assert!(status.contains("\"verdict\":\"pass\""), "{status}");
+    assert!(status.contains("\"verdict_failures\":0"), "{status}");
     server.shutdown(false);
     server.wait().expect("clean drain");
     let _ = std::fs::remove_dir_all(&root);
