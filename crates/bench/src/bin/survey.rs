@@ -15,6 +15,7 @@ use electrifi::guidelines::ProbePlan;
 use electrifi::{LinkProbeSim, PaperEnv};
 use electrifi_bench::{fmt, render_table, RunGuard};
 use plc_phy::characterization::characterize;
+use plc_phy::estimation::EstimatorConfig;
 use serde::Serialize;
 use simnet::time::Time;
 
@@ -55,7 +56,12 @@ fn main() {
         if c.mean_snr_db < -2.0 {
             continue; // modems would not associate
         }
-        let mut sim = LinkProbeSim::new(channel, PaperEnv::dir(a, b), env.estimator, seed ^ 0x50);
+        let mut sim = LinkProbeSim::new(
+            channel,
+            PaperEnv::dir(a, b),
+            EstimatorConfig::default(),
+            seed ^ 0x50,
+        );
         let steady = sim.warmup(now, 6);
         let ble = sim.ble_avg();
         let class = LinkClass::of_ble(ble);

@@ -1,4 +1,5 @@
-//! The experiment environment: testbed plus calibrated model parameters.
+//! The experiment environment: the testbed the experiments measure. The
+//! calibrated model constants live beside the models that read them.
 //!
 //! ## Environment variables
 //!
@@ -7,32 +8,22 @@
 //! * `ELECTRIFI_SCALE` — `quick` shrinks durations for smoke runs of
 //!   the `paper` binary (read by `electrifi-bench::scale_from_env`);
 //! * `ELECTRIFI_THREADS` — sweep worker count, a **positive integer**.
-//!   Parsing is validated (see [`threads_from_env`], re-exported from
-//!   `electrifi_testbed::sweep`): `0` and non-numeric values are
-//!   rejected with a clear message instead of silently changing the
-//!   parallelism. `1` forces sequential sweeps; unset uses all cores.
+//!   Parsing is validated by `simnet::threads::worker_count_from_env`:
+//!   `0` and non-numeric values stop the first sweep with a clear
+//!   message instead of silently changing the parallelism. `1` forces
+//!   sequential sweeps; unset uses all cores.
 
 use electrifi_testbed::{PlcNetwork, StationId, Testbed};
 
-pub use electrifi_testbed::sweep::{parse_threads, threads_from_env, THREADS_ENV};
-use plc_phy::channel::{LinkDir, PlcChannel, PlcChannelParams};
-use plc_phy::estimation::EstimatorConfig;
+use plc_phy::channel::{LinkDir, PlcChannel};
 use plc_phy::PlcTechnology;
-use wifi80211::channel::WifiChannelParams;
 use wifi80211::WifiChannel;
 
-/// Everything an experiment needs: the reconstructed floor and the
-/// calibrated model constants used throughout the reproduction.
+/// Everything an experiment needs: the reconstructed floor.
 #[derive(Debug, Clone)]
 pub struct PaperEnv {
     /// The 19-station floor.
     pub testbed: Testbed,
-    /// PLC channel constants.
-    pub plc_params: PlcChannelParams,
-    /// WiFi channel constants.
-    pub wifi_params: WifiChannelParams,
-    /// Channel-estimator configuration (HPAV-flavoured).
-    pub estimator: EstimatorConfig,
 }
 
 impl PaperEnv {
@@ -43,7 +34,7 @@ impl PaperEnv {
 
     /// Build the environment around an arbitrary testbed (the paper's
     /// floor, a scenario file's explicit grid, or a procedurally
-    /// generated one) with the calibrated default model parameters.
+    /// generated one).
     ///
     /// Every experiment entry point takes a `&PaperEnv`, so this is the
     /// hook that makes them scenario-parameterised: the `scenario` crate
@@ -52,12 +43,7 @@ impl PaperEnv {
     /// contiguous range `0..stations.len()` (the scenario loader
     /// validates this).
     pub fn from_testbed(testbed: Testbed) -> Self {
-        PaperEnv {
-            testbed,
-            plc_params: PlcChannelParams::default(),
-            wifi_params: WifiChannelParams::default(),
-            estimator: EstimatorConfig::default(),
-        }
+        PaperEnv { testbed }
     }
 
     /// The PLC channel of a station pair (same-network pairs are the
@@ -70,7 +56,7 @@ impl PaperEnv {
     /// the Fig. 7 comparison).
     pub fn plc_channel_tech(&self, a: StationId, b: StationId, tech: PlcTechnology) -> PlcChannel {
         self.testbed
-            .plc_channel(a, b, tech, self.plc_params)
+            .plc_channel(a, b, tech)
             .unwrap_or_else(|| panic!("stations {a} and {b} share no wiring"))
     }
 
@@ -81,7 +67,7 @@ impl PaperEnv {
 
     /// The WiFi channel of a station pair.
     pub fn wifi_channel(&self, a: StationId, b: StationId) -> WifiChannel {
-        self.testbed.wifi_channel(a, b, self.wifi_params)
+        self.testbed.wifi_channel(a, b)
     }
 
     /// Directed same-network PLC pairs (the paper's link population).

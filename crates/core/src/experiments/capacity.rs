@@ -5,6 +5,7 @@ use crate::experiments::Scale;
 use crate::probesim::LinkProbeSim;
 use electrifi_testbed::StationId;
 use hybrid1905::probing::{evaluate_policy, PolicyEvaluation, ProbingPolicy};
+use plc_phy::estimation::EstimatorConfig;
 use plc_phy::PlcTechnology;
 use serde::{Deserialize, Serialize};
 use simnet::stats::{linear_fit, LinearFit, NormalityCheck};
@@ -59,7 +60,12 @@ pub fn fig15(env: &PaperEnv, scale: Scale) -> Fig15Result {
         let seed = 0xF15 ^ ((a as u64) << 20) ^ ((b as u64) << 2);
         let mut meas_rng =
             rand::rngs::StdRng::seed_from_u64(0xF15E ^ ((a as u64) << 20) ^ ((b as u64) << 2));
-        let mut sim = LinkProbeSim::new(channel, PaperEnv::dir(a, b), env.estimator, seed);
+        let mut sim = LinkProbeSim::new(
+            channel,
+            PaperEnv::dir(a, b),
+            EstimatorConfig::default(),
+            seed,
+        );
         let mut t = sim.warmup(start, 8);
         let mut ble = simnet::stats::RunningStats::new();
         let mut thr = simnet::stats::RunningStats::new();
@@ -133,7 +139,7 @@ pub fn fig16(env: &PaperEnv, scale: Scale) -> Fig16Result {
         let mut sim = LinkProbeSim::new(
             env.plc_channel(a, b),
             PaperEnv::dir(a, b),
-            env.estimator,
+            EstimatorConfig::default(),
             seed,
         );
         sim.reset(); // explicit: the paper resets devices each run
@@ -207,7 +213,7 @@ pub fn fig17(env: &PaperEnv, scale: Scale) -> Fig17Result {
         let mut sim = LinkProbeSim::new(
             env.plc_channel(a, b),
             PaperEnv::dir(a, b),
-            env.estimator,
+            EstimatorConfig::default(),
             seed,
         );
         sim.reset();
@@ -249,7 +255,7 @@ pub fn fig18(env: &PaperEnv, scale: Scale) -> Fig18Result {
         let mut sim = LinkProbeSim::new(
             env.plc_channel(a, b),
             PaperEnv::dir(a, b),
-            env.estimator,
+            EstimatorConfig::default(),
             seed,
         );
         sim.reset();
@@ -287,7 +293,15 @@ pub fn fig19(env: &PaperEnv, scale: Scale) -> Fig19Result {
     // One trace per pair through the sweep; the usability filter runs
     // afterwards, in pair order.
     let traces: Vec<Series> = electrifi_testbed::sweep::par_map(&pairs, |_, &(a, b)| {
-        cycle_trace(env, a, b, PlcTechnology::HpAv, env.estimator, duration).ble
+        cycle_trace(
+            env,
+            a,
+            b,
+            PlcTechnology::HpAv,
+            EstimatorConfig::default(),
+            duration,
+        )
+        .ble
     })
     .into_iter()
     .filter(|ble| ble.stats().mean() > 5.0)

@@ -13,6 +13,7 @@ use electrifi_faults::{CompiledFaults, FaultEngine, OutageProfile, SeriesSet};
 use electrifi_testbed::{PlcNetwork, StationId, Testbed};
 use hybrid1905::GatedEstimator;
 use plc_phy::channel::{LinkDir, PlcChannel};
+use plc_phy::estimation::{EstimatorConfig, TARGET_PBERR};
 use plc_phy::modulation::FecRate;
 use plc_phy::tonemap::ToneMap;
 use simnet::obs;
@@ -76,8 +77,6 @@ struct DisturbanceSim {
     outage: Option<OutageProfile>,
     faults: CompiledFaults,
     cfg: DisturbanceConfig,
-    margin_db: f64,
-    target_pberr: f64,
     pair: (StationId, StationId),
     // Dynamic state.
     engine: FaultEngine,
@@ -109,8 +108,6 @@ impl DisturbanceSim {
             wifi,
             outage: faults.outage_profile(board).cloned(),
             faults: faults.clone(),
-            margin_db: env.estimator.margin_db,
-            target_pberr: env.estimator.target_pberr,
             pair: (a, b),
             engine: FaultEngine::new(),
             estimator: GatedEstimator::new(faults.dropout_profile().cloned()),
@@ -134,9 +131,9 @@ impl DisturbanceSim {
         let spec = self.plc.spectrum(self.dir, t);
         let map = ToneMap::from_snr(
             &spec.snr_db,
-            self.margin_db,
+            EstimatorConfig::default().margin_db,
             FecRate::SixteenTwentyFirsts,
-            self.target_pberr,
+            TARGET_PBERR,
             0,
         );
         map.ble() * PLC_MAC_EFFICIENCY

@@ -14,7 +14,7 @@ use plc_mac::sim::{Flow, PlcSim, SimConfig};
 use serde::{Deserialize, Serialize};
 use simnet::time::{Duration, Time};
 use simnet::traffic::TrafficSource;
-use wifi80211::sim::{WifiFlow, WifiSim, WifiSimConfig};
+use wifi80211::sim::{WifiFlow, WifiSim};
 
 /// Packet size used throughout the hybrid experiment.
 const PKT_BYTES: u32 = 1500;
@@ -88,16 +88,12 @@ fn delivery_timelines(
         Vec::new()
     };
     // --- WiFi side.
-    let wcfg = WifiSimConfig {
-        seed: env.testbed.seed ^ 0x20F ^ ((a as u64) << 12) ^ b as u64,
-        channel: env.wifi_params,
-        ..WifiSimConfig::default()
-    };
+    let wifi_seed = env.testbed.seed ^ 0x20F ^ ((a as u64) << 12) ^ b as u64;
     let positions = [
         (a, env.testbed.station(a).pos),
         (b, env.testbed.station(b).pos),
     ];
-    let mut wifi = WifiSim::new(wcfg, &env.testbed.floor, &positions);
+    let mut wifi = WifiSim::new(wifi_seed, &env.testbed.floor, &positions);
     let f = wifi.add_flow(WifiFlow {
         src: a,
         dst: b,

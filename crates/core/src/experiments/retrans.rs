@@ -5,6 +5,7 @@ use crate::experiments::Scale;
 use electrifi_testbed::{PlcNetwork, StationId};
 use hybrid1905::etx::UEtx;
 use plc_mac::sim::{Flow, PlcSim, SimConfig};
+use plc_phy::estimation::EstimatorConfig;
 use serde::{Deserialize, Serialize};
 use simnet::time::{Duration, Time};
 use simnet::trace::Series;
@@ -123,7 +124,7 @@ fn night_reference(env: &PaperEnv, a: StationId, b: StationId) -> (f64, f64) {
     let mut sim = LinkProbeSim::new(
         env.plc_channel(a, b),
         PaperEnv::dir(a, b),
-        env.estimator,
+        EstimatorConfig::default(),
         seed,
     );
     let start = Time::from_hours(2);

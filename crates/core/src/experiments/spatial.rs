@@ -4,6 +4,7 @@ use crate::env::PaperEnv;
 use crate::experiments::Scale;
 use crate::probesim::LinkProbeSim;
 use electrifi_testbed::{sweep, StationId};
+use plc_phy::estimation::EstimatorConfig;
 use plc_phy::PlcTechnology;
 use serde::{Deserialize, Serialize};
 use simnet::obs::{self, MetricsSnapshot, Obs};
@@ -287,7 +288,12 @@ pub fn measure_plc(
         return (0.0, 0.0);
     }
     let seed = 0x517A ^ ((a as u64) << 20) ^ ((b as u64) << 4);
-    let mut sim = LinkProbeSim::new(channel, PaperEnv::dir(a, b), env.estimator, seed);
+    let mut sim = LinkProbeSim::new(
+        channel,
+        PaperEnv::dir(a, b),
+        EstimatorConfig::default(),
+        seed,
+    );
     // Warm-up: let the association-time tone-map refinements finish.
     let mut t = sim.warmup(start, 8);
     let mut stats = RunningStats::new();
@@ -456,7 +462,12 @@ pub fn fig7_with(env: &PaperEnv, cfg: SpatialConfig) -> Fig7Result {
             return None;
         }
         let seed = 0xF1607 ^ ((a as u64) << 24) ^ ((b as u64) << 8);
-        let mut sim = LinkProbeSim::new(channel, PaperEnv::dir(a, b), env.estimator, seed);
+        let mut sim = LinkProbeSim::new(
+            channel,
+            PaperEnv::dir(a, b),
+            EstimatorConfig::default(),
+            seed,
+        );
         let mut t = sim.warmup(start, 8);
         let mut stats = RunningStats::new();
         let end = t + duration;

@@ -47,7 +47,7 @@ fn capacity_trace(
     let mut plc_sim = LinkProbeSim::new(
         env.plc_channel(a, b),
         PaperEnv::dir(a, b),
-        env.estimator,
+        EstimatorConfig::default(),
         seed,
     );
     let wifi_chan = env.wifi_channel(a, b);
@@ -220,12 +220,12 @@ pub fn fig10(env: &PaperEnv, scale: Scale) -> Fig10Result {
     // 18-15 (the paper's deep oscillation example).
     let quirk_cfg = EstimatorConfig {
         av500_quirk: true,
-        ..env.estimator
+        ..EstimatorConfig::default()
     };
     let panels: Vec<(StationId, StationId, PlcTechnology, EstimatorConfig)> =
         [(11u16, 4u16), (6, 5), (18, 15), (1, 2), (15, 18), (3, 1)]
             .into_iter()
-            .map(|(a, b)| (a, b, PlcTechnology::HpAv, env.estimator))
+            .map(|(a, b)| (a, b, PlcTechnology::HpAv, EstimatorConfig::default()))
             .chain(std::iter::once((18, 15, PlcTechnology::HpAv500, quirk_cfg)))
             .collect();
     let traces = electrifi_testbed::sweep::par_map(&panels, |_, &(a, b, tech, cfg)| {
@@ -273,7 +273,14 @@ pub fn fig11(env: &PaperEnv, scale: Scale) -> Fig11Result {
     // below 5 Mbps) drop out as `None` just like the old `continue`.
     let mut rows: Vec<Fig11Row> =
         electrifi_testbed::sweep::par_map(&pairs, |_, &(a, b)| -> Option<Fig11Row> {
-            let trace = cycle_trace(env, a, b, PlcTechnology::HpAv, env.estimator, duration);
+            let trace = cycle_trace(
+                env,
+                a,
+                b,
+                PlcTechnology::HpAv,
+                EstimatorConfig::default(),
+                duration,
+            );
             let stats = trace.ble.stats();
             if stats.mean() < 5.0 {
                 return None; // effectively dead link
@@ -333,7 +340,7 @@ pub fn long_trace(
     let mut sim = LinkProbeSim::new(
         env.plc_channel(a, b),
         PaperEnv::dir(a, b),
-        env.estimator,
+        EstimatorConfig::default(),
         seed,
     );
     let mut ble = Series::new(format!("BLE {a}-{b}"));

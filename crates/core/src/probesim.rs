@@ -342,7 +342,7 @@ mod tests {
         LinkProbeSim::new(
             env.plc_channel(a, b),
             PaperEnv::dir(a, b),
-            env.estimator,
+            EstimatorConfig::default(),
             42,
         )
     }

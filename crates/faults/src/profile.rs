@@ -6,16 +6,13 @@
 //! only on the queried [`Time`], sharded, chunked and serial executions
 //! of the same scenario observe bit-identical channels.
 //!
-//! Window bounds are stored as nanoseconds-since-epoch (`u64`) rather
-//! than [`Time`] so the types stay plain-old-data for serde derives and
-//! byte-stable persistence.
+//! Window bounds are stored as nanoseconds since the sim epoch (`u64`).
 
-use serde::{Deserialize, Serialize};
 use simnet::Time;
 
 /// One additive window on a PLC board: noise and/or attenuation, with an
 /// optional linear ramp-in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverlayWindow {
     /// Window start, ns since sim epoch.
     pub start_ns: u64,
@@ -51,7 +48,7 @@ impl OverlayWindow {
 /// The additive channel overlay for one distribution board: what an
 /// appliance surge, breaker trip or cable-degradation ramp does to every
 /// PLC link on that board.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinkOverlay {
     /// Windows, sorted by `start_ns` (may overlap; contributions add).
     pub windows: Vec<OverlayWindow>,
@@ -84,7 +81,7 @@ impl LinkOverlay {
 }
 
 /// One WiFi jamming window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JamWindow {
     /// Window start, ns since sim epoch.
     pub start_ns: u64,
@@ -95,7 +92,7 @@ pub struct JamWindow {
 }
 
 /// Floor-wide WiFi jamming profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JamProfile {
     /// Windows, sorted by `start_ns` (overlaps add).
     pub windows: Vec<JamWindow>,
@@ -121,7 +118,7 @@ impl JamProfile {
 
 /// Probe/sensor dropout profile: while active, the hybrid layer's probes
 /// are lost and its capacity estimate goes stale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DropoutProfile {
     /// `(start_ns, end_ns)` windows, sorted, non-normalised (overlaps
     /// simply both report active).
@@ -138,7 +135,7 @@ impl DropoutProfile {
 
 /// MAC-visible outage profile: windows during which a board's stations
 /// cannot win the medium at all (breaker trip, seen from the MAC).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OutageProfile {
     /// `(start_ns, end_ns)` windows, sorted by start.
     pub windows: Vec<(u64, u64)>,

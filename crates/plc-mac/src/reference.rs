@@ -302,7 +302,7 @@ impl PlcSim {
             }
             self.flows[f].delivered.push(done);
         }
-        let gap = self.cfg.observe_min_gap;
+        let gap = self.observe_min_gap;
         let refresh_needed = {
             let rx = self.rx_state(src, dst);
             rx.window.0 += n_total;

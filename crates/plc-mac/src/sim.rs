@@ -20,7 +20,7 @@ use crate::pb::{pbs_for_packet, CompletedPacket, QueuedPb, Reassembler, PB_WIRE_
 use crate::scratch::{BuiltFrame, SimScratch};
 use crate::timing;
 use plc_phy::carrier::SYMBOL_US;
-use plc_phy::channel::{LinkDir, PlcChannelParams};
+use plc_phy::channel::LinkDir;
 use plc_phy::error::pb_error_prob;
 use plc_phy::estimation::EstimatorConfig;
 use plc_phy::tonemap::{ToneMap, TONEMAP_SLOTS};
@@ -100,6 +100,13 @@ pub(crate) const CAPTURE_DURATION_RATIO: f64 = 2.0;
 /// PB error rate applied to a captured frame's blocks.
 pub(crate) const CAPTURE_PBERR: f64 = 0.75;
 
+/// How often cached per-slot SNR spectra are refreshed.
+const SPECTRUM_REFRESH: Duration = Duration::from_millis(200);
+/// Minimum gap between two estimator observations on one link
+/// direction (subsampling keeps long saturated runs cheap without
+/// changing convergence behaviour at probe rates).
+const OBSERVE_MIN_GAP: Duration = Duration::from_millis(10);
+
 /// Simulation configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -107,16 +114,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// PLC generation (HPAV or HPAV500).
     pub technology: PlcTechnology,
-    /// Channel-model constants.
-    pub channel: PlcChannelParams,
-    /// Channel-estimator configuration used by every receiver.
-    pub estimator: EstimatorConfig,
-    /// How often cached per-slot SNR spectra are refreshed.
-    pub spectrum_refresh: Duration,
-    /// Minimum gap between two estimator observations on one link
-    /// direction (subsampling keeps long saturated runs cheap without
-    /// changing convergence behaviour at probe rates).
-    pub observe_min_gap: Duration,
     /// ABLATION: disable the 1901 deferral counter, making the backoff
     /// 802.11-style (stations escalate only on collisions, never on
     /// sensing the medium busy). Used to demonstrate the deferral
@@ -140,10 +137,6 @@ impl Default for SimConfig {
         SimConfig {
             seed: 1,
             technology: PlcTechnology::HpAv,
-            channel: PlcChannelParams::default(),
-            estimator: EstimatorConfig::default(),
-            spectrum_refresh: Duration::from_millis(200),
-            observe_min_gap: Duration::from_millis(10),
             disable_deferral: false,
             sniffer: false,
             queue_cap_pbs: 600,
@@ -274,6 +267,12 @@ impl Default for CaptureEntry {
 /// One PLC contention domain.
 pub struct PlcSim {
     pub(crate) cfg: SimConfig,
+    /// Staleness interval of cached spectra: [`SPECTRUM_REFRESH`] unless
+    /// [`PlcSim::set_spectrum_refresh`] overrides it.
+    pub(crate) spectrum_refresh: Duration,
+    /// Minimum estimator-observation gap: [`OBSERVE_MIN_GAP`] unless
+    /// [`PlcSim::set_observe_min_gap`] overrides it.
+    pub(crate) observe_min_gap: Duration,
     pub(crate) now: Time,
     pub(crate) rng: StdRng,
     pub(crate) ids: Vec<StationId>,
@@ -338,7 +337,6 @@ impl PlcSim {
                     stations[i].outlet,
                     stations[j].outlet,
                     cfg.technology,
-                    cfg.channel,
                     seed,
                 ) {
                     channels.insert((i, j), ch);
@@ -354,6 +352,8 @@ impl PlcSim {
         let n_stations = stations.len();
         PlcSim {
             cfg,
+            spectrum_refresh: SPECTRUM_REFRESH,
+            observe_min_gap: OBSERVE_MIN_GAP,
             now: Time::ZERO,
             rng,
             ids,
@@ -421,19 +421,19 @@ impl PlcSim {
     /// Override the minimum estimator-observation gap mid-run. Used by
     /// `bench_mac` to quiesce the estimation pipeline after convergence so
     /// the timed window isolates the MAC stepping cost; experiments keep
-    /// the constructor-time value.
+    /// `OBSERVE_MIN_GAP` (10 ms).
     pub fn set_observe_min_gap(&mut self, gap: Duration) {
-        self.cfg.observe_min_gap = gap;
+        self.observe_min_gap = gap;
     }
 
     /// Override the spectrum staleness interval mid-run (the bench hook
     /// companion of [`set_observe_min_gap`](Self::set_observe_min_gap)).
     /// `bench_mac` freezes refreshes after warmup so its gated comparison
     /// isolates the MAC scheduling loop from the PHY recompute cost that
-    /// `BENCH_channel.json` measures on its own; experiments keep the
-    /// constructor-time value.
+    /// `BENCH_channel.json` measures on its own; experiments keep
+    /// `SPECTRUM_REFRESH` (200 ms).
     pub fn set_spectrum_refresh(&mut self, interval: Duration) {
-        self.cfg.spectrum_refresh = interval;
+        self.spectrum_refresh = interval;
     }
 
     /// Materialize the per-(link, slot) spectrum-cache entry for every
@@ -491,10 +491,9 @@ impl PlcSim {
     }
 
     pub(crate) fn rx_state(&mut self, src: usize, dst: usize) -> &mut RxState {
-        let cfg = self.cfg.estimator;
         let n = self.n_carriers;
         self.rx.entry((src, dst)).or_insert_with(|| RxState {
-            estimator: ChannelEstimator::new(cfg, n),
+            estimator: ChannelEstimator::new(EstimatorConfig::default(), n),
             window: (0, 0),
             ampstat: (0, 0),
             cumulative: (0, 0),
@@ -507,7 +506,7 @@ impl PlcSim {
     /// than `spectrum_refresh`, rewriting the entry's buffer in place.
     pub(crate) fn refresh_spectrum(&mut self, src: usize, dst: usize, slot: usize) {
         let key = (src, dst, slot as u8);
-        let refresh = self.cfg.spectrum_refresh;
+        let refresh = self.spectrum_refresh;
         let now = self.now;
         let needs = match self.spectra.get(&key) {
             Some(c) => now.saturating_since(c.at) >= refresh,
@@ -1218,7 +1217,7 @@ impl PlcSim {
             });
         }
         // Estimation pipeline at the receiver.
-        let gap = self.cfg.observe_min_gap;
+        let gap = self.observe_min_gap;
         let refresh_needed = {
             let rx = self.rx_state(src, dst);
             rx.window.0 += n_total;
@@ -1478,7 +1477,7 @@ impl PlcSim {
         let entry = self.capture_cache[dst][slot];
         let fresh = entry.valid
             && entry.gen == self.spectra_gen
-            && now.saturating_since(entry.min_at) < self.cfg.spectrum_refresh;
+            && now.saturating_since(entry.min_at) < self.spectrum_refresh;
         let entry = if fresh {
             entry
         } else {

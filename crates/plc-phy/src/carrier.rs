@@ -60,7 +60,7 @@ impl PlcTechnology {
 }
 
 /// The set of usable OFDM carriers for a PLC technology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CarrierPlan {
     technology: PlcTechnology,
     freqs_mhz: Vec<f64>,

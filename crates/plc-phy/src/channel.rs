@@ -58,108 +58,78 @@ impl LinkDir {
     }
 }
 
-/// Tunable physical constants of the channel model. The defaults are
-/// calibrated so that the testbed reproduces the paper's ranges (BLE up to
-/// ~147 Mb/s on HPAV, bare-cable links losing almost nothing over 70 m,
-/// multi-tap links degrading steeply).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PlcChannelParams {
-    /// Transmit power spectral density (dBm/Hz), flat over the band.
-    pub tx_psd_dbm_hz: f64,
-    /// Cable attenuation in dB per metre per √MHz. Deliberately small:
-    /// the paper measured that 70 m of bare cable costs at most ~2 Mb/s;
-    /// almost all attenuation comes from taps.
-    pub cable_alpha: f64,
-    /// Extra attenuation for crossing a distribution board (fuses and
-    /// breakers are poor HF conductors). The two boards of the testbed
-    /// make inter-board links hard (paper §3.1).
-    pub board_transit_db: f64,
-    /// Scale of the static frequency-selective "clutter" attenuation that
-    /// models unrepresented wiring details; gives same-distance links
-    /// different fates (paper Fig. 7's vertical spread).
-    pub clutter_db: f64,
-    /// Series impedance added per metre of branch stub between a junction
-    /// and an appliance (tempers the reflection of remote appliances).
-    pub stub_ohms_per_m: f64,
-    /// Scale applied to per-tap transit losses. Raw transmission-line
-    /// arithmetic over-counts because real taps are frequency-selective
-    /// and partially matched; calibrated so a fully populated office
-    /// corridor costs tens of dB end-to-end, not hundreds (paper Fig. 7's
-    /// links survive 100 m with a dozen offices in between).
-    pub tap_transit_scale: f64,
-    /// Relative amplitude scale of echo paths against the direct path.
-    pub echo_gain: f64,
-    /// Receiver noise floor at high frequency (dBm/Hz).
-    pub noise_floor_dbm_hz: f64,
-    /// Additional low-frequency noise (dB above the floor at f → 0).
-    pub noise_lowfreq_db: f64,
-    /// Exponential knee of the low-frequency noise component (MHz).
-    pub noise_knee_mhz: f64,
-    /// Cable radius (m) within which appliances contribute noise at the
-    /// receiver (contributions decay as exp(−d/range)).
-    pub appliance_noise_range_m: f64,
-    /// Cable radius (m) within which low-impedance appliances load a
-    /// modem's coupling.
-    pub coupling_range_m: f64,
-    /// Weight of the coupling loss on the transmit (injection) side.
-    pub injection_weight: f64,
-    /// Weight of the coupling loss on the receive (extraction) side.
-    /// Smaller than injection: this difference is an asymmetry source.
-    pub extraction_weight: f64,
-    /// Baseline cycle-scale noise std (dB) on a perfectly quiet line.
-    pub cycle_sigma_base_db: f64,
-    /// Extra cycle-scale noise std per dB of ambient appliance noise.
-    pub cycle_sigma_per_noise_db: f64,
-    /// Correlation time of the cycle-scale fluctuation (seconds).
-    pub cycle_corr_s: f64,
-    /// Noise boost while an impulsive event is active (dB).
-    pub impulse_boost_db: f64,
-    /// Duration of an impulsive noise event (seconds).
-    pub impulse_dur_s: f64,
-    /// Width of the mains-synchronous noise bump, as a fraction of the
-    /// half mains cycle.
-    pub sync_bump_width: f64,
-    /// Maximum static receiver-side noise (dB above the floor) from
-    /// unmodelled sources — neighbouring floors, building infrastructure,
-    /// devices outside the modelled radius. Drawn per link endpoint from
-    /// the link seed with a strong (quartic) skew: most outlets are
-    /// quiet, a few are very noisy. It keeps bad links bad even at night
-    /// (the §6.2 night-time measurements still show churn on bad links)
-    /// and, because the two endpoints draw independently, it is a major
-    /// source of the §5 link asymmetry.
-    pub static_noise_max_db: f64,
-}
+// Calibrated physical constants of the channel model. They are set so
+// that the testbed reproduces the paper's ranges (BLE up to ~147 Mb/s on
+// HPAV, bare-cable links losing almost nothing over 70 m, multi-tap
+// links degrading steeply).
 
-impl Default for PlcChannelParams {
-    fn default() -> Self {
-        PlcChannelParams {
-            tx_psd_dbm_hz: -55.0,
-            cable_alpha: 0.04,
-            board_transit_db: 19.0,
-            clutter_db: 9.0,
-            stub_ohms_per_m: 20.0,
-            tap_transit_scale: 0.35,
-            echo_gain: 0.6,
-            noise_floor_dbm_hz: -118.0,
-            noise_lowfreq_db: 25.0,
-            noise_knee_mhz: 8.0,
-            appliance_noise_range_m: 12.0,
-            coupling_range_m: 8.0,
-            injection_weight: 1.0,
-            extraction_weight: 0.25,
-            cycle_sigma_base_db: 0.35,
-            cycle_sigma_per_noise_db: 0.12,
-            cycle_corr_s: 0.8,
-            impulse_boost_db: 12.0,
-            impulse_dur_s: 0.02,
-            sync_bump_width: 0.12,
-            static_noise_max_db: 20.0,
-        }
-    }
-}
+/// Transmit power spectral density (dBm/Hz), flat over the band.
+const TX_PSD_DBM_HZ: f64 = -55.0;
+/// Cable attenuation in dB per metre per √MHz. Deliberately small:
+/// the paper measured that 70 m of bare cable costs at most ~2 Mb/s;
+/// almost all attenuation comes from taps.
+const CABLE_ALPHA: f64 = 0.04;
+/// Extra attenuation for crossing a distribution board (fuses and
+/// breakers are poor HF conductors). The two boards of the testbed
+/// make inter-board links hard (paper §3.1).
+const BOARD_TRANSIT_DB: f64 = 19.0;
+/// Scale of the static frequency-selective "clutter" attenuation that
+/// models unrepresented wiring details; gives same-distance links
+/// different fates (paper Fig. 7's vertical spread).
+const CLUTTER_DB: f64 = 9.0;
+/// Series impedance added per metre of branch stub between a junction
+/// and an appliance (tempers the reflection of remote appliances).
+const STUB_OHMS_PER_M: f64 = 20.0;
+/// Scale applied to per-tap transit losses. Raw transmission-line
+/// arithmetic over-counts because real taps are frequency-selective
+/// and partially matched; calibrated so a fully populated office
+/// corridor costs tens of dB end-to-end, not hundreds (paper Fig. 7's
+/// links survive 100 m with a dozen offices in between).
+const TAP_TRANSIT_SCALE: f64 = 0.35;
+/// Relative amplitude scale of echo paths against the direct path.
+const ECHO_GAIN: f64 = 0.6;
+/// Receiver noise floor at high frequency (dBm/Hz).
+const NOISE_FLOOR_DBM_HZ: f64 = -118.0;
+/// Additional low-frequency noise (dB above the floor at f → 0).
+const NOISE_LOWFREQ_DB: f64 = 25.0;
+/// Exponential knee of the low-frequency noise component (MHz).
+const NOISE_KNEE_MHZ: f64 = 8.0;
+/// Cable radius (m) within which appliances contribute noise at the
+/// receiver (contributions decay as exp(−d/range)).
+const APPLIANCE_NOISE_RANGE_M: f64 = 12.0;
+/// Cable radius (m) within which low-impedance appliances load a
+/// modem's coupling.
+const COUPLING_RANGE_M: f64 = 8.0;
+/// Weight of the coupling loss on the transmit (injection) side.
+const INJECTION_WEIGHT: f64 = 1.0;
+/// Weight of the coupling loss on the receive (extraction) side.
+/// Smaller than injection: this difference is an asymmetry source.
+const EXTRACTION_WEIGHT: f64 = 0.25;
+/// Baseline cycle-scale noise std (dB) on a perfectly quiet line.
+const CYCLE_SIGMA_BASE_DB: f64 = 0.35;
+/// Extra cycle-scale noise std per dB of ambient appliance noise.
+const CYCLE_SIGMA_PER_NOISE_DB: f64 = 0.12;
+/// Correlation time of the cycle-scale fluctuation (seconds).
+const CYCLE_CORR_S: f64 = 0.8;
+/// Noise boost while an impulsive event is active (dB).
+const IMPULSE_BOOST_DB: f64 = 12.0;
+/// Duration of an impulsive noise event (seconds).
+const IMPULSE_DUR_S: f64 = 0.02;
+/// Width of the mains-synchronous noise bump, as a fraction of the
+/// half mains cycle.
+const SYNC_BUMP_WIDTH: f64 = 0.12;
+/// Maximum static receiver-side noise (dB above the floor) from
+/// unmodelled sources — neighbouring floors, building infrastructure,
+/// devices outside the modelled radius. Drawn per link endpoint from
+/// the link seed with a strong (quartic) skew: most outlets are
+/// quiet, a few are very noisy. It keeps bad links bad even at night
+/// (the §6.2 night-time measurements still show churn on bad links)
+/// and, because the two endpoints draw independently, it is a major
+/// source of the §5 link asymmetry.
+const STATIC_NOISE_MAX_DB: f64 = 20.0;
 
 /// An appliance load hanging off the transmission path at a tap point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TapLoad {
     profile: ApplianceProfile,
     schedule: Schedule,
@@ -168,10 +138,8 @@ struct TapLoad {
 }
 
 /// A reflection point along the path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Tap {
-    /// Distance from endpoint A along the path, metres.
-    dist_from_a_m: f64,
     /// Appliance loads reachable behind this tap.
     loads: Vec<TapLoad>,
     /// Branch cables without modelled appliances (present a Z₀ stub).
@@ -179,7 +147,7 @@ struct Tap {
 }
 
 /// An appliance near one endpoint (noise source / coupling load).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct LocalAppliance {
     profile: ApplianceProfile,
     schedule: Schedule,
@@ -413,31 +381,17 @@ struct CacheState {
     metrics: Option<CacheMetrics>,
 }
 
-/// Interior-mutable spectrum cache. Deliberately **not** serialized: the
-/// contents are derived state, so a deserialized channel starts cold and
-/// rebuilds bit-identical values on first use.
+/// Interior-mutable spectrum cache of derived state: a channel rebuilds
+/// bit-identical values from its inputs on first use.
 #[derive(Debug, Clone, Default)]
 struct SpectrumCache {
     state: RefCell<CacheState>,
 }
 
-impl Serialize for SpectrumCache {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl Deserialize for SpectrumCache {
-    fn from_value(_v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(SpectrumCache::default())
-    }
-}
-
 /// The physical channel between two outlets, both directions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlcChannel {
     plan: CarrierPlan,
-    params: PlcChannelParams,
     length_m: f64,
     boards_crossed: usize,
     taps: Vec<Tap>,
@@ -455,7 +409,7 @@ pub struct PlcChannel {
     /// function of time. `None` for undisturbed links.
     overlay: Option<LinkOverlay>,
     /// Derived-state cache (static per-carrier vectors + the multipath
-    /// terms of the current appliance epoch). Never serialized.
+    /// terms of the current appliance epoch).
     cache: SpectrumCache,
 }
 
@@ -494,7 +448,6 @@ impl PlcChannel {
         a: NodeId,
         b: NodeId,
         technology: PlcTechnology,
-        params: PlcChannelParams,
         link_seed: u64,
     ) -> Option<PlcChannel> {
         let path = grid.shortest_path(a, b)?;
@@ -522,14 +475,13 @@ impl PlcChannel {
                     .collect::<Vec<_>>();
                 let bare = d.off_path_branches.saturating_sub(loads.len().min(1));
                 Tap {
-                    dist_from_a_m: d.dist_from_a_m,
                     loads,
                     bare_branches: bare,
                 }
             })
             .collect();
         let locals = |node: NodeId, tag: u64| -> Vec<LocalAppliance> {
-            grid.appliances_within(node, params.appliance_noise_range_m)
+            grid.appliances_within(node, APPLIANCE_NOISE_RANGE_M)
                 .into_iter()
                 .map(|(id, dist_m)| {
                     let app = grid.appliance(id);
@@ -548,11 +500,10 @@ impl PlcChannel {
         // Heavily skewed static noise draw per endpoint.
         let static_draw = |tag: u64| -> f64 {
             let u = (ValueNoise::new(link_seed ^ tag).eval(0.5) + 1.0) / 2.0;
-            params.static_noise_max_db * u.powi(4)
+            STATIC_NOISE_MAX_DB * u.powi(4)
         };
         let ch = PlcChannel {
             plan: technology.carrier_plan(),
-            params,
             length_m: path.length_m,
             boards_crossed,
             taps,
@@ -587,11 +538,6 @@ impl PlcChannel {
         &self.plan
     }
 
-    /// Model parameters.
-    pub fn params(&self) -> &PlcChannelParams {
-        &self.params
-    }
-
     /// Cable distance between the endpoints, metres.
     pub fn cable_distance_m(&self) -> f64 {
         self.length_m
@@ -612,14 +558,14 @@ impl PlcChannel {
     fn coupling_loss_db(&self, locals: &[LocalAppliance], t: Time) -> f64 {
         let mut shunt_admittance = 0.0;
         for l in locals {
-            if l.dist_m > self.params.coupling_range_m {
+            if l.dist_m > COUPLING_RANGE_M {
                 continue;
             }
             let z = if l.schedule.is_on(t) {
                 l.profile.impedance_on_ohms
             } else {
                 l.profile.impedance_off_ohms
-            } + l.dist_m * self.params.stub_ohms_per_m;
+            } + l.dist_m * STUB_OHMS_PER_M;
             // Distance-weighted admittance of the shunt.
             shunt_admittance += (-l.dist_m / 4.0).exp() / z;
         }
@@ -646,25 +592,20 @@ impl PlcChannel {
             if !l.schedule.is_on(t) {
                 continue;
             }
-            let reach = (-l.dist_m / self.params.appliance_noise_range_m).exp();
+            let reach = (-l.dist_m / APPLIANCE_NOISE_RANGE_M).exp();
             let mut level_db = l.profile.noise_db;
             // Mains-synchronous bump.
             let mut d = (phase - l.profile.sync_phase).abs();
             if d > 0.5 {
                 d = 1.0 - d;
             }
-            let bump = (-(d / self.params.sync_bump_width).powi(2)).exp();
+            let bump = (-(d / SYNC_BUMP_WIDTH).powi(2)).exp();
             level_db += l.profile.sync_noise_db * bump;
             // Impulsive events.
             if l.profile.impulse_rate_hz > 0.0
-                && impulse_at(
-                    l.seed,
-                    t_s,
-                    l.profile.impulse_rate_hz,
-                    self.params.impulse_dur_s,
-                )
+                && impulse_at(l.seed, t_s, l.profile.impulse_rate_hz, IMPULSE_DUR_S)
             {
-                level_db += self.params.impulse_boost_db;
+                level_db += IMPULSE_BOOST_DB;
             }
             // `level_db` is how far the appliance raises the noise above
             // the floor *at its own outlet*; its excess power (relative to
@@ -716,7 +657,6 @@ impl PlcChannel {
         // Release `out`'s hold on the previous epoch plane first, so a
         // rebuild below can reuse it in place.
         out.source = None;
-        let p = &self.params;
         let (src_local, dst_local, cycle, dst_static_db) = match dir {
             LinkDir::AtoB => (
                 &self.local_a,
@@ -732,10 +672,10 @@ impl PlcChannel {
             ),
         };
         // --- Frequency-flat, direction-dependent scalars (cheap).
-        let coupling_db = p.injection_weight * self.coupling_loss_db(src_local, t)
-            + p.extraction_weight * self.coupling_loss_db(dst_local, t);
+        let coupling_db = INJECTION_WEIGHT * self.coupling_loss_db(src_local, t)
+            + EXTRACTION_WEIGHT * self.coupling_loss_db(dst_local, t);
         let mut ambient_db = self.appliance_noise_db(dst_local, t, phase, dst_static_db);
-        let mut board_db = self.boards_crossed as f64 * p.board_transit_db;
+        let mut board_db = self.boards_crossed as f64 * BOARD_TRANSIT_DB;
         // Fault overlay folds into the flat terms *before* the cycle
         // sigma, so scripted noise also widens the cycle-scale
         // fluctuation like real appliance noise would. Both additions
@@ -750,8 +690,8 @@ impl PlcChannel {
                 board_db += atten_db;
             }
         }
-        let sigma = p.cycle_sigma_base_db + p.cycle_sigma_per_noise_db * ambient_db;
-        let cycle_db = cycle.fbm(t.as_secs_f64() / p.cycle_corr_s, 2) * 2.0 * sigma;
+        let sigma = CYCLE_SIGMA_BASE_DB + CYCLE_SIGMA_PER_NOISE_DB * ambient_db;
+        let cycle_db = cycle.fbm(t.as_secs_f64() / CYCLE_CORR_S, 2) * 2.0 * sigma;
         // --- Cached per-carrier vectors.
         let mut guard = self.cache.state.borrow_mut();
         let state = &mut *guard;
@@ -792,11 +732,11 @@ impl PlcChannel {
         out.snr_db.clear();
         out.snr_db.resize(n, 0.0);
         let flat = kernels::FlatTerms {
-            tx_psd_dbm_hz: p.tx_psd_dbm_hz,
+            tx_psd_dbm_hz: TX_PSD_DBM_HZ,
             transit_db_total: ep.transit_db_total,
             board_db,
             coupling_db,
-            noise_floor_dbm_hz: p.noise_floor_dbm_hz,
+            noise_floor_dbm_hz: NOISE_FLOOR_DBM_HZ,
             ambient_db,
             cycle_db,
         };
@@ -842,7 +782,6 @@ impl PlcChannel {
     /// and the two agree bit-for-bit (property-tested in
     /// `tests/kernels.rs`).
     fn build_static_terms(&self, chunked: bool) -> StaticTerms {
-        let p = &self.params;
         let n = self.plan.len();
         let clutter_scale = (self.length_m / 25.0).powf(0.7).min(1.3);
         let mut st = StaticTerms {
@@ -858,13 +797,13 @@ impl PlcChannel {
             // `cable_alpha * f.sqrt() * len` associates left-to-right, so
             // caching the `cable_alpha * √f` prefix preserves every bit of
             // both the direct-path term and the echo stub term.
-            let alpha_root_f = p.cable_alpha * self.plan.freq_sqrt_mhz(i);
+            let alpha_root_f = CABLE_ALPHA * self.plan.freq_sqrt_mhz(i);
             st.alpha_root_f.push(alpha_root_f);
             st.cable_db.push(alpha_root_f * self.length_m);
             st.clutter_db
-                .push(p.clutter_db * (1.0 + self.clutter.fbm(f_mhz / 2.0, 2)) * clutter_scale);
+                .push(CLUTTER_DB * (1.0 + self.clutter.fbm(f_mhz / 2.0, 2)) * clutter_scale);
             st.lowfreq_db
-                .push(p.noise_lowfreq_db * (-f_mhz / p.noise_knee_mhz).exp());
+                .push(NOISE_LOWFREQ_DB * (-f_mhz / NOISE_KNEE_MHZ).exp());
         }
         // Echo geometry: one plane set per distinct stub length. The
         // enumeration order must match `echo_setup` exactly — per tap,
@@ -923,7 +862,6 @@ impl PlcChannel {
     /// the reference evaluator, so the coefficient association order is
     /// part of the shared ground truth.
     fn echo_setup(&self, t: Time, st: &StaticTerms, coeffs: &mut Vec<f64>) -> f64 {
-        let p = &self.params;
         coeffs.clear();
         coeffs.resize(st.groups.len(), 0.0);
         let mut transit_db_total = 0.0;
@@ -936,21 +874,21 @@ impl PlcChannel {
                     load.profile.impedance_on_ohms
                 } else {
                     load.profile.impedance_off_ohms
-                } + load.stub_m * p.stub_ohms_per_m;
+                } + load.stub_m * STUB_OHMS_PER_M;
                 y += 1.0 / z;
                 let gamma = tap_reflection(z, CABLE_Z0_OHMS);
-                coeffs[st.echo_group[echo] as usize] += p.echo_gain * gamma;
+                coeffs[st.echo_group[echo] as usize] += ECHO_GAIN * gamma;
                 echo += 1;
             }
             for _ in 0..tap.bare_branches {
-                y += 1.0 / (CABLE_Z0_OHMS + BARE_BRANCH_STUB_M * p.stub_ohms_per_m);
+                y += 1.0 / (CABLE_Z0_OHMS + BARE_BRANCH_STUB_M * STUB_OHMS_PER_M);
                 coeffs[st.echo_group[echo] as usize] +=
-                    p.echo_gain * tap_reflection(CABLE_Z0_OHMS, CABLE_Z0_OHMS);
+                    ECHO_GAIN * tap_reflection(CABLE_Z0_OHMS, CABLE_Z0_OHMS);
                 echo += 1;
             }
             if y > 0.0 {
                 let gamma_tap = tap_reflection(1.0 / y, CABLE_Z0_OHMS);
-                transit_db_total += p.tap_transit_scale * tap_transit_db(gamma_tap);
+                transit_db_total += TAP_TRANSIT_SCALE * tap_transit_db(gamma_tap);
             }
         }
         transit_db_total
@@ -1032,7 +970,6 @@ impl PlcChannel {
     /// share one kernel definition instead, and `tests/kernels.rs` pins
     /// the chunked/scalar pair together.
     pub fn spectrum_at_phase_reference(&self, dir: LinkDir, t: Time, phase: f64) -> SnrSpectrum {
-        let p = &self.params;
         let (src_local, dst_local, cycle, dst_static_db) = match dir {
             LinkDir::AtoB => (
                 &self.local_a,
@@ -1054,13 +991,13 @@ impl PlcChannel {
         let mut coeffs = Vec::new();
         let transit_db_total = self.echo_setup(t, &st, &mut coeffs);
         // --- Direction-dependent coupling losses.
-        let coupling_db = p.injection_weight * self.coupling_loss_db(src_local, t)
-            + p.extraction_weight * self.coupling_loss_db(dst_local, t);
+        let coupling_db = INJECTION_WEIGHT * self.coupling_loss_db(src_local, t)
+            + EXTRACTION_WEIGHT * self.coupling_loss_db(dst_local, t);
         // --- Receiver noise, frequency-independent parts. The fault
         // overlay folds in exactly as in the cached path: same guards,
         // same association order, bit-identical composition.
         let mut ambient_db = self.appliance_noise_db(dst_local, t, phase, dst_static_db);
-        let mut board_db = self.boards_crossed as f64 * p.board_transit_db;
+        let mut board_db = self.boards_crossed as f64 * BOARD_TRANSIT_DB;
         if let Some(ov) = &self.overlay {
             let (noise_db, atten_db) = ov.at(t);
             if noise_db != 0.0 {
@@ -1070,8 +1007,8 @@ impl PlcChannel {
                 board_db += atten_db;
             }
         }
-        let sigma = p.cycle_sigma_base_db + p.cycle_sigma_per_noise_db * ambient_db;
-        let cycle_db = cycle.fbm(t.as_secs_f64() / p.cycle_corr_s, 2) * 2.0 * sigma;
+        let sigma = CYCLE_SIGMA_BASE_DB + CYCLE_SIGMA_PER_NOISE_DB * ambient_db;
+        let cycle_db = cycle.fbm(t.as_secs_f64() / CYCLE_CORR_S, 2) * 2.0 * sigma;
 
         // --- Multipath interference relative to the direct ray.
         let n = self.plan.len();
@@ -1092,11 +1029,11 @@ impl PlcChannel {
         kernels::mp_db_scalar(&mut mp_db, &re, &im, MAX_NULL_DB);
         // --- Compose.
         let flat = kernels::FlatTerms {
-            tx_psd_dbm_hz: p.tx_psd_dbm_hz,
+            tx_psd_dbm_hz: TX_PSD_DBM_HZ,
             transit_db_total,
             board_db,
             coupling_db,
-            noise_floor_dbm_hz: p.noise_floor_dbm_hz,
+            noise_floor_dbm_hz: NOISE_FLOOR_DBM_HZ,
             ambient_db,
             cycle_db,
         };
@@ -1141,15 +1078,7 @@ mod tests {
     }
 
     fn chan(g: &Grid, a: NodeId, b: NodeId) -> PlcChannel {
-        PlcChannel::from_grid(
-            g,
-            a,
-            b,
-            PlcTechnology::HpAv,
-            PlcChannelParams::default(),
-            1234,
-        )
-        .expect("connected")
+        PlcChannel::from_grid(g, a, b, PlcTechnology::HpAv, 1234).expect("connected")
     }
 
     #[test]
@@ -1157,15 +1086,7 @@ mod tests {
         let mut g = Grid::new();
         let a = g.add_outlet("a");
         let b = g.add_outlet("b");
-        assert!(PlcChannel::from_grid(
-            &g,
-            a,
-            b,
-            PlcTechnology::HpAv,
-            PlcChannelParams::default(),
-            1
-        )
-        .is_none());
+        assert!(PlcChannel::from_grid(&g, a, b, PlcTechnology::HpAv, 1).is_none());
     }
 
     #[test]
@@ -1365,24 +1286,8 @@ mod tests {
     #[test]
     fn different_link_seeds_differ() {
         let (g, a, b) = straight_link(false, ' ');
-        let c1 = PlcChannel::from_grid(
-            &g,
-            a,
-            b,
-            PlcTechnology::HpAv,
-            PlcChannelParams::default(),
-            1,
-        )
-        .unwrap();
-        let c2 = PlcChannel::from_grid(
-            &g,
-            a,
-            b,
-            PlcTechnology::HpAv,
-            PlcChannelParams::default(),
-            2,
-        )
-        .unwrap();
+        let c1 = PlcChannel::from_grid(&g, a, b, PlcTechnology::HpAv, 1).unwrap();
+        let c2 = PlcChannel::from_grid(&g, a, b, PlcTechnology::HpAv, 2).unwrap();
         let t = Time::from_secs(1);
         let s1 = c1.spectrum(LinkDir::AtoB, t);
         let s2 = c2.spectrum(LinkDir::AtoB, t);
@@ -1392,15 +1297,7 @@ mod tests {
     #[test]
     fn av500_has_more_carriers() {
         let (g, a, b) = straight_link(false, ' ');
-        let c = PlcChannel::from_grid(
-            &g,
-            a,
-            b,
-            PlcTechnology::HpAv500,
-            PlcChannelParams::default(),
-            7,
-        )
-        .unwrap();
+        let c = PlcChannel::from_grid(&g, a, b, PlcTechnology::HpAv500, 7).unwrap();
         let spec = c.spectrum(LinkDir::AtoB, Time::from_secs(1));
         assert!(spec.snr_db.len() > 2000);
     }

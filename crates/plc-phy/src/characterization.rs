@@ -160,7 +160,7 @@ mod tests {
     fn real_channel_shows_multipath_structure() {
         // A loaded link from a small grid must show frequency selectivity
         // and finite coherence bandwidth.
-        use crate::channel::{LinkDir, PlcChannel, PlcChannelParams};
+        use crate::channel::{LinkDir, PlcChannel};
         use simnet::appliance::ApplianceKind;
         use simnet::grid::Grid;
         use simnet::schedule::Schedule;
@@ -174,15 +174,7 @@ mod tests {
         let o = g.add_outlet("pc");
         g.connect(j, o, 4.0);
         g.attach(o, ApplianceKind::DesktopPc, Schedule::AlwaysOn);
-        let ch = PlcChannel::from_grid(
-            &g,
-            a,
-            b,
-            PlcTechnology::HpAv,
-            PlcChannelParams::default(),
-            5,
-        )
-        .unwrap();
+        let ch = PlcChannel::from_grid(&g, a, b, PlcTechnology::HpAv, 5).unwrap();
         let spec = ch.spectrum(LinkDir::AtoB, Time::from_hours(12));
         let c = characterize(ch.plan(), &spec);
         assert!(

@@ -39,28 +39,29 @@ pub const PB_BITS: u64 = 520 * 8;
 /// FEC code rate of HomePlug AV / AV500 data tone maps.
 const DATA_FEC: FecRate = FecRate::SixteenTwentyFirsts;
 
+/// The PB error rate tone maps are designed for (enters the BLE via
+/// Eq. 1).
+pub const TARGET_PBERR: f64 = 0.02;
+/// Tone-map lifetime before forced regeneration (paper §2.1).
+const EXPIRY: Duration = Duration::from_secs(30);
+/// Std (dB) of a single-symbol SNR measurement.
+const MEAS_NOISE_DB: f64 = 5.0;
+/// Sliding-window cap on tracking weight (how fast old channel state
+/// is forgotten).
+const TRACKING_CAP: f64 = 240.0;
+
 /// Configuration of the estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EstimatorConfig {
     /// Base SNR margin (dB) subtracted before selecting modulations.
     pub margin_db: f64,
-    /// The PB error rate tone maps are designed for (enters the BLE via
-    /// Eq. 1).
-    pub target_pberr: f64,
     /// Measured PBerr above which the tone map is regenerated early.
     pub pberr_threshold: f64,
-    /// Tone-map lifetime before forced regeneration.
-    pub expiry: Duration,
-    /// Std (dB) of a single-symbol SNR measurement.
-    pub meas_noise_db: f64,
     /// Extra conservative margin (dB) at zero confidence; decays as
     /// samples accumulate.
     pub bootstrap_margin_db: f64,
     /// Sample weight at which the bootstrap margin has halved.
     pub confidence_halflife: f64,
-    /// Sliding-window cap on tracking weight (how fast old channel state
-    /// is forgotten).
-    pub tracking_cap: f64,
     /// Enable the AV500-style "very low BLE after bursty errors" quirk.
     pub av500_quirk: bool,
 }
@@ -69,13 +70,9 @@ impl Default for EstimatorConfig {
     fn default() -> Self {
         EstimatorConfig {
             margin_db: 2.0,
-            target_pberr: 0.02,
             pberr_threshold: 0.08,
-            expiry: Duration::from_secs(30),
-            meas_noise_db: 5.0,
             bootstrap_margin_db: 9.0,
             confidence_halflife: 450.0,
-            tracking_cap: 240.0,
             av500_quirk: false,
         }
     }
@@ -214,7 +211,7 @@ pub struct ChannelEstimator {
     /// Per-slot, per-carrier SNR estimates (dB), up to the last applied
     /// observation.
     snr_est: Vec<Vec<f64>>,
-    /// Per-slot tracking weight (bounded by `tracking_cap`), up to the
+    /// Per-slot tracking weight (bounded by `TRACKING_CAP`), up to the
     /// last observation.
     weight: [f64; TONEMAP_SLOTS],
     /// `weight` as of the last applied observation: the replay's own
@@ -336,17 +333,11 @@ impl ChannelEstimator {
                 );
                 let state = rng.state();
                 let n = true_spectrum.snr_db.len().min(self.n_carriers);
-                update_slots(
-                    &self.cfg,
-                    &mut self.weight,
-                    slot,
-                    n_symbols,
-                    |_, _, _, _, _| {
-                        for _ in 0..n {
-                            Distributions::skip_std_normal(rng);
-                        }
-                    },
-                );
+                update_slots(&mut self.weight, slot, n_symbols, |_, _, _, _, _| {
+                    for _ in 0..n {
+                        Distributions::skip_std_normal(rng);
+                    }
+                });
                 self.log.push(state, slot, n_symbols, src);
                 if self.log.entries.len() >= LOG_CAP {
                     self.apply_pending();
@@ -355,7 +346,6 @@ impl ChannelEstimator {
             None => {
                 self.apply_pending();
                 apply_observation(
-                    &self.cfg,
                     &mut self.snr_est,
                     &mut self.applied_weight,
                     rng,
@@ -375,7 +365,6 @@ impl ChannelEstimator {
     /// float expressions the eager update would have used.
     fn apply_pending(&mut self) {
         let ChannelEstimator {
-            cfg,
             snr_est,
             applied_weight,
             log,
@@ -388,7 +377,6 @@ impl ChannelEstimator {
                 composed = Some(e.source);
             }
             apply_observation(
-                cfg,
                 snr_est,
                 applied_weight,
                 &mut StdRng::from_state(e.rng),
@@ -413,16 +401,16 @@ impl ChannelEstimator {
 
     /// Should the tone maps be regenerated now? Right after association
     /// (or a reset) devices refine tone maps rapidly — the first few
-    /// regenerations use a tenth of the configured expiry, after which the
+    /// regenerations use a tenth of `EXPIRY`, after which the
     /// standard 30 s lifetime applies.
     pub fn needs_regen(&self, now: Time, recent_pberr: f64) -> bool {
         match self.last_regen {
             None => self.total_weight > 0.0,
             Some(t0) => {
                 let expiry = if self.next_id <= 4 {
-                    Duration(self.cfg.expiry.as_nanos() / 10)
+                    Duration(EXPIRY.as_nanos() / 10)
                 } else {
-                    self.cfg.expiry
+                    EXPIRY
                 };
                 now.saturating_since(t0) >= expiry || recent_pberr > self.cfg.pberr_threshold
             }
@@ -478,7 +466,7 @@ impl ChannelEstimator {
                     .map(|&snr| Modulation::select(snr, margin)),
             );
             map.fec = DATA_FEC;
-            map.design_pberr = self.cfg.target_pberr;
+            map.design_pberr = TARGET_PBERR;
             map.id = self.next_id;
             map.repetition = 1;
             // Sub-PB pathology: if no observed frame ever carried more
@@ -535,16 +523,15 @@ impl ChannelEstimator {
 /// stop once a slot has built up its own history — they only serve the
 /// bootstrap.
 fn update_slots(
-    cfg: &EstimatorConfig,
     weight: &mut [f64; TONEMAP_SLOTS],
     slot: usize,
     n_symbols: u8,
     mut per_slot: impl FnMut(usize, f64, f64, f64, f64),
 ) {
     let w = (n_symbols as f64).sqrt();
-    let sigma = cfg.meas_noise_db / w;
+    let sigma = MEAS_NOISE_DB / w;
     for (s, ws) in weight.iter_mut().enumerate() {
-        if s != slot && *ws >= 0.3 * cfg.tracking_cap {
+        if s != slot && *ws >= 0.3 * TRACKING_CAP {
             continue;
         }
         let (uw, us) = if s == slot {
@@ -554,14 +541,13 @@ fn update_slots(
         };
         let total = *ws + uw;
         per_slot(s, *ws, uw, us, total);
-        *ws = total.min(cfg.tracking_cap);
+        *ws = total.min(TRACKING_CAP);
     }
 }
 
 /// The per-carrier update of one observation: one noisy measurement per
 /// carrier, folded into the slot's running estimate.
 fn apply_observation(
-    cfg: &EstimatorConfig,
     snr_est: &mut [Vec<f64>],
     weight: &mut [f64; TONEMAP_SLOTS],
     rng: &mut StdRng,
@@ -569,7 +555,7 @@ fn apply_observation(
     truth: &[f64],
     n_symbols: u8,
 ) {
-    update_slots(cfg, weight, slot, n_symbols, |s, old, uw, us, total| {
+    update_slots(weight, slot, n_symbols, |s, old, uw, us, total| {
         for (est, &truth) in snr_est[s].iter_mut().zip(truth) {
             let meas = truth + Distributions::normal(rng, 0.0, us);
             *est = (*est * old + meas * uw) / total;
@@ -841,9 +827,9 @@ mod tests {
     ) {
         let slot = slot % TONEMAP_SLOTS;
         let w = (n_symbols.clamp(1, 64) as f64).sqrt();
-        let sigma = e.cfg.meas_noise_db / w;
+        let sigma = MEAS_NOISE_DB / w;
         for s in 0..TONEMAP_SLOTS {
-            if s != slot && e.weight[s] >= 0.3 * e.cfg.tracking_cap {
+            if s != slot && e.weight[s] >= 0.3 * TRACKING_CAP {
                 continue;
             }
             let (uw, us) = if s == slot {
@@ -856,7 +842,7 @@ mod tests {
                 let meas = truth + Distributions::normal(rng, 0.0, us);
                 *est = (*est * e.weight[s] + meas * uw) / total;
             }
-            e.weight[s] = total.min(e.cfg.tracking_cap);
+            e.weight[s] = total.min(TRACKING_CAP);
         }
         e.applied_weight = e.weight;
         e.total_weight += w;
@@ -878,7 +864,7 @@ mod tests {
     /// A link whose tap carries a one-second duty cycle, so spectra
     /// sampled a second apart fall in different appliance epochs.
     fn switching_channel() -> crate::channel::PlcChannel {
-        use crate::channel::{PlcChannel, PlcChannelParams};
+        use crate::channel::PlcChannel;
         use crate::PlcTechnology;
         use simnet::appliance::ApplianceKind;
         use simnet::grid::Grid;
@@ -897,15 +883,7 @@ mod tests {
             seed: 3,
         };
         g.attach(o, ApplianceKind::Fridge, duty);
-        PlcChannel::from_grid(
-            &g,
-            a,
-            b,
-            PlcTechnology::HpAv,
-            PlcChannelParams::default(),
-            77,
-        )
-        .expect("connected")
+        PlcChannel::from_grid(&g, a, b, PlcTechnology::HpAv, 77).expect("connected")
     }
 
     proptest::proptest! {

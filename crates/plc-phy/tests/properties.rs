@@ -119,7 +119,7 @@ proptest! {
 fn spectra_finite_on_random_grids() {
     // A structured-random grid fuzz: chains with random appliances must
     // always produce finite spectra in both directions at any hour.
-    use plc_phy::channel::{LinkDir, PlcChannel, PlcChannelParams};
+    use plc_phy::channel::{LinkDir, PlcChannel};
     use plc_phy::PlcTechnology;
     use simnet::appliance::ApplianceKind;
     use simnet::grid::Grid;
@@ -147,15 +147,8 @@ fn spectra_finite_on_random_grids() {
         }
         let b = g.add_outlet("b");
         g.connect(prev, b, 4.0);
-        let ch = PlcChannel::from_grid(
-            &g,
-            a,
-            b,
-            PlcTechnology::HpAv,
-            PlcChannelParams::default(),
-            seed,
-        )
-        .expect("connected chain");
+        let ch =
+            PlcChannel::from_grid(&g, a, b, PlcTechnology::HpAv, seed).expect("connected chain");
         for hour in [2u64, 11, 21] {
             for dir in [LinkDir::AtoB, LinkDir::BtoA] {
                 let spec = ch.spectrum(dir, Time::from_hours(hour));

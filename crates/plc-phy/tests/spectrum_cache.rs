@@ -3,7 +3,7 @@
 //! evaluator must reproduce the uncached reference **bit for bit**.
 
 use plc_phy::carrier::PlcTechnology;
-use plc_phy::channel::{LinkDir, PlcChannel, PlcChannelParams, SnrSpectrum};
+use plc_phy::channel::{LinkDir, PlcChannel, SnrSpectrum};
 use proptest::prelude::*;
 use simnet::appliance::ApplianceKind;
 use simnet::grid::{Grid, NodeId};
@@ -57,8 +57,7 @@ fn busy_link(seed: u64) -> (Grid, NodeId, NodeId) {
 
 fn channel(seed: u64, tech: PlcTechnology) -> PlcChannel {
     let (g, a, b) = busy_link(seed);
-    PlcChannel::from_grid(&g, a, b, tech, PlcChannelParams::default(), seed)
-        .expect("busy_link is connected")
+    PlcChannel::from_grid(&g, a, b, tech, seed).expect("busy_link is connected")
 }
 
 fn assert_bitwise_eq(reference: &SnrSpectrum, cached: &SnrSpectrum, what: &str) {
@@ -130,15 +129,7 @@ fn empty_echo_epoch_matches_reference() {
     let a = g.add_outlet("A");
     let b = g.add_outlet("B");
     g.connect(a, b, 55.0);
-    let ch = PlcChannel::from_grid(
-        &g,
-        a,
-        b,
-        PlcTechnology::HpAv,
-        PlcChannelParams::default(),
-        3,
-    )
-    .expect("connected");
+    let ch = PlcChannel::from_grid(&g, a, b, PlcTechnology::HpAv, 3).expect("connected");
     for hour in [2u64, 11, 20] {
         let t = Time::from_hours(hour);
         let reference = ch.spectrum_at_phase_reference(LinkDir::AtoB, t, 0.4);
@@ -170,15 +161,7 @@ fn all_loads_off_epoch_matches_reference() {
     let lights = g.add_outlet("lights");
     g.connect(j, lights, 3.0);
     g.attach(lights, ApplianceKind::Lighting, Schedule::BuildingLights);
-    let ch = PlcChannel::from_grid(
-        &g,
-        a,
-        b,
-        PlcTechnology::HpAv,
-        PlcChannelParams::default(),
-        11,
-    )
-    .expect("connected");
+    let ch = PlcChannel::from_grid(&g, a, b, PlcTechnology::HpAv, 11).expect("connected");
     // Day 5 (Saturday) 23:00 — weekend night, everything off.
     let t = Time::from_hours(5 * 24 + 23);
     assert!(!Schedule::OfficeHours { seed: 5 }.is_on(t));

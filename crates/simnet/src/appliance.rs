@@ -52,7 +52,7 @@ pub enum ApplianceKind {
 }
 
 /// Electrical signature of an appliance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApplianceProfile {
     /// Impedance magnitude (ohms) presented to the line when the appliance
     /// is ON. The cable's characteristic impedance is ~85 Ω; values far

@@ -8,8 +8,6 @@
 //! is a pure function of `(seed, t)` with correlation length of one lattice
 //! step and approximately normal marginals when octaves are summed.
 
-use serde::{Deserialize, Serialize};
-
 /// 64-bit mix (SplitMix64 finalizer).
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -34,7 +32,7 @@ fn smooth(x: f64) -> f64 {
 /// `eval(x)` is deterministic, continuous, has zero mean, and decorrelates
 /// over roughly one lattice unit. Scale `x` by your desired correlation
 /// time before calling.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ValueNoise {
     seed: u64,
 }

@@ -118,9 +118,11 @@ mod tests {
 
     #[test]
     fn accepts_positive_integers() {
-        assert_eq!(parse_worker_count(THREADS_ENV, "1"), Ok(1));
-        assert_eq!(parse_worker_count("--workers", " 8 "), Ok(8));
-        assert_eq!(parse_worker_count("--workers", "64"), Ok(64));
+        for source in [THREADS_ENV, "--workers"] {
+            assert_eq!(parse_worker_count(source, "1"), Ok(1));
+            assert_eq!(parse_worker_count(source, " 8 "), Ok(8));
+            assert_eq!(parse_worker_count(source, "64"), Ok(64));
+        }
     }
 
     #[test]
@@ -141,11 +143,14 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected_with_the_raw_value() {
-        for bad in ["", "  ", "four", "-2", "3.5", "8x"] {
-            let err = parse_worker_count("--workers", bad).unwrap_err();
-            assert_eq!(err.kind, WorkerCountErrorKind::NotANumber, "{bad:?}");
-            let msg = err.to_string();
-            assert!(msg.contains("positive integer"), "{bad:?}: {msg}");
+        for source in [THREADS_ENV, "--workers"] {
+            for bad in ["", "  ", "four", "-2", "3.5", "8x"] {
+                let err = parse_worker_count(source, bad).unwrap_err();
+                assert_eq!(err.kind, WorkerCountErrorKind::NotANumber, "{bad:?}");
+                let msg = err.to_string();
+                assert!(msg.starts_with(source), "{bad:?}: {msg}");
+                assert!(msg.contains("positive integer"), "{bad:?}: {msg}");
+            }
         }
     }
 

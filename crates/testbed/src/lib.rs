@@ -27,7 +27,7 @@
 
 pub mod sweep;
 
-use plc_phy::channel::{LinkDir, PlcChannel, PlcChannelParams};
+use plc_phy::channel::{LinkDir, PlcChannel};
 use plc_phy::PlcTechnology;
 use serde::{Deserialize, Serialize};
 use simnet::appliance::ApplianceKind;
@@ -370,7 +370,6 @@ impl Testbed {
         a: StationId,
         b: StationId,
         technology: PlcTechnology,
-        params: PlcChannelParams,
     ) -> Option<PlcChannel> {
         let (lo, hi) = (a.min(b), a.max(b));
         let seed = self
@@ -382,7 +381,6 @@ impl Testbed {
             self.station(lo).outlet,
             self.station(hi).outlet,
             technology,
-            params,
             seed,
         )
     }
@@ -399,12 +397,7 @@ impl Testbed {
 
     /// Build the WiFi channel for a station pair (undirected; WiFi links
     /// in the model are reciprocal up to the per-seed shadowing).
-    pub fn wifi_channel(
-        &self,
-        a: StationId,
-        b: StationId,
-        params: wifi80211::WifiChannelParams,
-    ) -> wifi80211::WifiChannel {
+    pub fn wifi_channel(&self, a: StationId, b: StationId) -> wifi80211::WifiChannel {
         let (lo, hi) = (a.min(b), a.max(b));
         let seed = self
             .seed
@@ -414,7 +407,6 @@ impl Testbed {
             &self.floor,
             self.station(lo).pos,
             self.station(hi).pos,
-            params,
             seed,
         )
     }
@@ -471,12 +463,11 @@ mod tests {
     #[test]
     fn plc_channels_exist_and_degrade_across_boards() {
         let t = tb();
-        let params = PlcChannelParams::default();
         let near = t
-            .plc_channel(5, 8, PlcTechnology::HpAv, params)
+            .plc_channel(5, 8, PlcTechnology::HpAv)
             .expect("same board");
         let cross = t
-            .plc_channel(0, 15, PlcTechnology::HpAv, params)
+            .plc_channel(0, 15, PlcTechnology::HpAv)
             .expect("wired via basement");
         let tmeas = Time::from_hours(14);
         let snr_near = near.spectrum(Testbed::link_dir(5, 8), tmeas).mean_db();
@@ -542,12 +533,8 @@ mod tests {
         let count_c = c.grid.appliances().len();
         // Different seeds change the appliance population or at least the
         // channel signatures.
-        let ca = a
-            .plc_channel(1, 6, PlcTechnology::HpAv, PlcChannelParams::default())
-            .unwrap();
-        let cc = c
-            .plc_channel(1, 6, PlcTechnology::HpAv, PlcChannelParams::default())
-            .unwrap();
+        let ca = a.plc_channel(1, 6, PlcTechnology::HpAv).unwrap();
+        let cc = c.plc_channel(1, 6, PlcTechnology::HpAv).unwrap();
         let t0 = Time::from_hours(12);
         assert!(
             ca.spectrum(LinkDir::AtoB, t0) != cc.spectrum(LinkDir::AtoB, t0) || count_a != count_c

@@ -43,35 +43,15 @@
 use simnet::obs::span::{self, SpanReport};
 use simnet::obs::{self, MetricsSnapshot, Obs};
 
-/// Environment variable overriding the sweep worker count (re-exported
-/// from [`simnet::threads`], the one validated parser every worker-count
-/// surface shares).
-pub const THREADS_ENV: &str = simnet::threads::THREADS_ENV;
-
-/// Parse an `ELECTRIFI_THREADS` value: a positive integer worker count.
-/// `0`, empty strings and garbage are rejected with an actionable
-/// message. Thin `String`-error wrapper over
-/// [`simnet::threads::parse_worker_count`] for existing callers; new
-/// code should use the typed helper directly.
-pub fn parse_threads(raw: &str) -> Result<usize, String> {
-    simnet::threads::parse_worker_count(THREADS_ENV, raw).map_err(|e| e.to_string())
-}
-
-/// The worker count configured via `ELECTRIFI_THREADS`: `Ok(None)` when
-/// the variable is unset, `Ok(Some(n))` for a valid value, `Err` with a
-/// clear message for an invalid one.
-pub fn threads_from_env() -> Result<Option<usize>, String> {
-    simnet::threads::worker_count_from_env().map_err(|e| e.to_string())
-}
-
 /// Number of workers a sweep over `n_items` items would use.
 ///
 /// # Panics
-/// Panics with the [`parse_threads`] message when `ELECTRIFI_THREADS` is
-/// set to an invalid value: a misconfigured worker count should stop the
-/// run at the first sweep, not silently change its parallelism.
+/// Panics with the [`simnet::threads::WorkerCountError`] message when
+/// `ELECTRIFI_THREADS` is set to an invalid value: a misconfigured
+/// worker count should stop the run at the first sweep, not silently
+/// change its parallelism.
 pub fn thread_count(n_items: usize) -> usize {
-    let hw = threads_from_env()
+    let hw = simnet::threads::worker_count_from_env()
         .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -217,24 +197,5 @@ mod tests {
         assert_eq!(thread_count(0), 1);
         assert_eq!(thread_count(1), 1);
         assert!(thread_count(1_000_000) >= 1);
-    }
-
-    #[test]
-    fn parse_threads_accepts_positive_integers() {
-        assert_eq!(parse_threads("1"), Ok(1));
-        assert_eq!(parse_threads(" 8 "), Ok(8));
-        assert_eq!(parse_threads("64"), Ok(64));
-    }
-
-    #[test]
-    fn parse_threads_rejects_zero_and_garbage_with_clear_messages() {
-        let zero = parse_threads("0").unwrap_err();
-        assert!(zero.contains("ELECTRIFI_THREADS"), "{zero}");
-        assert!(zero.contains("positive"), "{zero}");
-        for bad in ["", "  ", "four", "-2", "3.5", "8x"] {
-            let err = parse_threads(bad).unwrap_err();
-            assert!(err.contains("ELECTRIFI_THREADS"), "{bad:?}: {err}");
-            assert!(err.contains("positive integer"), "{bad:?}: {err}");
-        }
     }
 }

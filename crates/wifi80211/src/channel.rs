@@ -20,72 +20,48 @@
 
 use crate::mcs::Mcs;
 use electrifi_faults::JamProfile;
-use serde::{Deserialize, Serialize};
 use simnet::geometry::{Floor, Point};
 use simnet::noise::{impulse_at, ValueNoise};
 use simnet::schedule::working_activity;
 use simnet::time::Time;
 
-/// Channel-model constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WifiChannelParams {
-    /// Transmit power (dBm), EIRP.
-    pub tx_power_dbm: f64,
-    /// Receiver noise floor over the 20 MHz channel (dBm), thermal noise
-    /// plus noise figure.
-    pub noise_floor_dbm: f64,
-    /// Path loss at 1 m (dB).
-    pub pl0_db: f64,
-    /// Path-loss exponent (indoor office ≈ 3.3).
-    pub path_loss_exp: f64,
-    /// Std of the static lognormal shadowing (dB).
-    pub shadowing_std_db: f64,
-    /// Implicit clutter/wall attenuation per metre (dB/m): an office
-    /// floor has partitions roughly every few metres, so attenuation
-    /// beyond free-space grows with distance even when no explicit walls
-    /// are modelled. This is what kills WiFi beyond ~35 m indoors
-    /// (paper §4.1) while PLC still delivers.
-    pub clutter_db_per_m: f64,
-    /// Std of the fast-fading fluctuation (dB).
-    pub fast_fade_db: f64,
-    /// Correlation time of fast fading (s).
-    pub fast_fade_corr_s: f64,
-    /// Std of slow human-shadowing fades (dB).
-    pub slow_fade_db: f64,
-    /// Correlation time of slow fades (s).
-    pub slow_fade_corr_s: f64,
-    /// Peak rate of interference bursts at full working activity (Hz).
-    pub interference_rate_hz: f64,
-    /// Duration of an interference burst (s).
-    pub interference_dur_s: f64,
-    /// SNR penalty while a burst is active (dB).
-    pub interference_db: f64,
-}
+// Channel-model constants.
 
-impl Default for WifiChannelParams {
-    fn default() -> Self {
-        WifiChannelParams {
-            tx_power_dbm: 15.0,
-            noise_floor_dbm: -95.0,
-            pl0_db: 40.0,
-            path_loss_exp: 3.3,
-            shadowing_std_db: 3.0,
-            clutter_db_per_m: 0.7,
-            fast_fade_db: 2.2,
-            fast_fade_corr_s: 0.25,
-            slow_fade_db: 2.0,
-            slow_fade_corr_s: 25.0,
-            interference_rate_hz: 0.8,
-            interference_dur_s: 0.25,
-            interference_db: 14.0,
-        }
-    }
-}
+/// Transmit power (dBm), EIRP.
+const TX_POWER_DBM: f64 = 15.0;
+/// Receiver noise floor over the 20 MHz channel (dBm), thermal noise
+/// plus noise figure.
+const NOISE_FLOOR_DBM: f64 = -95.0;
+/// Path loss at 1 m (dB).
+const PL0_DB: f64 = 40.0;
+/// Path-loss exponent (indoor office ≈ 3.3).
+const PATH_LOSS_EXP: f64 = 3.3;
+/// Std of the static lognormal shadowing (dB).
+const SHADOWING_STD_DB: f64 = 3.0;
+/// Implicit clutter/wall attenuation per metre (dB/m): an office
+/// floor has partitions roughly every few metres, so attenuation
+/// beyond free-space grows with distance even when no explicit walls
+/// are modelled. This is what kills WiFi beyond ~35 m indoors
+/// (paper §4.1) while PLC still delivers.
+const CLUTTER_DB_PER_M: f64 = 0.7;
+/// Std of the fast-fading fluctuation (dB).
+const FAST_FADE_DB: f64 = 2.2;
+/// Correlation time of fast fading (s).
+const FAST_FADE_CORR_S: f64 = 0.25;
+/// Std of slow human-shadowing fades (dB).
+const SLOW_FADE_DB: f64 = 2.0;
+/// Correlation time of slow fades (s).
+const SLOW_FADE_CORR_S: f64 = 25.0;
+/// Peak rate of interference bursts at full working activity (Hz).
+const INTERFERENCE_RATE_HZ: f64 = 0.8;
+/// Duration of an interference burst (s).
+const INTERFERENCE_DUR_S: f64 = 0.25;
+/// SNR penalty while a burst is active (dB).
+const INTERFERENCE_DB: f64 = 14.0;
 
 /// The WiFi channel between two stations on a floor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WifiChannel {
-    params: WifiChannelParams,
     distance_m: f64,
     wall_db: f64,
     shadow_db: f64,
@@ -100,20 +76,13 @@ pub struct WifiChannel {
 impl WifiChannel {
     /// Build the channel between positions `a` and `b` on `floor`.
     /// `link_seed` individualizes shadowing and fading.
-    pub fn new(
-        floor: &Floor,
-        a: Point,
-        b: Point,
-        params: WifiChannelParams,
-        link_seed: u64,
-    ) -> Self {
+    pub fn new(floor: &Floor, a: Point, b: Point, link_seed: u64) -> Self {
         let distance_m = a.distance(&b).max(1.0);
         let wall_db = floor.wall_attenuation_db(a, b);
         // Static shadowing drawn deterministically from the seed.
         let shadow_noise = ValueNoise::new(link_seed ^ 0x5AAD);
-        let shadow_db = shadow_noise.eval(0.5) * params.shadowing_std_db * 1.7;
+        let shadow_db = shadow_noise.eval(0.5) * SHADOWING_STD_DB * 1.7;
         WifiChannel {
-            params,
             distance_m,
             wall_db,
             shadow_db,
@@ -142,37 +111,30 @@ impl WifiChannel {
         self.distance_m
     }
 
-    /// Model parameters.
-    pub fn params(&self) -> &WifiChannelParams {
-        &self.params
-    }
-
     /// Mean SNR without temporal effects (dB) — the link budget.
     pub fn mean_snr_db(&self) -> f64 {
-        let p = &self.params;
-        let pl = p.pl0_db + 10.0 * p.path_loss_exp * self.distance_m.log10();
-        let clutter = p.clutter_db_per_m * self.distance_m;
-        p.tx_power_dbm - pl - self.wall_db - clutter - self.shadow_db - p.noise_floor_dbm
+        let pl = PL0_DB + 10.0 * PATH_LOSS_EXP * self.distance_m.log10();
+        let clutter = CLUTTER_DB_PER_M * self.distance_m;
+        TX_POWER_DBM - pl - self.wall_db - clutter - self.shadow_db - NOISE_FLOOR_DBM
     }
 
     /// Instantaneous whole-band SNR (dB) at time `t`. Pure function of
     /// time: long-horizon experiments can sample anywhere.
     pub fn snr_db(&self, t: Time) -> f64 {
-        let p = &self.params;
         let t_s = t.as_secs_f64();
-        let fast = self.fast.fbm(t_s / p.fast_fade_corr_s, 2) * 2.0 * p.fast_fade_db;
-        let slow = self.slow.eval(t_s / p.slow_fade_corr_s) * p.slow_fade_db * 1.7;
+        let fast = self.fast.fbm(t_s / FAST_FADE_CORR_S, 2) * 2.0 * FAST_FADE_DB;
+        let slow = self.slow.eval(t_s / SLOW_FADE_CORR_S) * SLOW_FADE_DB * 1.7;
         let activity = working_activity(t);
         let mut snr = self.mean_snr_db() + fast + slow;
         if activity > 0.0
             && impulse_at(
                 self.interference_seed,
                 t_s,
-                p.interference_rate_hz * activity,
-                p.interference_dur_s,
+                INTERFERENCE_RATE_HZ * activity,
+                INTERFERENCE_DUR_S,
             )
         {
-            snr -= p.interference_db;
+            snr -= INTERFERENCE_DB;
         }
         if let Some(jam) = &self.jam {
             let penalty = jam.penalty_db(t);
@@ -195,13 +157,7 @@ mod tests {
 
     fn chan(d: f64, seed: u64) -> WifiChannel {
         let floor = Floor::new(70.0, 40.0);
-        WifiChannel::new(
-            &floor,
-            Point::new(0.0, 0.0),
-            Point::new(d, 0.0),
-            WifiChannelParams::default(),
-            seed,
-        )
+        WifiChannel::new(&floor, Point::new(0.0, 0.0), Point::new(d, 0.0), seed)
     }
 
     #[test]
@@ -224,15 +180,7 @@ mod tests {
                 Point::new(x, 5.0),
             ));
         }
-        let mk = |d: f64| {
-            WifiChannel::new(
-                &floor,
-                Point::new(0.0, 0.0),
-                Point::new(d, 0.0),
-                WifiChannelParams::default(),
-                3,
-            )
-        };
+        let mk = |d: f64| WifiChannel::new(&floor, Point::new(0.0, 0.0), Point::new(d, 0.0), 3);
         assert!(mk(12.0).connected());
         assert!(!mk(42.0).connected());
     }
@@ -245,11 +193,10 @@ mod tests {
             Point::new(5.0, -5.0),
             Point::new(5.0, 5.0),
         ));
-        let p = WifiChannelParams::default();
         let a = Point::new(0.0, 0.0);
         let b = Point::new(10.0, 0.0);
-        let open = WifiChannel::new(&floor_open, a, b, p, 7).mean_snr_db();
-        let walled = WifiChannel::new(&floor_walled, a, b, p, 7).mean_snr_db();
+        let open = WifiChannel::new(&floor_open, a, b, 7).mean_snr_db();
+        let walled = WifiChannel::new(&floor_walled, a, b, 7).mean_snr_db();
         assert!((open - walled - 12.0).abs() < 1e-9);
     }
 

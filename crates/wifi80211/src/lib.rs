@@ -29,7 +29,7 @@ pub mod rate;
 pub mod sim;
 pub mod throughput;
 
-pub use channel::{WifiChannel, WifiChannelParams};
+pub use channel::WifiChannel;
 pub use mcs::Mcs;
 pub use rate::RateAdapter;
-pub use sim::{WifiFlow, WifiSim, WifiSimConfig};
+pub use sim::{WifiFlow, WifiSim};

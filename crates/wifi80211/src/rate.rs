@@ -9,58 +9,37 @@
 
 use crate::mcs::Mcs;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simnet::rng::Distributions;
 
-/// Rate-adaptation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RateAdapterConfig {
-    /// Safety margin (dB) below the measured SNR.
-    pub margin_db: f64,
-    /// EWMA weight of a new SNR measurement.
-    pub alpha: f64,
-    /// Measurement noise std (dB) of a single feedback sample.
-    pub meas_noise_db: f64,
-    /// Immediate extra step-down (dB applied to the estimate) after a
-    /// frame loss burst — the aggressive reaction real minstrel-like
-    /// algorithms exhibit.
-    pub loss_penalty_db: f64,
-}
-
-impl Default for RateAdapterConfig {
-    fn default() -> Self {
-        RateAdapterConfig {
-            margin_db: 1.5,
-            alpha: 0.25,
-            meas_noise_db: 1.5,
-            loss_penalty_db: 4.0,
-        }
-    }
-}
+/// Safety margin (dB) below the measured SNR.
+const MARGIN_DB: f64 = 1.5;
+/// EWMA weight of a new SNR measurement.
+const ALPHA: f64 = 0.25;
+/// Measurement noise std (dB) of a single feedback sample.
+const MEAS_NOISE_DB: f64 = 1.5;
+/// Immediate extra step-down (dB applied to the estimate) after a
+/// frame loss burst — the aggressive reaction real minstrel-like
+/// algorithms exhibit.
+const LOSS_PENALTY_DB: f64 = 4.0;
 
 /// Per-link rate adapter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RateAdapter {
-    cfg: RateAdapterConfig,
     snr_est_db: f64,
     initialized: bool,
 }
 
 impl RateAdapter {
     /// Fresh adapter (starts pessimistic until the first feedback).
-    pub fn new(cfg: RateAdapterConfig) -> Self {
-        RateAdapter {
-            cfg,
-            snr_est_db: 0.0,
-            initialized: false,
-        }
+    pub fn new() -> Self {
+        RateAdapter::default()
     }
 
     /// Feed one SNR observation (from an ACKed frame).
     pub fn observe<R: Rng + ?Sized>(&mut self, rng: &mut R, true_snr_db: f64) {
-        let meas = true_snr_db + Distributions::normal(rng, 0.0, self.cfg.meas_noise_db);
+        let meas = true_snr_db + Distributions::normal(rng, 0.0, MEAS_NOISE_DB);
         if self.initialized {
-            self.snr_est_db += self.cfg.alpha * (meas - self.snr_est_db);
+            self.snr_est_db += ALPHA * (meas - self.snr_est_db);
         } else {
             self.snr_est_db = meas;
             self.initialized = true;
@@ -69,7 +48,7 @@ impl RateAdapter {
 
     /// Most of an A-MPDU was lost: step the estimate down hard.
     pub fn on_loss_burst(&mut self) {
-        self.snr_est_db -= self.cfg.loss_penalty_db;
+        self.snr_est_db -= LOSS_PENALTY_DB;
     }
 
     /// The MCS to use now. `None` before any feedback or when the link is
@@ -78,7 +57,7 @@ impl RateAdapter {
         if !self.initialized {
             return Some(Mcs(0));
         }
-        Mcs::select(self.snr_est_db, self.cfg.margin_db)
+        Mcs::select(self.snr_est_db, MARGIN_DB)
     }
 
     /// Capacity estimate from the current MCS, as the paper's hybrid
@@ -97,7 +76,7 @@ mod tests {
 
     #[test]
     fn starts_at_probe_rate() {
-        let a = RateAdapter::new(RateAdapterConfig::default());
+        let a = RateAdapter::new();
         assert_eq!(a.current_mcs(), Some(Mcs(0)));
         assert_eq!(a.capacity_mbps(), 6.5);
     }
@@ -105,7 +84,7 @@ mod tests {
     #[test]
     fn converges_to_channel_quality() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut a = RateAdapter::new(RateAdapterConfig::default());
+        let mut a = RateAdapter::new();
         for _ in 0..100 {
             a.observe(&mut rng, 30.0);
         }
@@ -116,7 +95,7 @@ mod tests {
     #[test]
     fn whole_band_steps_down_on_loss() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut a = RateAdapter::new(RateAdapterConfig::default());
+        let mut a = RateAdapter::new();
         for _ in 0..100 {
             a.observe(&mut rng, 28.5);
         }
@@ -135,7 +114,7 @@ mod tests {
     #[test]
     fn tracks_a_dropping_channel() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut a = RateAdapter::new(RateAdapterConfig::default());
+        let mut a = RateAdapter::new();
         for _ in 0..50 {
             a.observe(&mut rng, 30.0);
         }
@@ -148,7 +127,7 @@ mod tests {
     #[test]
     fn dead_channel_yields_none() {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut a = RateAdapter::new(RateAdapterConfig::default());
+        let mut a = RateAdapter::new();
         for _ in 0..50 {
             a.observe(&mut rng, -10.0);
         }

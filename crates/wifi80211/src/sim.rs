@@ -9,9 +9,9 @@
 //! stations; ambient interference enters through the channel model
 //! instead.
 
-use crate::channel::{WifiChannel, WifiChannelParams};
+use crate::channel::WifiChannel;
 use crate::mcs::Mcs;
-use crate::rate::{RateAdapter, RateAdapterConfig};
+use crate::rate::RateAdapter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -67,40 +67,15 @@ pub const CW_MIN: u32 = 16;
 pub const CW_MAX: u32 = 1024;
 /// Maximum MPDUs per A-MPDU.
 pub const MAX_AMPDU_MPDUS: usize = 64;
-
-/// Simulation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WifiSimConfig {
-    /// Master seed.
-    pub seed: u64,
-    /// Channel model constants.
-    pub channel: WifiChannelParams,
-    /// Rate-adaptation constants.
-    pub rate: RateAdapterConfig,
-    /// Maximum A-MPDU airtime.
-    pub max_ampdu_airtime: Duration,
-    /// Per-MPDU framing efficiency (MAC header, delimiter, FCS).
-    pub mpdu_efficiency: f64,
-    /// Fraction of an A-MPDU that must be lost to count as a loss burst
-    /// (rate-adapter step-down + CW escalation).
-    pub loss_burst_fraction: f64,
-    /// Transmit-queue capacity in packets.
-    pub queue_cap: usize,
-}
-
-impl Default for WifiSimConfig {
-    fn default() -> Self {
-        WifiSimConfig {
-            seed: 1,
-            channel: WifiChannelParams::default(),
-            rate: RateAdapterConfig::default(),
-            max_ampdu_airtime: Duration::from_micros(1_000),
-            mpdu_efficiency: 0.93,
-            loss_burst_fraction: 0.5,
-            queue_cap: 512,
-        }
-    }
-}
+/// Maximum A-MPDU airtime.
+const MAX_AMPDU_AIRTIME: Duration = Duration::from_micros(1_000);
+/// Per-MPDU framing efficiency (MAC header, delimiter, FCS).
+const MPDU_EFFICIENCY: f64 = 0.93;
+/// Fraction of an A-MPDU that must be lost to count as a loss burst
+/// (rate-adapter step-down + CW escalation).
+const LOSS_BURST_FRACTION: f64 = 0.5;
+/// Transmit-queue capacity in packets.
+const QUEUE_CAP: usize = 512;
 
 /// A WiFi traffic flow.
 #[derive(Debug, Clone)]
@@ -147,7 +122,6 @@ struct StationState {
 
 /// One WiFi BSS / contention domain.
 pub struct WifiSim {
-    cfg: WifiSimConfig,
     now: Time,
     rng: StdRng,
     #[allow(dead_code)] // retained for diagnostics / future MM-style APIs
@@ -162,8 +136,9 @@ pub struct WifiSim {
 }
 
 impl WifiSim {
-    /// Build a BSS with stations at the given floor positions.
-    pub fn new(cfg: WifiSimConfig, floor: &Floor, stations: &[(StationId, Point)]) -> Self {
+    /// Build a BSS with stations at the given floor positions; `seed` is
+    /// the master seed of its channels and contention draws.
+    pub fn new(seed: u64, floor: &Floor, stations: &[(StationId, Point)]) -> Self {
         let ids: Vec<StationId> = stations.iter().map(|(id, _)| *id).collect();
         let index: HashMap<StationId, usize> =
             ids.iter().enumerate().map(|(i, id)| (*id, i)).collect();
@@ -181,21 +156,19 @@ impl WifiSim {
         let mut channels = HashMap::new();
         for i in 0..sts.len() {
             for j in (i + 1)..sts.len() {
-                let seed = cfg
-                    .seed
+                let link_seed = seed
                     .wrapping_mul(0x2545_f491_4f6c_dd1d)
                     .wrapping_add(((ids[i] as u64) << 16) | ids[j] as u64);
                 channels.insert(
                     (i, j),
-                    WifiChannel::new(floor, sts[i].pos, sts[j].pos, cfg.channel, seed),
+                    WifiChannel::new(floor, sts[i].pos, sts[j].pos, link_seed),
                 );
             }
         }
         let obs = simnet::obs::current();
         let metrics = WifiMetrics::register(obs.registry());
         WifiSim {
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0x771F_1771),
-            cfg,
+            rng: StdRng::seed_from_u64(seed ^ 0x771F_1771),
             now: Time::ZERO,
             ids,
             index,
@@ -279,7 +252,7 @@ impl WifiSim {
     }
 
     fn refill(&mut self) {
-        let cap = self.cfg.queue_cap;
+        let cap = QUEUE_CAP;
         let now = self.now;
         for fs in &mut self.flows {
             while fs.queue.len() < cap {
@@ -397,9 +370,7 @@ impl WifiSim {
             .phy_rate_mbps();
         let n = fs.queue.len().min(MAX_AMPDU_MPDUS);
         let bits: u64 = fs.queue.iter().take(n).map(|p| p.bytes as u64 * 8).sum();
-        Duration::from_micros_f64(
-            (bits as f64 / rate).min(self.cfg.max_ampdu_airtime.as_micros_f64()),
-        )
+        Duration::from_micros_f64((bits as f64 / rate).min(MAX_AMPDU_AIRTIME.as_micros_f64()))
     }
 
     fn transmit(&mut self, station: usize) {
@@ -411,10 +382,7 @@ impl WifiSim {
             let fs = &self.flows[f];
             (self.idx(fs.flow.src), self.idx(fs.flow.dst))
         };
-        let adapter = self
-            .adapters
-            .entry((src, dst))
-            .or_insert_with(|| RateAdapter::new(self.cfg.rate));
+        let adapter = self.adapters.entry((src, dst)).or_default();
         let Some(mcs) = adapter.current_mcs() else {
             // Below MCS 0: probe at the lowest rate occasionally.
             adapter.observe(
@@ -427,9 +395,9 @@ impl WifiSim {
             self.now += Duration::from_millis(10);
             return;
         };
-        let rate = mcs.phy_rate_mbps() * self.cfg.mpdu_efficiency;
+        let rate = mcs.phy_rate_mbps() * MPDU_EFFICIENCY;
         // Aggregate MPDUs under the airtime cap.
-        let max_bits = rate * self.cfg.max_ampdu_airtime.as_micros_f64();
+        let max_bits = rate * MAX_AMPDU_AIRTIME.as_micros_f64();
         let mut take = 0usize;
         let mut bits = 0.0;
         for p in self.flows[f].queue.iter().take(MAX_AMPDU_MPDUS) {
@@ -469,7 +437,7 @@ impl WifiSim {
         let adapter = self.adapters.get_mut(&(src, dst)).expect("created");
         adapter.observe(&mut self.rng, snr);
         let loss_frac = lost as f64 / take.max(1) as f64;
-        if loss_frac >= self.cfg.loss_burst_fraction {
+        if loss_frac >= LOSS_BURST_FRACTION {
             adapter.on_loss_burst();
             self.metrics.rate_fallbacks.inc();
             self.stations[station].cw = (self.stations[station].cw * 2).min(CW_MAX);
@@ -500,7 +468,7 @@ mod tests {
     fn sim_at(distance: f64) -> WifiSim {
         let floor = Floor::new(70.0, 40.0);
         WifiSim::new(
-            WifiSimConfig::default(),
+            1,
             &floor,
             &[
                 (0, Point::new(0.0, 0.0)),
@@ -607,7 +575,7 @@ mod tests {
         // std should be a noticeable fraction of the mean (Fig. 3's σ_W).
         let floor = Floor::new(70.0, 40.0);
         let mut s = WifiSim::new(
-            WifiSimConfig::default(),
+            1,
             &floor,
             &[(0, Point::new(0.0, 0.0)), (1, Point::new(14.0, 3.0))],
         );

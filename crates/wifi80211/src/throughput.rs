@@ -35,7 +35,6 @@ pub fn expected_goodput_mbps(channel: &WifiChannel, t: Time, n_contenders: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::WifiChannelParams;
     use simnet::geometry::{Floor, Point};
 
     fn chan(d: f64) -> WifiChannel {
@@ -43,7 +42,6 @@ mod tests {
             &Floor::new(70.0, 40.0),
             Point::new(0.0, 0.0),
             Point::new(d, 0.0),
-            WifiChannelParams::default(),
             5,
         )
     }

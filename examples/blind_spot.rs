@@ -8,6 +8,7 @@
 
 use electrifi::experiments::PAPER_SEED;
 use electrifi::{LinkProbeSim, PaperEnv};
+use plc_phy::estimation::EstimatorConfig;
 use simnet::time::Time;
 use wifi80211::throughput::expected_goodput_mbps;
 
@@ -35,7 +36,7 @@ fn main() {
         let mut plc = LinkProbeSim::new(
             env.plc_channel(ap, s),
             PaperEnv::dir(ap, s),
-            env.estimator,
+            EstimatorConfig::default(),
             7,
         );
         let steady = plc.warmup(now, 8);

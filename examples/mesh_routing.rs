@@ -13,6 +13,7 @@ use electrifi::{LinkProbeSim, PaperEnv};
 use electrifi_testbed::PlcNetwork;
 use hybrid1905::metrics::{LinkId, LinkMetric, LinkMetricsDb, Medium};
 use hybrid1905::routing::{Router, RouterConfig};
+use plc_phy::estimation::EstimatorConfig;
 use simnet::time::Time;
 use wifi80211::throughput::expected_goodput_mbps;
 
@@ -38,7 +39,7 @@ fn main() {
             let mut plc = LinkProbeSim::new(
                 env.plc_channel(a, b),
                 PaperEnv::dir(a, b),
-                env.estimator,
+                EstimatorConfig::default(),
                 0x0E5 ^ ((a as u64) << 8) ^ b as u64,
             );
             let steady = plc.warmup(now, 6);

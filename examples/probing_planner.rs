@@ -12,6 +12,7 @@ use electrifi::experiments::PAPER_SEED;
 use electrifi::guidelines::ProbePlan;
 use electrifi::PaperEnv;
 use hybrid1905::probing::{evaluate_policy, ProbingPolicy};
+use plc_phy::estimation::EstimatorConfig;
 use plc_phy::PlcTechnology;
 use simnet::stats::Ecdf;
 use simnet::time::Duration;
@@ -42,7 +43,7 @@ fn main() {
             a,
             b,
             PlcTechnology::HpAv,
-            env.estimator,
+            EstimatorConfig::default(),
             Duration::from_secs(12),
         );
         let ble = trace.ble.stats().mean();

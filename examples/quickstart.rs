@@ -8,6 +8,7 @@
 use electrifi::experiments::PAPER_SEED;
 use electrifi::{LinkProbeSim, PaperEnv};
 use hybrid1905::metrics::{LinkId, LinkMetric, LinkMetricsDb, Medium};
+use plc_phy::estimation::EstimatorConfig;
 use simnet::time::Time;
 use wifi80211::throughput::expected_goodput_mbps;
 
@@ -25,7 +26,7 @@ fn main() {
         let mut plc = LinkProbeSim::new(
             env.plc_channel(a, b),
             PaperEnv::dir(a, b),
-            env.estimator,
+            EstimatorConfig::default(),
             42,
         );
         let steady = plc.warmup(now, 8);

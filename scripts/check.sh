@@ -7,6 +7,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every file the gate writes is either under an ignored path or
+# compared and thrown away, so inside a git checkout the working tree
+# must look the same at the end as it did at the start.
+IN_GIT=0
+STATUS_BEFORE=""
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    IN_GIT=1
+    STATUS_BEFORE=$(git status --porcelain)
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -48,10 +58,14 @@ rm -rf out/smoke-ckpt
     --out out/smoke-ckpt --resume out/smoke-ckpt
 cmp out/smoke-campaign/summary.json out/smoke-ckpt/summary.json
 
-echo "== committed text dumps (table3, fig09: fixed Paper scale) =="
+echo "== committed text dumps (table3, fig09, fig17, fig18 at Paper scale) =="
 cargo build --release -q -p electrifi-bench --bin paper
 ./target/release/paper table3 | cmp - out/table3.txt
 ./target/release/paper fig09 | cmp - out/fig09.txt
+# fig17 and fig18 run the channel, the estimator and LinkProbeSim at
+# Paper scale (~10 s together).
+ELECTRIFI_SCALE=paper ./target/release/paper fig17 | cmp - out/fig17.txt
+ELECTRIFI_SCALE=paper ./target/release/paper fig18 | cmp - out/fig18.txt
 
 echo "== trace smoke (fig16 writes its Chrome trace) =="
 # Span nesting is pinned by simnet's span tests, and the manifest's
@@ -211,5 +225,20 @@ echo "pinned runner digests OK"
 echo "== report (every artifact under out/ read back through its type) =="
 cargo build --release -q -p electrifi-bench --bin report
 ./target/release/report || { echo "report found unreadable artifacts"; exit 1; }
+
+echo "== working tree untouched by the gate =="
+if [ "$IN_GIT" -eq 1 ]; then
+    STATUS_AFTER=$(git status --porcelain)
+    if [ "$STATUS_AFTER" != "$STATUS_BEFORE" ]; then
+        echo "check.sh changed the git working tree; status before:"
+        printf '%s\n' "$STATUS_BEFORE"
+        echo "status after:"
+        printf '%s\n' "$STATUS_AFTER"
+        exit 1
+    fi
+    echo "git status unchanged"
+else
+    echo "not a git checkout; skipped"
+fi
 
 echo "All checks passed."

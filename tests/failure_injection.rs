@@ -4,7 +4,8 @@
 use electrifi::experiments::PAPER_SEED;
 use electrifi::{LinkProbeSim, PaperEnv};
 use plc_mac::sim::{Flow, PlcSim, SimConfig};
-use plc_phy::channel::{PlcChannel, PlcChannelParams};
+use plc_phy::channel::PlcChannel;
+use plc_phy::estimation::EstimatorConfig;
 use plc_phy::PlcTechnology;
 use simnet::appliance::ApplianceKind;
 use simnet::grid::Grid;
@@ -75,17 +76,13 @@ fn appliance_storm_degrades_tone_maps() {
         }
     }
     let edge = edge.expect("duty cycle has an on edge");
-    let channel = PlcChannel::from_grid(
-        &g,
-        a,
-        b,
-        PlcTechnology::HpAv,
-        PlcChannelParams::default(),
-        7,
-    )
-    .expect("wired");
-    let env = PaperEnv::new(PAPER_SEED);
-    let mut sim = LinkProbeSim::new(channel, plc_phy::channel::LinkDir::AtoB, env.estimator, 3);
+    let channel = PlcChannel::from_grid(&g, a, b, PlcTechnology::HpAv, 7).expect("wired");
+    let mut sim = LinkProbeSim::new(
+        channel,
+        plc_phy::channel::LinkDir::AtoB,
+        EstimatorConfig::default(),
+        3,
+    );
     // Long pre-phase so the bootstrap margin has fully decayed (the
     // estimate is no longer drifting upward on its own).
     let t0 = Time::from_secs(edge.saturating_sub(55));
@@ -115,9 +112,9 @@ fn appliance_storm_degrades_tone_maps() {
 #[test]
 fn wifi_rate_adaptation_survives_deep_fade() {
     use rand::SeedableRng;
-    use wifi80211::rate::{RateAdapter, RateAdapterConfig};
+    use wifi80211::rate::RateAdapter;
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let mut adapter = RateAdapter::new(RateAdapterConfig::default());
+    let mut adapter = RateAdapter::new();
     for _ in 0..60 {
         adapter.observe(&mut rng, 28.0);
     }
@@ -145,15 +142,7 @@ fn severed_wiring_is_reported_not_panicked() {
     let a = g.add_outlet("a");
     let b = g.add_outlet("b");
     // No connection at all.
-    assert!(PlcChannel::from_grid(
-        &g,
-        a,
-        b,
-        PlcTechnology::HpAv,
-        PlcChannelParams::default(),
-        1
-    )
-    .is_none());
+    assert!(PlcChannel::from_grid(&g, a, b, PlcTechnology::HpAv, 1).is_none());
 }
 
 /// Saturating a hopeless (cross-board) link produces (near-)zero

@@ -9,6 +9,7 @@ use electrifi_testbed::{PlcNetwork, Testbed};
 use hybrid1905::balancer::SplitStrategy;
 use hybrid1905::metrics::{LinkId, LinkMetric, LinkMetricsDb, Medium};
 use plc_mac::sim::{Flow, PlcSim, SimConfig};
+use plc_phy::estimation::EstimatorConfig;
 use plc_phy::PlcTechnology;
 use simnet::time::{Duration, Time};
 use simnet::traffic::TrafficSource;
@@ -24,7 +25,7 @@ fn end_to_end_metric_pipeline() {
             let mut sim = LinkProbeSim::new(
                 env.plc_channel(src, dst),
                 PaperEnv::dir(src, dst),
-                env.estimator,
+                EstimatorConfig::default(),
                 99,
             );
             sim.warmup(now, 8);
@@ -101,10 +102,18 @@ fn plc_asymmetry_exceeds_wifi_asymmetry_on_average() {
     let mut plc_ratios = Vec::new();
     let mut wifi_ratios = Vec::new();
     for (a, b) in [(1u16, 2u16), (5u16, 8u16), (0, 3), (9, 10), (4, 7), (2, 11)] {
-        let mut fwd =
-            LinkProbeSim::new(env.plc_channel(a, b), PaperEnv::dir(a, b), env.estimator, 1);
-        let mut rev =
-            LinkProbeSim::new(env.plc_channel(a, b), PaperEnv::dir(b, a), env.estimator, 2);
+        let mut fwd = LinkProbeSim::new(
+            env.plc_channel(a, b),
+            PaperEnv::dir(a, b),
+            EstimatorConfig::default(),
+            1,
+        );
+        let mut rev = LinkProbeSim::new(
+            env.plc_channel(a, b),
+            PaperEnv::dir(b, a),
+            EstimatorConfig::default(),
+            2,
+        );
         fwd.warmup(now, 8);
         rev.warmup(now, 8);
         let (f, r) = (fwd.ble_avg(), rev.ble_avg());
@@ -160,11 +169,7 @@ fn hybrid_layer_combines_real_medium_streams() {
         (a, env.testbed.station(a).pos),
         (b, env.testbed.station(b).pos),
     ];
-    let mut wifi = wifi80211::WifiSim::new(
-        wifi80211::sim::WifiSimConfig::default(),
-        &env.testbed.floor,
-        &positions,
-    );
+    let mut wifi = wifi80211::WifiSim::new(1, &env.testbed.floor, &positions);
     let fw = wifi.add_flow(wifi80211::WifiFlow {
         src: a,
         dst: b,
@@ -205,9 +210,7 @@ fn testbed_seeds_produce_distinct_but_valid_floors() {
             assert!(tb.cable_distance_m(a, b).is_some(), "seed {seed}: {a}-{b}");
         }
         // Channels build for a sample pair and produce sane spectra.
-        let ch = tb
-            .plc_channel(0, 5, PlcTechnology::HpAv, Default::default())
-            .expect("wired");
+        let ch = tb.plc_channel(0, 5, PlcTechnology::HpAv).expect("wired");
         let spec = ch.spectrum(Testbed::link_dir(0, 5), Time::from_hours(3));
         assert!(spec.snr_db.iter().all(|s| s.is_finite()));
     }
@@ -254,15 +257,4 @@ fn experiment_results_serialize_to_json() {
     let back: electrifi::experiments::capacity::Fig19Result =
         serde_json::from_str(&json).expect("deserialize");
     assert_eq!(back.adaptive.probes, fig19.adaptive.probes);
-    // Tone maps and channels serialize too (persistence of calibrated
-    // state).
-    let ch = env.plc_channel(1, 2);
-    let ch_json = serde_json::to_string(&ch).expect("channel serializes");
-    let ch2: plc_phy::PlcChannel = serde_json::from_str(&ch_json).expect("channel roundtrips");
-    let t = Time::from_hours(3);
-    assert_eq!(
-        ch.spectrum(PaperEnv::dir(1, 2), t),
-        ch2.spectrum(PaperEnv::dir(1, 2), t),
-        "deserialized channel must be behaviourally identical"
-    );
 }
