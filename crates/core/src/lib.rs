@@ -26,7 +26,6 @@
 //! * [`probesim`] — a channel-in-the-loop estimator driver: the minimal
 //!   machinery to measure BLE/PBerr on one link over arbitrary horizons
 //!   without a full MAC simulation.
-//! * [`analysis`] — link classification (good/average/bad, §7.3).
 //! * [`guidelines`] — Table 3's link-metric estimation guidelines as
 //!   typed, testable policy data.
 //! * [`experiments`] — one runner per figure/table of the evaluation;
@@ -34,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod env;
 pub mod experiments;
 pub mod guidelines;

@@ -3,12 +3,11 @@
 //! IEEE 1905 defines abstraction layers for topology, link metrics and
 //! forwarding across heterogeneous home-network technologies, but is
 //! deliberately technology-agnostic: "it does not provide any forwarding
-//! nor metric-estimation methods" (paper §1). This crate supplies what
-//! the paper builds on top:
+//! nor metric-estimation methods" (paper §1). The two metrics it
+//! requires, capacity (BLE) and loss (PBerr), are measured where the
+//! paper reads them: in `plc_phy::estimation` and the `electrifi` crate's
+//! `LinkProbeSim`. This crate supplies what the paper builds on top:
 //!
-//! * [`metrics`] — a link-metric database holding, per directed link and
-//!   medium, the two metrics IEEE 1905 requires and the paper studies:
-//!   capacity (BLE / MCS) and loss (PBerr / MPDU errors).
 //! * [`probing`] — probing policies: fixed-interval baselines and the
 //!   paper's quality-adaptive policy (§7.3: bad links probed every 5 s,
 //!   average links 8× slower, good links 16× slower), plus the
@@ -19,9 +18,6 @@
 //!   track's probe-dropout windows: during a sensing outage the last
 //!   estimate is held stale, the failure mode the assertion engine's
 //!   `estimate-within` invariant quantifies.
-//! * [`routing`] — quality-aware multi-hop routing (ETT over the metric
-//!   database), the mesh use case §4.3 motivates, including the
-//!   "alternating technologies" pattern of the paper's reference \[17\].
 //! * [`balancer`] — the §7.4 load-balancing algorithm: capacity-weighted
 //!   probabilistic packet splitting across mediums, a round-robin
 //!   baseline, destination-side in-order release (the paper's IP-id
@@ -34,12 +30,8 @@
 pub mod balancer;
 pub mod etx;
 pub mod gated;
-pub mod metrics;
 pub mod probing;
-pub mod routing;
 
 pub use balancer::{combine_streams, CombinedDelivery, SplitStrategy};
 pub use gated::GatedEstimator;
-pub use metrics::{LinkMetric, LinkMetricsDb, Medium};
 pub use probing::ProbingPolicy;
-pub use routing::{Route, Router, RouterConfig};

@@ -168,6 +168,18 @@ mod tests {
     }
 
     #[test]
+    fn classification_thresholds() {
+        // Bad below 60 Mb/s, good above 100 Mb/s; both class boundaries
+        // belong to the average class.
+        let p = ProbingPolicy::paper_adaptive();
+        assert_eq!(p.interval_for(30.0), Duration::from_secs(5));
+        assert_eq!(p.interval_for(60.0), Duration::from_secs(40));
+        assert_eq!(p.interval_for(80.0), Duration::from_secs(40));
+        assert_eq!(p.interval_for(100.0), Duration::from_secs(40));
+        assert_eq!(p.interval_for(100.1), Duration::from_secs(80));
+    }
+
+    #[test]
     fn fixed_policy_ignores_quality() {
         let p = ProbingPolicy::Fixed(Duration::from_secs(7));
         for ble in [10.0, 80.0, 140.0] {

@@ -288,10 +288,9 @@ struct GeomGroup {
 /// cable attenuation, frequency-selective clutter, the low-frequency
 /// noise-floor shape, and the echo geometry planes (the taps' stub
 /// lengths are fixed; only their on/off reflection strengths move
-/// between epochs). Built once (at [`PlcChannel::from_grid`] time, or
-/// lazily after deserialization) through the kernels in
-/// [`crate::kernels`], so cached and reference spectra share every
-/// floating-point expression bit-for-bit.
+/// between epochs). Built once, in [`PlcChannel::from_grid`], through
+/// the kernels in [`crate::kernels`], so cached and reference spectra
+/// share every floating-point expression bit-for-bit.
 #[derive(Debug, Clone, Default)]
 struct StaticTerms {
     /// `cable_alpha · √f` per carrier — the attenuation slope shared by
@@ -376,13 +375,12 @@ impl CacheMetrics {
 
 #[derive(Debug, Clone, Default)]
 struct CacheState {
-    stat: Option<Arc<StaticTerms>>,
     epoch: EpochTerms,
     metrics: Option<CacheMetrics>,
 }
 
 /// Interior-mutable spectrum cache of derived state: a channel rebuilds
-/// bit-identical values from its inputs on first use.
+/// bit-identical values from its inputs whenever the epoch changes.
 #[derive(Debug, Clone, Default)]
 struct SpectrumCache {
     state: RefCell<CacheState>,
@@ -408,8 +406,11 @@ pub struct PlcChannel {
     /// degradation): additive noise/attenuation windows as a pure
     /// function of time. `None` for undisturbed links.
     overlay: Option<LinkOverlay>,
-    /// Derived-state cache (static per-carrier vectors + the multipath
-    /// terms of the current appliance epoch).
+    /// The static per-carrier vectors, shared with every
+    /// [`SpectrumSource`] composed from them.
+    stat: Arc<StaticTerms>,
+    /// Derived-state cache: the multipath terms of the current appliance
+    /// epoch.
     cache: SpectrumCache,
 }
 
@@ -502,7 +503,7 @@ impl PlcChannel {
             let u = (ValueNoise::new(link_seed ^ tag).eval(0.5) + 1.0) / 2.0;
             STATIC_NOISE_MAX_DB * u.powi(4)
         };
-        let ch = PlcChannel {
+        let mut ch = PlcChannel {
             plan: technology.carrier_plan(),
             length_m: path.length_m,
             boards_crossed,
@@ -515,11 +516,13 @@ impl PlcChannel {
             static_noise_a_db: static_draw(0x57A7_000A),
             static_noise_b_db: static_draw(0x57A7_000B),
             overlay: None,
+            stat: Arc::default(),
             cache: SpectrumCache::default(),
         };
-        // Warm the static per-carrier vectors now: every spectrum of this
-        // link needs them and they never change.
-        ch.cache.state.borrow_mut().stat = Some(Arc::new(ch.build_static_terms(true)));
+        // Every spectrum of this link needs the static per-carrier
+        // vectors and they never change, so they are built here, once.
+        let _span = obs::span::enter("phy.static_build");
+        ch.stat = Arc::new(ch.build_static_terms(true));
         Some(ch)
     }
 
@@ -628,7 +631,7 @@ impl PlcChannel {
 
     /// Per-carrier SNR for one direction at instant `t`, with the
     /// mains-synchronous noise evaluated at an explicit `phase` of the
-    /// half mains cycle. Use this to characterize tone-map slots without
+    /// half mains cycle. Use this to study tone-map slots without
     /// waiting for the right instant.
     pub fn spectrum_at_phase(&self, dir: LinkDir, t: Time, phase: f64) -> SnrSpectrum {
         let mut out = SnrSpectrum::from_db(Vec::with_capacity(self.plan.len()));
@@ -695,10 +698,7 @@ impl PlcChannel {
         // --- Cached per-carrier vectors.
         let mut guard = self.cache.state.borrow_mut();
         let state = &mut *guard;
-        let st = state.stat.get_or_insert_with(|| {
-            let _span = obs::span::enter_at("phy.static_build", t);
-            Arc::new(self.build_static_terms(true))
-        });
+        let st = &self.stat;
         let metrics = state.metrics.get_or_insert_with(CacheMetrics::register);
         let ep = &mut state.epoch;
         let now = t.as_nanos();

@@ -3,7 +3,7 @@
 //!
 //! `PBerr` — the probability that a 512-byte physical block arrives
 //! corrupted — is the paper's loss-rate metric (Table 2, measured with the
-//! `ampstat` management message). Together with BLE it fully characterizes
+//! `ampstat` management message). Together with BLE it fully describes
 //! the MAC/PHY behaviour: "the full retransmission and aggregation
 //! process ... can be modeled using only two metrics: PBerr and BLEs"
 //! (paper §2.2).

@@ -268,11 +268,6 @@ impl ChannelEstimator {
         self.stats
     }
 
-    /// Configuration in use.
-    pub fn config(&self) -> &EstimatorConfig {
-        &self.cfg
-    }
-
     /// Current tone maps.
     pub fn tonemaps(&self) -> &ToneMapSet {
         &self.tonemaps
@@ -1032,7 +1027,7 @@ mod tests {
     }
 
     fn estimator_of(e: &ChannelEstimator) -> ChannelEstimator {
-        ChannelEstimator::new(*e.config(), e.n_carriers)
+        ChannelEstimator::new(e.cfg, e.n_carriers)
     }
 
     #[test]

@@ -26,9 +26,6 @@
 //! * [`error`] — the PB (physical block) error model linking tone-map
 //!   aggressiveness and instantaneous channel state to `PBerr`, the
 //!   paper's loss-rate metric.
-//! * [`characterization`] — frequency-domain channel statistics
-//!   (selectivity, notches, coherence bandwidth, delay spread): the
-//!   channel-sounding view behind the §5 multipath discussion.
 //! * [`kernels`] — the structure-of-arrays per-carrier kernels behind
 //!   the spectrum cache: lane-chunked loops LLVM autovectorizes, with
 //!   scalar twins the reference evaluator uses so cached and reference
@@ -39,7 +36,6 @@
 
 pub mod carrier;
 pub mod channel;
-pub mod characterization;
 pub mod error;
 pub mod estimation;
 pub mod kernels;

@@ -144,12 +144,7 @@ impl CampaignSpec {
             ScenarioError::invalid("<root>", "a campaign document must be a JSON object")
         })?;
         root.no_unknown_keys(&["name", "scenarios", "seeds", "workloads", "experiments"])?;
-        let name = root.req("name")?.str()?.to_string();
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-') {
-            return Err(root.req("name")?.invalid(
-                "campaign names are non-empty and use only ASCII letters, digits and '-'",
-            ));
-        }
+        let name = root.req("name")?.name()?.to_string();
 
         let mut scenarios = Vec::new();
         let list = root.req("scenarios")?;
@@ -684,5 +679,17 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.field(), Some("seeds[1]"));
+
+        // Run names, and so manifest file names, embed the workload name.
+        for bad in ["a/b", "x\\\"y", "", "a b"] {
+            let doc = TINY_CAMPAIGN.replace(r#""name": "w""#, &format!(r#""name": "{bad}""#));
+            let err = CampaignSpec::from_json_str(&doc, Path::new(".")).unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::Invalid { .. }),
+                "{bad:?}: {err}"
+            );
+            assert_eq!(err.field(), Some("workloads[0].name"), "{bad:?}: {err}");
+            assert!(err.to_string().contains("invalid name"), "{bad:?}: {err}");
+        }
     }
 }

@@ -103,6 +103,31 @@ impl<'a> At<'a> {
         }
     }
 
+    /// The value as a strictly positive `f64`, or a typed error.
+    pub(crate) fn positive(&self) -> Result<f64, ScenarioError> {
+        let x = self.f64()?;
+        if x > 0.0 {
+            Ok(x)
+        } else {
+            Err(self.err(format!("must be positive, got {x}")))
+        }
+    }
+
+    /// The value as a name: campaign, scenario and workload names become
+    /// parts of file names, so they are non-empty and use only ASCII
+    /// letters, digits and `-`.
+    pub(crate) fn name(&self) -> Result<&'a str, ScenarioError> {
+        let s = self.str()?;
+        if !s.is_empty() && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-') {
+            Ok(s)
+        } else {
+            Err(self.err(format!(
+                "invalid name {s:?}: names are non-empty and use only ASCII letters, \
+                 digits and '-' (they become file names)"
+            )))
+        }
+    }
+
     /// The value as a `usize`.
     pub fn usize(&self) -> Result<usize, ScenarioError> {
         let u = self.u64()?;

@@ -33,15 +33,6 @@ const KIND_NAMES: &str = "appliance-surge, breaker-trip, cable-degrade, wifi-jam
 const ASSERTION_NAMES: &str =
     "hybrid-at-least-best-medium, estimate-within, recovery-within, counter-at-least";
 
-fn positive(at: &At) -> Result<f64, ScenarioError> {
-    let x = at.f64()?;
-    if x > 0.0 {
-        Ok(x)
-    } else {
-        Err(at.invalid(format!("must be positive, got {x}")))
-    }
-}
-
 fn non_negative(at: &At) -> Result<f64, ScenarioError> {
     let x = at.f64()?;
     if x >= 0.0 {
@@ -53,7 +44,7 @@ fn non_negative(at: &At) -> Result<f64, ScenarioError> {
 
 /// A positive number of seconds that fits the simulated-time range.
 fn positive_secs(at: &At) -> Result<f64, ScenarioError> {
-    let x = positive(at)?;
+    let x = at.positive()?;
     at.secs_ns(x)?;
     Ok(x)
 }
@@ -114,7 +105,7 @@ pub fn parse_kind(at: &At) -> Result<DisturbanceKind, ScenarioError> {
             body.no_unknown_keys(&["board", "noise_db"])?;
             Ok(DisturbanceKind::ApplianceSurge {
                 board: board(&body.req("board")?)?,
-                noise_db: positive(&body.req("noise_db")?)?,
+                noise_db: body.req("noise_db")?.positive()?,
             })
         }
         "breaker-trip" => {
@@ -127,13 +118,13 @@ pub fn parse_kind(at: &At) -> Result<DisturbanceKind, ScenarioError> {
             body.no_unknown_keys(&["board", "atten_db"])?;
             Ok(DisturbanceKind::CableDegrade {
                 board: board(&body.req("board")?)?,
-                atten_db: positive(&body.req("atten_db")?)?,
+                atten_db: body.req("atten_db")?.positive()?,
             })
         }
         "wifi-jam" => {
             body.no_unknown_keys(&["penalty_db"])?;
             Ok(DisturbanceKind::WifiJam {
-                penalty_db: positive(&body.req("penalty_db")?)?,
+                penalty_db: body.req("penalty_db")?.positive()?,
             })
         }
         // Only `probe-dropout` is left; as an object it takes no parameters.

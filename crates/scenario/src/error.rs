@@ -11,9 +11,9 @@ use std::fmt;
 /// Why a scenario or campaign could not be loaded, validated or run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
-    /// A file could not be read.
+    /// A file could not be read or written.
     Io {
-        /// Path of the unreadable file.
+        /// Path of the file the failing operation named.
         path: String,
         /// Underlying error text.
         message: String,
@@ -61,7 +61,7 @@ impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ScenarioError::Io { path, message } => {
-                write!(f, "cannot read {path}: {message}")
+                write!(f, "I/O error on {path}: {message}")
             }
             ScenarioError::Parse { message } => write!(f, "invalid JSON: {message}"),
             ScenarioError::Invalid { field, message } => {

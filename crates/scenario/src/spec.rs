@@ -353,21 +353,12 @@ fn parse_schedule(at: &At) -> Result<Schedule, ScenarioError> {
     Err(at.invalid("schedule object must have exactly one of: office-hours, duty-cycle, sporadic"))
 }
 
-fn positive(at: &At) -> Result<f64, ScenarioError> {
-    let x = at.f64()?;
-    if x > 0.0 {
-        Ok(x)
-    } else {
-        Err(at.invalid(format!("must be positive, got {x}")))
-    }
-}
-
 fn parse_dist(at: &At) -> Result<DistSpec, ScenarioError> {
     at.obj()?;
     at.no_unknown_keys(&["fixed_m", "uniform_m"])?;
     match (at.opt("fixed_m"), at.opt("uniform_m")) {
         (Some(v), None) => Ok(DistSpec::Fixed {
-            value_m: positive(&v)?,
+            value_m: v.positive()?,
         }),
         (None, Some(u)) => {
             let items = u.items()?;
@@ -377,8 +368,8 @@ fn parse_dist(at: &At) -> Result<DistSpec, ScenarioError> {
                     items.len()
                 )));
             }
-            let min_m = positive(&items[0])?;
-            let max_m = positive(&items[1])?;
+            let min_m = items[0].positive()?;
+            let max_m = items[1].positive()?;
             if min_m > max_m {
                 return Err(u.invalid(format!(
                     "uniform_m needs min <= max, got [{min_m}, {max_m}]"
@@ -424,7 +415,7 @@ fn parse_generator(at: &At) -> Result<GeneratorSpec, ScenarioError> {
         )));
     }
     let corridor_spacing_m = match at.opt("corridor_spacing_m") {
-        Some(v) => positive(&v)?,
+        Some(v) => v.positive()?,
         None => 4.0,
     };
     let drop_length_m = match at.opt("drop_length_m") {
@@ -442,7 +433,7 @@ fn parse_generator(at: &At) -> Result<GeneratorSpec, ScenarioError> {
         },
     };
     let inter_board_cable_m = match at.opt("inter_board_cable_m") {
-        Some(v) => positive(&v)?,
+        Some(v) => v.positive()?,
         None => electrifi_testbed::INTER_BOARD_CABLE_M,
     };
     let appliance_mix = match at.opt("appliance_mix") {
@@ -455,7 +446,7 @@ fn parse_generator(at: &At) -> Result<GeneratorSpec, ScenarioError> {
                         "unknown appliance kind (one of: {APPLIANCE_KINDS})"
                     ))
                 })?;
-                mix.push((kind, positive(&w)?));
+                mix.push((kind, w.positive()?));
             }
             if mix.is_empty() {
                 return Err(m.invalid("appliance_mix must name at least one kind"));
@@ -498,8 +489,8 @@ fn parse_explicit(at: &At) -> Result<ExplicitGridSpec, ScenarioError> {
     ])?;
     let floor = at.req("floor")?;
     floor.no_unknown_keys(&["width_m", "depth_m"])?;
-    let floor_width_m = positive(&floor.req("width_m")?)?;
-    let floor_depth_m = positive(&floor.req("depth_m")?)?;
+    let floor_width_m = floor.req("width_m")?.positive()?;
+    let floor_depth_m = floor.req("depth_m")?.positive()?;
     let names = |key: &str| -> Result<Vec<String>, ScenarioError> {
         match at.opt(key) {
             Some(list) => list
@@ -602,7 +593,7 @@ pub fn parse_workload(at: &At) -> Result<WorkloadSpec, ScenarioError> {
     at.obj()?;
     at.no_unknown_keys(&["name", "start_hour", "duration_s", "sample_ms", "max_pairs"])?;
     let duration_field = at.req("duration_s")?;
-    let duration_s = positive(&duration_field)?;
+    let duration_s = duration_field.positive()?;
     let duration_ns = duration_field.secs_ns(duration_s)?;
     let sample_field = at.req("sample_ms")?;
     let sample_ms = sample_field.u64()?;
@@ -632,7 +623,7 @@ pub fn parse_workload(at: &At) -> Result<WorkloadSpec, ScenarioError> {
     }
     Ok(WorkloadSpec {
         name: match at.opt("name") {
-            Some(n) => n.str()?.to_string(),
+            Some(n) => n.name()?.to_string(),
             None => "workload".to_string(),
         },
         start_hour,
@@ -658,7 +649,7 @@ fn parse_probing(at: &At) -> Result<ProbingPolicy, ScenarioError> {
     at.obj()?;
     at.no_unknown_keys(&["fixed_s"])?;
     let field = at.req("fixed_s")?;
-    let secs = positive(&field)?;
+    let secs = field.positive()?;
     field.secs_ns(secs)?;
     Ok(ProbingPolicy::Fixed(Duration::from_secs_f64(secs)))
 }
@@ -707,13 +698,7 @@ impl ScenarioSpec {
             "couplings",
             "assertions",
         ])?;
-        let name = root.req("name")?.str()?.to_string();
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-') {
-            return Err(root.req("name")?.invalid(
-                "scenario names are non-empty and use only ASCII letters, digits and '-' \
-                 (they become file names)",
-            ));
-        }
+        let name = root.req("name")?.name()?.to_string();
         let disturbances = match root.opt("disturbances") {
             Some(d) => parse_disturbances(&d)?,
             None => Vec::new(),

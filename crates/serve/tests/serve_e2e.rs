@@ -142,6 +142,14 @@ fn error_taxonomy_and_queue_backpressure() {
         )
         .expect("req");
     assert_eq!(r.status, 400, "{}", r.text());
+    // Run names become file names and event-line strings, so a workload
+    // name that is not a file name is refused before any run executes.
+    let bad = CAMPAIGN_JSON.replace(r#""name": "tiny""#, r#""name": "a/b\"c""#);
+    let r = client
+        .request("POST", "/campaigns", Some(bad.as_bytes()))
+        .expect("req");
+    assert_eq!(r.status, 400, "{}", r.text());
+    assert!(r.text().contains("workloads[0].name"), "{}", r.text());
 
     // Queue backpressure: with the only slot occupied, the next submit
     // is turned away with 429 + Retry-After.

@@ -74,8 +74,6 @@ pub struct PathInfo {
     pub nodes: Vec<NodeId>,
     /// Total cable length in metres.
     pub length_m: f64,
-    /// Cumulative distance from the first node to each node of `nodes`.
-    pub cum_dist_m: Vec<f64>,
 }
 
 /// An impedance discontinuity along a transmission path: a point where the
@@ -84,8 +82,6 @@ pub struct PathInfo {
 pub struct Discontinuity {
     /// The node where the discontinuity sits.
     pub node: NodeId,
-    /// Distance of the node from the path's first endpoint, in metres.
-    pub dist_from_a_m: f64,
     /// Number of cable branches leaving the path at this node (0 for a
     /// plain outlet on the path).
     pub off_path_branches: usize,
@@ -309,7 +305,6 @@ impl Grid {
             return Some(PathInfo {
                 nodes: vec![a],
                 length_m: 0.0,
-                cum_dist_m: vec![0.0],
             });
         }
         let n = self.nodes.len();
@@ -348,11 +343,9 @@ impl Grid {
             }
         }
         nodes.reverse();
-        let cum_dist_m: Vec<f64> = nodes.iter().map(|n| dist[n.0]).collect();
         Some(PathInfo {
             nodes,
             length_m: dist[b.0],
-            cum_dist_m,
         })
     }
 
@@ -449,7 +442,6 @@ impl Grid {
             if off_path_branches > 0 || !appliances.is_empty() {
                 out.push(Discontinuity {
                     node,
-                    dist_from_a_m: path.cum_dist_m[i],
                     off_path_branches,
                     appliances,
                 });
@@ -491,7 +483,7 @@ mod tests {
         let (g, board, j1, o1, _) = tiny_grid();
         let p = g.shortest_path(board, o1).unwrap();
         assert_eq!(p.nodes, vec![board, j1, o1]);
-        assert_eq!(p.cum_dist_m, vec![0.0, 10.0, 15.0]);
+        assert_eq!(p.length_m, 15.0);
     }
 
     #[test]
@@ -532,7 +524,6 @@ mod tests {
         let (aid, extra) = dj.appliances[0];
         assert_eq!(g.appliance(aid).outlet, o2);
         assert_eq!(extra, 3.0);
-        assert_eq!(dj.dist_from_a_m, 10.0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Probing planner: apply the paper's Table 3 guidelines to a live
-//! network — classify links, derive per-link probe plans, and quantify
-//! the accuracy/overhead tradeoff (§7.3).
+//! network — derive per-link probe plans from measured BLE (the
+//! interval is the §7.3 quality class), and quantify the
+//! accuracy/overhead tradeoff.
 //!
 //! ```sh
 //! cargo run --release --example probing_planner
 //! ```
 
-use electrifi::analysis::LinkClass;
 use electrifi::experiments::temporal::cycle_trace;
 use electrifi::experiments::PAPER_SEED;
 use electrifi::guidelines::ProbePlan;
@@ -21,7 +21,7 @@ fn main() {
     let env = PaperEnv::new(PAPER_SEED);
     println!("Probing planner over network A (paper §7.3 method)\n");
 
-    // Collect short cycle-scale traces, classify, and plan.
+    // Collect short cycle-scale traces and plan.
     let pairs: Vec<(u16, u16)> = vec![
         (1, 2),
         (1, 6),
@@ -34,8 +34,8 @@ fn main() {
     ];
     let mut traces = Vec::new();
     println!(
-        "{:>7} {:>10} {:>9} {:>10} {:>7} {:>6}",
-        "link", "BLE Mb/s", "class", "interval", "bytes", "burst"
+        "{:>7} {:>10} {:>10} {:>7} {:>6}",
+        "link", "BLE Mb/s", "interval", "bytes", "burst"
     );
     for (a, b) in pairs {
         let trace = cycle_trace(
@@ -47,10 +47,9 @@ fn main() {
             Duration::from_secs(12),
         );
         let ble = trace.ble.stats().mean();
-        let class = LinkClass::of_ble(ble);
         let plan = ProbePlan::recommended(ble, false);
         println!(
-            "{:>4}-{:<2} {ble:>10.1} {class:>9?} {:>8.0} s {:>7} {:>6}",
+            "{:>4}-{:<2} {ble:>10.1} {:>8.0} s {:>7} {:>6}",
             a,
             b,
             plan.interval.as_secs_f64(),

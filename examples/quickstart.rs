@@ -7,7 +7,6 @@
 
 use electrifi::experiments::PAPER_SEED;
 use electrifi::{LinkProbeSim, PaperEnv};
-use hybrid1905::metrics::{LinkId, LinkMetric, LinkMetricsDb, Medium};
 use plc_phy::estimation::EstimatorConfig;
 use simnet::time::Time;
 use wifi80211::throughput::expected_goodput_mbps;
@@ -18,7 +17,6 @@ fn main() {
     println!("Electri-Fi quickstart: four stations of the Fig. 2 floor\n");
 
     let now = Time::from_hours(10); // weekday, working hours
-    let mut db = LinkMetricsDb::new();
 
     for (a, b) in [(1u16, 2u16), (1, 6), (5, 8), (9, 10)] {
         // --- PLC: saturate briefly so tone maps converge, then read the
@@ -33,34 +31,10 @@ fn main() {
         let ble = plc.ble_avg();
         let pberr = plc.pberr_cumulative().unwrap_or(0.0);
         let t_plc = plc.throughput_now(steady);
-        db.update(
-            LinkId {
-                src: a,
-                dst: b,
-                medium: Medium::Plc,
-            },
-            LinkMetric {
-                capacity_mbps: ble,
-                loss_rate: Some(pberr),
-                updated_at: now,
-            },
-        );
 
         // --- WiFi: the whole-band capacity estimate at the same moment.
         let wifi = env.wifi_channel(a, b);
         let t_wifi = expected_goodput_mbps(&wifi, now, 1);
-        db.update(
-            LinkId {
-                src: a,
-                dst: b,
-                medium: Medium::Wifi,
-            },
-            LinkMetric {
-                capacity_mbps: t_wifi,
-                loss_rate: None,
-                updated_at: now,
-            },
-        );
 
         println!(
             "link {a:>2} -> {b:<2}  cable {:>5.1} m  air {:>4.1} m   \
@@ -71,11 +45,7 @@ fn main() {
         );
     }
 
-    println!(
-        "\nIEEE 1905 metric database now holds {} records.",
-        db.len()
-    );
-    println!("Guidelines (paper Table 3):");
+    println!("\nGuidelines (paper Table 3):");
     for g in electrifi::guidelines::table3() {
         println!("  [{}] {} (see §{})", g.policy, g.guideline, g.sections);
     }

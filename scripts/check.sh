@@ -131,9 +131,16 @@ cat > out/range-check/campaign.json <<'JSON'
 {"name": "range-check", "scenarios": ["builtin://imc2015-floor"],
  "workloads": [{"name": "far", "start_hour": 6000000, "duration_s": 5, "sample_ms": 500}]}
 JSON
+# Run names become file names, so a workload name that is not one must
+# fail validation before any run executes.
+cat > out/range-check/bad-name.json <<'JSON'
+{"name": "bad-name", "scenarios": ["builtin://imc2015-floor"],
+ "workloads": [{"name": "a/b\"c", "duration_s": 5, "sample_ms": 500}]}
+JSON
 set +e
 ./target/release/campaign --workers 0 scenarios/smoke-campaign.json 2>/dev/null; RC_USAGE=$?
 ./target/release/campaign out/range-check/campaign.json --dry-run 2>/dev/null; RC_RANGE=$?
+./target/release/campaign out/range-check/bad-name.json --dry-run 2>/dev/null; RC_NAME=$?
 ./target/release/campaign no-such-campaign.json 2>/dev/null; RC_IO=$?
 ./target/release/campaign --help > /dev/null; RC_HELP=$?
 ./target/release/paper 2>/dev/null; RC_PAPER_NONE=$?
@@ -151,13 +158,14 @@ ELECTRIFI_TRACE=out/trace-sample.json ELECTRIFI_TRACE_SAMPLE=abc \
 set -e
 [ "$RC_USAGE" -eq 2 ] || { echo "--workers 0 must exit 2, got $RC_USAGE"; exit 1; }
 [ "$RC_RANGE" -eq 2 ] || { echo "out-of-range start_hour must exit 2, got $RC_RANGE"; exit 1; }
+[ "$RC_NAME" -eq 2 ] || { echo "a workload name that is not a file name must exit 2, got $RC_NAME"; exit 1; }
 [ "$RC_IO" -eq 3 ] || { echo "missing campaign file must exit 3, got $RC_IO"; exit 1; }
 [ "$RC_HELP" -eq 0 ] || { echo "--help must exit 0, got $RC_HELP"; exit 1; }
 [ "$RC_PAPER_NONE" -eq 2 ] || { echo "paper without a name must exit 2, got $RC_PAPER_NONE"; exit 1; }
 [ "$RC_PAPER_UNKNOWN" -eq 2 ] || { echo "paper fig99 must exit 2, got $RC_PAPER_UNKNOWN"; exit 1; }
 [ "$RC_SAMPLE" -eq 2 ] || { echo "malformed ELECTRIFI_TRACE_SAMPLE must exit 2, got $RC_SAMPLE"; exit 1; }
 [ "$RC_DAMAGED" -eq 4 ] || { echo "resuming a truncated checkpoint must exit 4, got $RC_DAMAGED"; exit 1; }
-echo "exit codes OK: usage=2 out-of-range=2 io=3 help=0 paper-usage=2 trace-sample=2 damaged-checkpoint=4"
+echo "exit codes OK: usage=2 out-of-range=2 bad-name=2 io=3 help=0 paper-usage=2 trace-sample=2 damaged-checkpoint=4"
 
 echo "== disturbance gate smoke (verdict pass=0, fail fixture=5, serve verdict) =="
 # A gated campaign that holds its assertions exits 0 and writes a typed
@@ -204,10 +212,10 @@ ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_mac
 ELECTRIFI_BENCH_SMOKE=1 ./target/release/bench_channel
 
 echo "== examples (each runs to completion in release) =="
-# The examples are the only callers of some library paths (the mesh
-# router, the JSONL sink), so they run here, not just compile.
+# The examples are the only callers of some library paths (the JSONL
+# sink), so they run here, not just compile.
 cargo build --release -q -p electrifi --examples
-for ex in quickstart blind_spot hybrid_streaming probing_planner mesh_routing obs_jsonl; do
+for ex in quickstart blind_spot hybrid_streaming probing_planner obs_jsonl; do
     ./target/release/examples/"$ex" > /dev/null 2>&1 || { echo "example $ex failed"; exit 1; }
 done
 echo "examples OK"

@@ -2,12 +2,10 @@
 //! whole stack (testbed → channels → MAC/estimation → metrics → hybrid
 //! layer) through the public APIs only.
 
-use electrifi::analysis::LinkClass;
 use electrifi::experiments::{Scale, PAPER_SEED};
 use electrifi::{LinkProbeSim, PaperEnv};
 use electrifi_testbed::{PlcNetwork, Testbed};
 use hybrid1905::balancer::SplitStrategy;
-use hybrid1905::metrics::{LinkId, LinkMetric, LinkMetricsDb, Medium};
 use plc_mac::sim::{Flow, PlcSim, SimConfig};
 use plc_phy::estimation::EstimatorConfig;
 use plc_phy::PlcTechnology;
@@ -16,10 +14,10 @@ use simnet::traffic::TrafficSource;
 
 #[test]
 fn end_to_end_metric_pipeline() {
-    // Channel → probe sim → 1905 metric DB → classification → probe plan.
+    // Channel → probe sim → per-direction BLE → probe plan.
     let env = PaperEnv::new(PAPER_SEED);
-    let mut db = LinkMetricsDb::new();
     let now = Time::from_hours(10);
+    let mut good_links = 0;
     for (a, b) in [(1u16, 2u16), (5, 8), (9, 10)] {
         for (src, dst) in [(a, b), (b, a)] {
             let mut sim = LinkProbeSim::new(
@@ -29,32 +27,22 @@ fn end_to_end_metric_pipeline() {
                 99,
             );
             sim.warmup(now, 8);
-            db.update(
-                LinkId {
-                    src,
-                    dst,
-                    medium: Medium::Plc,
-                },
-                LinkMetric {
-                    capacity_mbps: sim.ble_avg(),
-                    loss_rate: sim.pberr_cumulative(),
-                    updated_at: now,
-                },
-            );
+            // Both directions measure a capacity, so the asymmetry ratio
+            // of every pair is defined.
+            let ble = sim.ble_avg();
+            assert!(ble > 0.0, "{src}->{dst}: BLE {ble}");
+            // Guideline consistency: good links get the slowest probing.
+            let plan = electrifi::guidelines::ProbePlan::recommended(ble, false);
+            if ble > 100.0 {
+                assert_eq!(plan.interval, Duration::from_secs(80), "{src}->{dst}");
+                good_links += 1;
+            }
         }
     }
-    assert_eq!(db.len(), 6);
-    for (link, metric) in db.links() {
-        assert!(metric.capacity_mbps > 0.0, "{link:?}");
-        let class = LinkClass::of_ble(metric.capacity_mbps);
-        let plan = electrifi::guidelines::ProbePlan::recommended(metric.capacity_mbps, false);
-        // Guideline consistency: good links get the slowest probing.
-        if class == LinkClass::Good {
-            assert_eq!(plan.interval, Duration::from_secs(80));
-        }
-        // Both directions exist — asymmetry is measurable.
-        assert!(db.asymmetry(*link).is_some());
-    }
+    assert!(
+        good_links > 0,
+        "no link above 100 Mb/s to check the plan on"
+    );
 }
 
 #[test]
