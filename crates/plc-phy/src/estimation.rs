@@ -30,7 +30,8 @@ use crate::tonemap::{ToneMap, ToneMapSet, TONEMAP_SLOTS};
 use crate::SnrSpectrum;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use simnet::rng::Distributions;
+use simnet::obs;
+use simnet::rng::{advance, Distributions};
 use simnet::time::{Duration, Time};
 
 /// Bits of one physical block (512 B payload + 8 B header).
@@ -301,7 +302,8 @@ impl ChannelEstimator {
     /// A spectrum the channel composed (one with a `SpectrumSource`) is
     /// logged and its per-carrier update deferred to the next
     /// regeneration; `rng` is still advanced exactly as the update will
-    /// draw. A spectrum of raw values is applied at once.
+    /// draw, in one [`advance`] jump. A spectrum of raw values is
+    /// applied at once.
     pub fn observe(
         &mut self,
         rng: &mut StdRng,
@@ -327,12 +329,13 @@ impl ChannelEstimator {
                     "spectrum values no longer match their source"
                 );
                 let state = rng.state();
-                let n = true_spectrum.snr_db.len().min(self.n_carriers);
+                let n = true_spectrum.snr_db.len().min(self.n_carriers) as u64;
+                let mut slots = 0;
                 update_slots(&mut self.weight, slot, n_symbols, |_, _, _, _, _| {
-                    for _ in 0..n {
-                        Distributions::skip_std_normal(rng);
-                    }
+                    slots += 1
                 });
+                // One two-word normal draw per carrier of every updated slot.
+                advance(rng, 2 * slots * n);
                 self.log.push(state, slot, n_symbols, src);
                 if self.log.entries.len() >= LOG_CAP {
                     self.apply_pending();
@@ -359,6 +362,12 @@ impl ChannelEstimator {
     /// Apply every pending observation, in order, with the draws and
     /// float expressions the eager update would have used.
     fn apply_pending(&mut self) {
+        if self.log.entries.is_empty() {
+            return;
+        }
+        // A span per replay, not per frame: a replay follows a
+        // regeneration, a full log or a raw-valued spectrum.
+        let _span = obs::span::enter("estimator.replay");
         let ChannelEstimator {
             snr_est,
             applied_weight,

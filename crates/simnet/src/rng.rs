@@ -13,9 +13,17 @@
 //! Only `rand`'s core traits are used; the distributions the channel models
 //! need (normal, exponential, Bernoulli) are implemented
 //! here from uniform draws, so no extra dependency is required.
+//!
+//! [`Distributions::std_normal`] consumes exactly two words per value. A
+//! caller that defers a run of normal draws (the channel estimator) can
+//! therefore move the generator past them with [`advance`], a fixed-cost
+//! jump of the xoshiro256++ state, and replay them later from the state
+//! it captured.
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{Rng, RngCore, RngExt, SeedableRng};
+use std::cell::Cell;
+use std::sync::Mutex;
 
 /// FNV-1a 64-bit hash, used to derive per-label stream seeds.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -55,6 +63,9 @@ impl RngPool {
     }
 }
 
+/// The smallest nonzero value of [`Distributions::uniform`]: 2⁻⁵³.
+const SMALLEST_UNIFORM: f64 = 1.0 / (1u64 << 53) as f64;
+
 /// Distribution sampling helpers over any [`Rng`].
 ///
 /// All methods take `&mut R` so they compose with both owned streams and
@@ -69,25 +80,14 @@ impl Distributions {
 
     /// Standard normal via Box–Muller. One value per call (the pair's
     /// second member is discarded for statelessness).
+    ///
+    /// Consumes exactly two words: `u1` and `u2`. The one `u1` whose log
+    /// is undefined, 0, is read as 2⁻⁵³, the smallest nonzero uniform;
+    /// every other value is used as drawn.
     pub fn std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-        loop {
-            let u1 = Self::uniform(rng);
-            if u1 > 1e-300 {
-                let u2 = Self::uniform(rng);
-                return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            }
-        }
-    }
-
-    /// Advance `rng` by exactly the words one [`Distributions::std_normal`]
-    /// call consumes, without computing the value: one word per attempt
-    /// while its top 53 bits are zero (the `u1 > 1e-300` rejection, since
-    /// the smallest nonzero uniform is 2⁻⁵³), then one more. A caller
-    /// that defers a draw replays it later from the generator state it
-    /// captured before skipping.
-    pub fn skip_std_normal<R: Rng + ?Sized>(rng: &mut R) {
-        while rng.next_u64() >> 11 == 0 {}
-        rng.next_u64();
+        let u1 = Self::uniform(rng).max(SMALLEST_UNIFORM);
+        let u2 = Self::uniform(rng);
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
     /// Normal with the given mean and standard deviation.
@@ -110,6 +110,139 @@ impl Distributions {
     /// Bernoulli trial with success probability `p` (clamped to `[0,1]`).
     pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
         Self::uniform(rng) < p.clamp(0.0, 1.0)
+    }
+}
+
+/// Bits of xoshiro256++ state.
+const STATE_BITS: usize = 256;
+
+/// The xoshiro256++ state transition raised to a fixed power: a 256×256
+/// matrix over GF(2), stored by columns. Column `i` is where the state
+/// with only bit `i % 64` of word `i / 64` set lands. The transition uses
+/// only xors, shifts and rotations, so it is linear: any state moves by
+/// xoring the columns of its set bits (Blackman & Vigna, "Scrambled
+/// linear pseudorandom number generators", 2021).
+#[derive(Debug)]
+pub struct Jump {
+    words: u64,
+    cols: [[u64; 4]; STATE_BITS],
+}
+
+impl Jump {
+    /// Number of outputs the jump moves past.
+    pub fn words(&self) -> u64 {
+        self.words
+    }
+
+    /// The state `words` outputs after `state`.
+    fn apply(&self, state: [u64; 4]) -> [u64; 4] {
+        let mut out = [0u64; 4];
+        for (cols, &word) in self.cols.chunks_exact(64).zip(&state) {
+            let mut bits = word;
+            while bits != 0 {
+                let col = &cols[bits.trailing_zeros() as usize];
+                for (o, c) in out.iter_mut().zip(col) {
+                    *o ^= c;
+                }
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+
+    /// The jump by `words` outputs, by square-and-multiply over the
+    /// one-output transition.
+    fn build(words: u64) -> Box<Jump> {
+        let mut acc = Box::new(Jump {
+            words: 0,
+            cols: std::array::from_fn(unit_state),
+        });
+        let mut pow = Box::new(Jump {
+            words: 1,
+            cols: std::array::from_fn(|i| {
+                let mut rng = StdRng::from_state(unit_state(i));
+                rng.next_u64();
+                rng.state()
+            }),
+        });
+        let mut rest = words;
+        loop {
+            if rest & 1 == 1 {
+                acc = pow.after(&acc);
+            }
+            rest >>= 1;
+            if rest == 0 {
+                return acc;
+            }
+            pow = pow.after(&pow);
+        }
+    }
+
+    /// `self` applied after `first`: the jump by both counts.
+    fn after(&self, first: &Jump) -> Box<Jump> {
+        Box::new(Jump {
+            words: first.words + self.words,
+            cols: std::array::from_fn(|i| self.apply(first.cols[i])),
+        })
+    }
+}
+
+/// The state with only bit `i % 64` of word `i / 64` set.
+fn unit_state(i: usize) -> [u64; 4] {
+    let mut s = [0; 4];
+    s[i / 64] = 1 << (i % 64);
+    s
+}
+
+/// Every jump built so far, one per word count, kept for the life of
+/// the process (8 KiB each). Global rather than per thread: parallel
+/// sweeps run on fresh scoped threads, which would rebuild them all.
+static JUMPS: Mutex<Vec<&'static Jump>> = Mutex::new(Vec::new());
+
+/// Jumps a thread keeps at hand without taking the [`JUMPS`] lock.
+const RECENT_JUMPS: usize = 8;
+
+thread_local! {
+    /// This thread's most recently fetched jumps, newest first.
+    static RECENT: Cell<[Option<&'static Jump>; RECENT_JUMPS]> =
+        const { Cell::new([None; RECENT_JUMPS]) };
+}
+
+/// The jump by `words` outputs. The first call for a word count builds
+/// it (about a millisecond); every later call, on any thread, returns
+/// the same table without allocating.
+pub fn jump(words: u64) -> &'static Jump {
+    RECENT.with(|recent| {
+        let mut cached = recent.get();
+        if let Some(j) = cached.iter().flatten().find(|j| j.words == words) {
+            return *j;
+        }
+        let j = shared_jump(words);
+        cached.rotate_right(1);
+        cached[0] = Some(j);
+        recent.set(cached);
+        j
+    })
+}
+
+fn shared_jump(words: u64) -> &'static Jump {
+    // Each update is one push of a finished table, so a holder that
+    // panicked mid-build left the list valid.
+    let mut built = JUMPS.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(j) = built.iter().find(|j| j.words == words) {
+        return j;
+    }
+    let j: &'static Jump = Box::leak(Jump::build(words));
+    built.push(j);
+    j
+}
+
+/// Move `rng` forward by `words` outputs, to where `words` calls of
+/// `next_u64` would leave it. Past the first call for a word count,
+/// which builds its [`jump`], the cost does not grow with `words`.
+pub fn advance(rng: &mut StdRng, words: u64) {
+    if words > 0 {
+        *rng = StdRng::from_state(jump(words).apply(rng.state()));
     }
 }
 
@@ -209,31 +342,84 @@ mod tests {
     }
 
     #[test]
-    fn skip_std_normal_consumes_what_std_normal_does() {
+    fn std_normal_consumes_exactly_two_words() {
         for seed in 0..64 {
             let mut drawn = StdRng::seed_from_u64(seed);
-            let mut skipped = drawn.clone();
+            let mut stepped = drawn.clone();
             for _ in 0..100 {
                 Distributions::std_normal(&mut drawn);
-                Distributions::skip_std_normal(&mut skipped);
+                stepped.next_u64();
+                stepped.next_u64();
+                assert_eq!(drawn, stepped);
             }
-            assert_eq!(drawn, skipped);
         }
-        // The rejection branch: a generator whose next word has its top
-        // 53 bits clear is skipped past exactly like `std_normal` would.
+    }
+
+    #[test]
+    fn std_normal_reads_a_zero_word_as_the_smallest_uniform() {
         struct Words(std::vec::IntoIter<u64>);
-        impl rand::RngCore for Words {
+        impl RngCore for Words {
             fn next_u64(&mut self) -> u64 {
                 self.0.next().expect("enough words")
             }
         }
-        let words = vec![0, (1 << 11) - 1, 1 << 11, 7, 99];
-        let mut drawn = Words(words.clone().into_iter());
-        let mut skipped = Words(words.into_iter());
-        Distributions::std_normal(&mut drawn);
-        Distributions::skip_std_normal(&mut skipped);
-        assert_eq!(drawn.0.as_slice(), [99]);
-        assert_eq!(skipped.0.as_slice(), [99]);
+        let mut words = Words(vec![0, 7 << 11, 99].into_iter());
+        let x = Distributions::std_normal(&mut words);
+        assert!(x.is_finite(), "x={x}");
+        assert_eq!(words.0.as_slice(), [99]);
+        // The same value as a draw whose first word is the smallest
+        // nonzero uniform.
+        let mut smallest = Words(vec![1 << 11, 7 << 11].into_iter());
+        assert_eq!(
+            x.to_bits(),
+            Distributions::std_normal(&mut smallest).to_bits()
+        );
+    }
+
+    /// `rng` after `words` single steps.
+    fn stepped(rng: &StdRng, words: u64) -> StdRng {
+        let mut rng = rng.clone();
+        for _ in 0..words {
+            rng.next_u64();
+        }
+        rng
+    }
+
+    #[test]
+    fn advance_matches_stepping_for_every_estimator_skip() {
+        // 2 words per carrier per updated slot, 1 to 6 slots, HPAV and
+        // AV500 carrier counts.
+        for n in [917, 2153] {
+            for k in 1..=6 {
+                let words = 2 * k * n;
+                for seed in [0, 2015] {
+                    let start = StdRng::seed_from_u64(seed);
+                    let mut jumped = start.clone();
+                    advance(&mut jumped, words);
+                    assert_eq!(jumped, stepped(&start, words), "words={words}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn advance_matches_stepping(
+            state in (
+                proptest::any::<u64>(),
+                proptest::any::<u64>(),
+                proptest::any::<u64>(),
+                proptest::any::<u64>(),
+            ),
+            words in 0u64..=20_000,
+        ) {
+            let state = [state.0, state.1, state.2, state.3];
+            proptest::prop_assume!(state != [0; 4]);
+            let start = StdRng::from_state(state);
+            let mut jumped = start.clone();
+            advance(&mut jumped, words);
+            proptest::prop_assert_eq!(jumped, stepped(&start, words));
+        }
     }
 
     #[test]

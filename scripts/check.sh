@@ -220,15 +220,21 @@ for ex in quickstart blind_spot hybrid_streaming probing_planner obs_jsonl; do
 done
 echo "examples OK"
 
-echo "== e2ebench pinned digests (paper-quick, seed 2015) =="
-# The end-to-end benchmark checks every runner's serialized output
-# against the digests pinned in e2ebench/src/pins.rs and exits nonzero
-# on any mismatch, so a runner that stops being bit-identical fails here.
-# `--locked` fails the step if a dependency change would rewrite
-# e2ebench/Cargo.lock, instead of letting cargo update it silently.
-cargo run --release --offline --locked --quiet --manifest-path e2ebench/Cargo.toml -- \
-    --workload paper-quick --seed 2015 --seconds 1 --trace 0 > /dev/null
-echo "pinned runner digests OK"
+echo "== e2ebench pinned digests (paper-quick and campaign-sweep, seeds 2015 and 1) =="
+# The end-to-end benchmark checks every runner's serialized output and
+# the campaign's summary.json against the digests pinned in
+# e2ebench/src/pins.rs for seed 2015 and the held-out seed 1, and exits
+# nonzero on any mismatch, so an output that stops being bit-identical
+# fails here. `--locked` fails the step if a dependency change would
+# rewrite e2ebench/Cargo.lock, instead of letting cargo update it silently.
+e2ebench_pinned() {
+    cargo run --release --offline --locked --quiet --manifest-path e2ebench/Cargo.toml -- \
+        --workload "$1" --seed "$2" --seconds 1 --trace 0 > /dev/null
+    echo "pinned digests OK: $1, seed $2"
+}
+e2ebench_pinned paper-quick 2015
+e2ebench_pinned campaign-sweep 2015
+e2ebench_pinned paper-quick 1
 
 echo "== report (every artifact under out/ read back through its type) =="
 cargo build --release -q -p electrifi-bench --bin report
